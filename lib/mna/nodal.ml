@@ -40,10 +40,13 @@ type stamp = {
    [g G + f s C], so the Markowitz ordering is learned once per (f, g) — at
    the canonical point [s = i], which is independent of evaluation order so
    parallel interpolation stays bit-identical to sequential — and only the
-   numeric elimination is redone per point.  [None] payload: the pattern
-   could not be learned (singular at the canonical point); evaluate from
-   scratch.  The mutex makes concurrent [eval] calls from several domains
-   safe. *)
+   numeric elimination is redone per point.  Every learned pattern is kept
+   for the life of the [t] (one job): the health probes revisit the scales
+   generation learned, and learning is a pure function of (t, f, g), so a
+   kept pattern is the one a re-learn would produce.  [None] payload: the
+   pattern could not be learned (singular at the canonical point); evaluate
+   from scratch.  The mutex makes concurrent [eval] calls from several
+   domains safe. *)
 (* The kernel half of a learned pattern: the coordinate-to-slot scatter map
    ([-1] for entries identically zero over the pass) and the per-domain
    workspace pool of the fused engine.  [None] when the kernel is disabled
@@ -61,7 +64,7 @@ type payload = {
 }
 
 type cache = {
-  mutable pat : (float * float * payload option) option;
+  mutable pats : (float * float * payload option) list;
   lock : Mutex.t;
 }
 
@@ -274,7 +277,7 @@ let make ?(reuse = true) ?(kernel = kernel_default) circuit ~input ~output =
     stamp = build_stamp circuit roles dim injections;
     reuse;
     use_kernel = kernel;
-    cache = { pat = None; lock = Mutex.create () };
+    cache = { pats = []; lock = Mutex.create () };
   }
 
 type plan = {
@@ -355,14 +358,14 @@ let pattern_for t ~f ~g =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock c.lock)
     (fun () ->
-      match c.pat with
-      | Some (pf, pg, payload) when pf = f && pg = g ->
+      match List.find_opt (fun (pf, pg, _) -> pf = f && pg = g) c.pats with
+      | Some (_, _, payload) ->
           Obs.incr Obs.pattern_hits;
           payload
-      | _ ->
+      | None ->
           Obs.incr Obs.pattern_misses;
           let payload = learn_pattern t ~f ~g in
-          c.pat <- Some (f, g, payload);
+          c.pats <- (f, g, payload) :: c.pats;
           payload)
 
 (* The boxed per-point machinery, shared between [eval] and [eval_batch]'s

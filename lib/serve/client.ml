@@ -38,15 +38,22 @@ let connect ~addr =
   { fd; ic; oc; banner }
 
 let banner t = t.banner
+let fd t = t.fd
 
-let request t req =
+let send t req =
   output_string t.oc (Json.to_string (Protocol.request_to_json req));
   output_char t.oc '\n';
-  flush t.oc;
+  flush t.oc
+
+let recv t =
   match input_line t.ic with
   | line -> Protocol.reply_of_json (Json.parse line)
   | exception End_of_file ->
       Errors.fail (Errors.Connection_closed { during = "the reply" })
+
+let request t req =
+  send t req;
+  recv t
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

@@ -26,9 +26,26 @@ val banner : t -> Symref_obs.Json.t
     ([{"hello":"symref";"version";...}]). *)
 
 val request : t -> Protocol.request -> Protocol.reply
-(** Send one request line and block for its reply line.
+(** Send one request line and block for its reply line: {!send} then
+    {!recv}.
     @raise Errors.Error [Connection_closed] when the connection drops
     before the reply. *)
+
+val send : t -> Protocol.request -> unit
+(** Write one request line and flush it.  Write failures surface as
+    [Sys_error] (a peer that closed the connection: broken pipe). *)
+
+val recv : t -> Protocol.reply
+(** Block for one reply line and decode it.  After it returns, nothing of
+    that reply is left buffered on the connection.
+    @raise Errors.Error [Connection_closed] when the connection closes
+    before a reply byte arrives; [Failure] on a malformed or truncated
+    line. *)
+
+val fd : t -> Unix.file_descr
+(** The connection's socket, for [Unix.select]: readable means a reply
+    (or the peer's close) is waiting.  Only meaningful while nothing is
+    buffered, i.e. between a {!recv} and the next {!send}. *)
 
 val close : t -> unit
 

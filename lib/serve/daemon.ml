@@ -8,7 +8,7 @@ type t = {
   listeners : (Transport.address * Unix.file_descr) list;
   lock : Mutex.t;
   mutable stop : bool;
-  mutable conns : (Unix.file_descr * Thread.t) list;
+  conns : Conns.t;
 }
 
 let create ?config ~listen () =
@@ -35,7 +35,13 @@ let create ?config ~listen () =
     in
     bind_all [] listen
   in
-  { service; listeners; lock = Mutex.create (); stop = false; conns = [] }
+  {
+    service;
+    listeners;
+    lock = Mutex.create ();
+    stop = false;
+    conns = Conns.create ();
+  }
 
 let service t = t.service
 let addresses t = List.map fst t.listeners
@@ -113,18 +119,17 @@ let handle_conn t fd =
     in
     send (Protocol.reply_to_json reply)
   in
-  (try
-     send (Protocol.hello_banner ());
-     let rec loop () =
-       match input_line ic with
-       | exception End_of_file -> ()
-       | line ->
-           if String.trim line <> "" then serve_line line;
-           loop ()
-     in
-     loop ()
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  try
+    send (Protocol.hello_banner ());
+    let rec loop () =
+      match input_line ic with
+      | exception End_of_file -> ()
+      | line ->
+          if String.trim line <> "" then serve_line line;
+          loop ()
+    in
+    loop ()
+  with Sys_error _ | Unix.Unix_error _ -> ()
 
 let serve t =
   let socks = List.map snd t.listeners in
@@ -138,11 +143,7 @@ let serve t =
           List.iter
             (fun sock ->
               match Unix.accept sock with
-              | fd, _ ->
-                  let th = Thread.create (handle_conn t) fd in
-                  Mutex.lock t.lock;
-                  t.conns <- (fd, th) :: t.conns;
-                  Mutex.unlock t.lock
+              | fd, _ -> Conns.spawn t.conns (handle_conn t) fd
               | exception Unix.Unix_error _ -> ())
             ready);
       accept_loop ()
@@ -150,17 +151,9 @@ let serve t =
   in
   accept_loop ();
   (* Graceful teardown: finish the admitted jobs (their replies flush on the
-     still-open connections), then unblock the readers and join. *)
+     still-open connections), then unblock the readers and wait them out. *)
   Service.shutdown t.service;
   List.iter (fun (addr, fd) -> Transport.close_listener addr fd) t.listeners;
-  Mutex.lock t.lock;
-  let conns = t.conns in
-  t.conns <- [];
-  Mutex.unlock t.lock;
-  List.iter
-    (fun (fd, _) ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    conns;
-  List.iter (fun (_, th) -> Thread.join th) conns
+  Conns.shutdown t.conns
 
 let run ?config ~listen () = serve (create ?config ~listen ())

@@ -39,7 +39,7 @@ val serve : t -> unit
 (** Run the accept loop on the calling thread until a [shutdown] request
     arrives (or {!request_stop} is called from another thread), then drain
     and clean up: every listener is closed (Unix socket files unlinked) and
-    every connection joined before this returns. *)
+    every connection handler has finished before this returns. *)
 
 val request_stop : t -> unit
 (** Ask the accept loop to wind down; safe from any thread. *)

@@ -15,11 +15,22 @@
    tries them all anyway — a stale "open" must degrade to a slow request,
    not an outage.
 
+   Forwards, health probes and stats requests run over a small pool of
+   open connections per worker, so a forward costs the worker neither an
+   accept nor a banner.  A pooled connection is always idle: it goes back
+   only once its reply line has been read in full, and a connection left
+   with a request in flight (a hedge race's loser) or one that raised is
+   closed instead — otherwise the next request on it would read the
+   abandoned job's reply.
+
    Tail latency is covered by hedging: when the owner has not answered
    after a delay derived from recent forward latencies (p99, clamped), the
    same job is re-issued to the next ring candidate and the first reply
    wins.  Workers are deterministic and idempotent, so a duplicated job
-   can only waste one worker's time, never change the answer. *)
+   can only waste one worker's time, never change the answer.  The race
+   runs on the calling thread: the pure {!Race} machine picks the reply,
+   a select loop over the racers' sockets and timers carries out its
+   actions. *)
 
 module Json = Symref_obs.Json
 module Metrics = Symref_obs.Metrics
@@ -52,6 +63,161 @@ type hedge_config = {
 
 let default_hedge = { after_ms_min = 25.; after_ms_max = 500.; percentile = 0.99 }
 
+(* --- the race: which reply a forward relays --- *)
+
+(* Pure: state x event -> state x actions, no sockets, clocks or threads.
+   The select loop in {!exchange} feeds it what happened and carries out
+   what it says; the rules themselves live only here. *)
+module Race = struct
+  type racer = Primary | Hedge
+
+  type outcome =
+    | Answer of Protocol.reply
+    | Backpressure of Protocol.reply
+    | Transient
+    | Fatal of exn
+
+  type event = Replied of racer * outcome | Hedge_due | Retry_due of racer
+
+  type verdict = Relay of Protocol.reply | Failed of exn | Lost
+
+  type count = Hedged | Hedge_won | Failed_over | Retried
+
+  type action =
+    | Send of racer
+    | Arm_retry of racer * float
+    | Abandon of racer
+    | Healthy of racer
+    | Unhealthy of racer
+    | Count of count
+    | Decide of verdict
+
+  (* [Idle] until first sent (only the hedge waits), [Sending n] while
+     attempt [n] is on the wire, [Backing_off n] while the timer before
+     attempt [n] runs, [Done] once its final outcome is in. *)
+  type phase = Idle | Sending of int | Backing_off of int | Done
+
+  type t = {
+    backoff : Client.backoff;
+    second : bool;  (* a second candidate exists *)
+    primary : phase;
+    hedge : phase;
+    answer : (Protocol.reply * racer) option;  (* first real answer *)
+    backpressure : Protocol.reply option;
+    fatal : exn option;
+    primary_lost : bool;  (* the primary failed transiently *)
+    decided : bool;
+  }
+
+  let start ~backoff ~second =
+    ( {
+        backoff;
+        second;
+        primary = Sending 0;
+        hedge = Idle;
+        answer = None;
+        backpressure = None;
+        fatal = None;
+        primary_lost = false;
+        decided = false;
+      },
+      [ Send Primary ] )
+
+  let decided s = s.decided
+  let phase s = function Primary -> s.primary | Hedge -> s.hedge
+
+  let set s r p =
+    match r with
+    | Primary -> { s with primary = p }
+    | Hedge -> { s with hedge = p }
+
+  let in_flight s r =
+    match phase s r with
+    | Sending _ | Backing_off _ -> true
+    | Idle | Done -> false
+
+  let fire s why = ({ s with hedge = Sending 0 }, [ Count why; Send Hedge ])
+
+  (* The first real answer wins; else backpressure (the primary's, or the
+     hedge's as a fallback); else a fatal failure, deterministic in the
+     job; else every racer failed transiently and the walk moves on.  A
+     racer still out is abandoned: its connection may yet carry a reply,
+     so it must be closed, never pooled. *)
+  let decide s acts =
+    let verdict, hedge_won =
+      match (s.answer, s.backpressure, s.fatal) with
+      | Some (reply, r), _, _ -> (Relay reply, r = Hedge && not s.primary_lost)
+      | None, Some reply, _ -> (Relay reply, false)
+      | None, None, Some e -> (Failed e, false)
+      | None, None, None -> (Lost, false)
+    in
+    let abandon r = if in_flight s r then [ Abandon r ] else [] in
+    ( { s with decided = true },
+      acts @ abandon Primary @ abandon Hedge
+      @ (if hedge_won then [ Count Hedge_won ] else [])
+      @ [ Decide verdict ] )
+
+  (* A racer's final outcome.  Backpressure or a fatal error from the
+     primary ends the race — exactly the unhedged relay, and hedging must
+     not duplicate load onto an overloaded fleet; from the hedge they are
+     only fallbacks, since the primary may still answer.  A primary that
+     failed outright hands the job to the second candidate at once: that
+     is failover, not a hedge. *)
+  let settle s r o acts =
+    let s = set s r Done in
+    let s =
+      match o with
+      | Answer reply when Option.is_none s.answer ->
+          { s with answer = Some (reply, r) }
+      | Backpressure reply when r = Primary || Option.is_none s.backpressure ->
+          { s with backpressure = Some reply }
+      | Fatal e when Option.is_none s.fatal -> { s with fatal = Some e }
+      | Transient when r = Primary -> { s with primary_lost = true }
+      | Answer _ | Backpressure _ | Fatal _ | Transient -> s
+    in
+    match (o, r) with
+    | Answer _, _ | (Backpressure _ | Fatal _), Primary -> decide s acts
+    | Transient, Primary when s.second && s.hedge = Idle ->
+        let s, fired = fire s Failed_over in
+        (s, acts @ fired)
+    | _ ->
+        if in_flight s Primary || in_flight s Hedge then (s, acts)
+        else decide s acts
+
+  (* One attempt came back.  Each racer keeps the router's attempt budget:
+     backpressure or a transient failure with attempts left arms a retry
+     timer (the server's [retry_after_ms] hint when it gave one), exactly
+     as {!Client.retry_request} would sleep. *)
+  let attempt_done s r n o =
+    let retry ~retry_after_ms =
+      let ms = Client.delay_after s.backoff ~attempt:n ~retry_after_ms in
+      (set s r (Backing_off (n + 1)), [ Count Retried; Arm_retry (r, ms) ])
+    in
+    let last = n + 1 >= s.backoff.Client.attempts in
+    match o with
+    | Backpressure reply when not last ->
+        retry ~retry_after_ms:(Protocol.retry_after_ms reply)
+    | Transient when not last -> retry ~retry_after_ms:None
+    | Answer _ | Backpressure _ -> settle s r o [ Healthy r ]
+    | Transient -> settle s r o [ Unhealthy r ]
+    | Fatal _ -> settle s r o []
+
+  let step s ev =
+    if s.decided then (s, [])
+    else
+      match ev with
+      | Hedge_due when s.second && s.hedge = Idle -> fire s Hedged
+      | Retry_due r -> (
+          match phase s r with
+          | Backing_off n -> (set s r (Sending n), [ Send r ])
+          | Idle | Sending _ | Done -> (s, []))
+      | Replied (r, o) -> (
+          match phase s r with
+          | Sending n -> attempt_done s r n o
+          | Idle | Backing_off _ | Done -> (s, []))
+      | Hedge_due -> (s, [])
+end
+
 type worker = {
   addr : Transport.address;
   mutable state : breaker_state;
@@ -59,6 +225,7 @@ type worker = {
   mutable streak : int;  (* opens since the last close, paces re-probing *)
   mutable probes : int;  (* probes sent, salts the deterministic jitter *)
   mutable next_probe : float;  (* prober schedule, unix time *)
+  mutable idle : Client.t list;  (* pooled connections, most recent first *)
 }
 
 let lat_window = 256
@@ -73,11 +240,11 @@ type t = {
   lat : float array; (* ring buffer of forward latencies, ms *)
   mutable lat_n : int; (* samples recorded, saturates at lat_window *)
   mutable lat_i : int; (* next write slot *)
-  lock : Mutex.t; (* guards breaker fields and the latency buffer *)
+  lock : Mutex.t; (* guards breaker fields, pools and the latency buffer *)
 }
 
-(* A signal must never unwind a serve loop or strand a hedge race: an
-   interrupted nap just ends early (callers all re-check their clocks). *)
+(* A signal must never unwind the prober: an interrupted nap just ends
+   early (the prober re-checks its clock). *)
 let sleepf s =
   try Unix.sleepf s with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
@@ -100,6 +267,10 @@ let create ?(replicas = 64) ?(backoff = default_backoff)
   if replicas < 1 then invalid_arg "Router.create: replicas must be >= 1";
   if breaker.threshold < 1 then
     invalid_arg "Router.create: breaker threshold must be >= 1";
+  (* A pooled connection whose worker has gone away must fail the write
+     with EPIPE (a stale connection, re-sent fresh), not kill the
+     process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let workers =
     Array.of_list
       (List.map
@@ -111,6 +282,7 @@ let create ?(replicas = 64) ?(backoff = default_backoff)
              streak = 0;
              probes = 0;
              next_probe = 0.;
+             idle = [];
            })
          addrs)
   in
@@ -228,7 +400,15 @@ let cooldown_s t (w : worker) =
     (t.breaker.cooldown_ms *. Float.pow 2. (float_of_int (Int.min w.streak 10)))
   /. 1000.
 
+(* Under t.lock. *)
+let close_idle (w : worker) =
+  List.iter Client.close w.idle;
+  w.idle <- []
+
+(* A tripped breaker also drops the worker's idle connections: they point
+   at a process that just failed. *)
 let open_locked t (w : worker) now =
+  close_idle w;
   w.state <- Open { until = now +. cooldown_s t w };
   w.streak <- w.streak + 1;
   w.failures <- 0;
@@ -289,7 +469,8 @@ let admits t wi =
 (* The moment an exchange actually goes out: an Open breaker past its
    cooldown flips to Half_open here and nowhere else, so this request is
    the single probe and an untried candidate never gets parked
-   Half_open (which would refuse its traffic until the prober's grace). *)
+   Half_open (which would refuse its traffic until the prober's grace).
+   [true] when this request claimed the probe. *)
 let claim_half_open t wi =
   with_lock t (fun () ->
       let w = t.workers.(wi) in
@@ -297,8 +478,20 @@ let claim_half_open t wi =
       match w.state with
       | Open { until } when now >= until ->
           w.state <- Half_open { since = now };
-          Metrics.incr Metrics.router_breaker_half_opens
-      | Closed | Open _ | Half_open _ -> ())
+          Metrics.incr Metrics.router_breaker_half_opens;
+          true
+      | Closed | Open _ | Half_open _ -> false)
+
+(* A probe cut off by the race verdict neither answered nor failed: the
+   slot goes back (Open, cooldown already passed), so the next request
+   through probes again instead of the breaker waiting out the prober's
+   grace — or, with no prober running, staying half-open for good. *)
+let release_half_open t wi =
+  with_lock t (fun () ->
+      let w = t.workers.(wi) in
+      match w.state with
+      | Half_open _ -> w.state <- Open { until = Unix.gettimeofday () }
+      | Closed | Open _ -> ())
 
 let breaker_state t wi : breaker_view =
   with_lock t (fun () ->
@@ -328,48 +521,261 @@ let hedge_delay_ms t =
   match t.hedge with
   | None -> infinity
   | Some h ->
-      if t.lat_n = 0 then h.after_ms_max
-      else
-        let sample =
-          with_lock t (fun () -> Array.sub t.lat 0 t.lat_n)
-        in
-        Array.sort compare sample;
+      let sample = with_lock t (fun () -> Array.sub t.lat 0 t.lat_n) in
+      let n = Array.length sample in
+      if n = 0 then h.after_ms_max
+      else begin
+        Array.sort Float.compare sample;
         let i =
-          Int.min
-            (Array.length sample - 1)
-            (int_of_float (h.percentile *. float_of_int (Array.length sample)))
+          Int.min (n - 1) (int_of_float (h.percentile *. float_of_int n))
         in
         Float.max h.after_ms_min (Float.min h.after_ms_max sample.(i))
+      end
 
-(* One forwarded exchange; transient failures surface as [Error] so the
-   walk can fail over.  Anything non-transient (a version mismatch, a bad
-   spec mapped by the worker, a malformed reply) surfaces as
-   [Error (`Fatal _)] — the next worker would only say the same thing, but
-   the exception must stay a value: letting it escape would strand a hedge
-   race mid-wait or kill a connection handler without a reply.  A fatal
-   exchange feeds neither breaker direction — the worker answered, so it
-   is not down, and a bad job must not open a healthy worker's circuit. *)
-let try_worker t w req =
-  claim_half_open t w;
-  let t0 = Unix.gettimeofday () in
-  match Client.retry_request ~backoff:t.backoff ~addr:t.workers.(w).addr req with
-  | reply ->
-      record_success t w;
-      (match req with
-      | Protocol.Submit _ ->
-          record_latency t ((Unix.gettimeofday () -. t0) *. 1000.)
-      | Protocol.Hello | Protocol.Stats | Protocol.Shutdown -> ());
-      Ok reply
-  | exception Unix.Unix_error (e, _, _) when Client.transient_errno e ->
-      record_failure t w;
-      Error (`Unix e)
-  | exception Errors.Error e when Errors.transient e ->
-      record_failure t w;
-      Error (`Typed e)
-  | exception Sys_error m ->
-      record_failure t w;
-      Error (`Sys m)
-  | exception e -> Error (`Fatal e)
+(* --- the connection pool --- *)
+
+(* Idle connections kept per worker: enough for the front's concurrent
+   forwards to one worker, few enough that the handler threads they pin on
+   the worker stay negligible. *)
+let max_idle = 4
+
+(* An idle socket that selects readable has been closed (or reset) by its
+   peer: the worker restarted or died since the connection was pooled. *)
+let peer_closed c =
+  match Unix.select [ Client.fd c ] [] [] 0. with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error _ -> true
+
+(* A pooled connection when a live one is idle ([true]: reused), else a
+   fresh one. *)
+let checkout t wi =
+  let w = t.workers.(wi) in
+  let take () =
+    with_lock t (fun () ->
+        match w.idle with
+        | c :: rest ->
+            w.idle <- rest;
+            Some c
+        | [] -> None)
+  in
+  let rec go () =
+    match take () with
+    | Some c when peer_closed c ->
+        Client.close c;
+        go ()
+    | Some c -> (c, true)
+    | None -> (Client.connect ~addr:w.addr, false)
+  in
+  go ()
+
+(* Only a connection whose reply has been read in full comes back here. *)
+let checkin t wi c =
+  let w = t.workers.(wi) in
+  let kept =
+    with_lock t (fun () ->
+        if List.length w.idle >= max_idle then false
+        else begin
+          w.idle <- c :: w.idle;
+          true
+        end)
+  in
+  if not kept then Client.close c
+
+let close t = with_lock t (fun () -> Array.iter close_idle t.workers)
+
+(* --- one exchange: the race's IO shell --- *)
+
+(* Transient failures are the connection-level ones a fresh attempt can
+   outlive; anything else (a version mismatch, a malformed reply) is
+   deterministic in the job.  The exception must stay a value either way:
+   an escaped one would kill a connection handler without a reply. *)
+let outcome_of_exn = function
+  | Unix.Unix_error (e, _, _) when Client.transient_errno e -> Race.Transient
+  | Errors.Error e when Errors.transient e -> Race.Transient
+  | Sys_error _ -> Race.Transient
+  | e -> Race.Fatal e
+
+let outcome_of_reply (reply : Protocol.reply) =
+  match reply.Protocol.status with
+  | Protocol.Busy | Protocol.Overloaded -> Race.Backpressure reply
+  | Protocol.Ok | Protocol.Error | Protocol.Timeout -> Race.Answer reply
+
+(* One racer's IO: its worker, the connection its attempt is on ([true]
+   when it came from the pool), when it was first sent, whether that send
+   claimed the worker's half-open probe, and its pending retry timer. *)
+type leg = {
+  racer : Race.racer;
+  wi : int;
+  mutable conn : (Client.t * bool) option;
+  mutable started : float;
+  mutable probing : bool;
+  mutable retry_at : float;
+}
+
+(* Run [req] against worker [w1] — raced against [second = Some (w2,
+   delay_ms)] — on the calling thread: send the primary, select on its
+   socket for the hedge delay, then on every racer's socket and retry
+   timer, feeding {!Race} each event and carrying out its actions until it
+   decides.  A reused connection that fails before a reply arrives was
+   stale: the request goes out once more on a fresh connection, charged to
+   neither the breaker nor the attempt budget. *)
+let exchange t req w1 second =
+  let leg racer wi =
+    {
+      racer;
+      wi;
+      conn = None;
+      started = Float.nan;
+      probing = false;
+      retry_at = infinity;
+    }
+  in
+  let primary = leg Race.Primary w1 in
+  let hedge = Option.map (fun (w2, _) -> leg Race.Hedge w2) second in
+  let legs = primary :: Option.to_list hedge in
+  let leg_of = function
+    | Race.Primary -> primary
+    | Race.Hedge -> Option.get hedge
+  in
+  let hedge_at =
+    ref
+      (match second with
+      | Some (_, ms) -> Unix.gettimeofday () +. (ms /. 1000.)
+      | None -> infinity)
+  in
+  let events = Queue.create () in
+  let verdict = ref None in
+  let report l o = Queue.add (Race.Replied (l.racer, o)) events in
+  let sample l =
+    match req with
+    | Protocol.Submit _ when not (Float.is_nan l.started) ->
+        record_latency t ((Unix.gettimeofday () -. l.started) *. 1000.)
+    | Protocol.Submit _ | Protocol.Hello | Protocol.Stats | Protocol.Shutdown ->
+        ()
+  in
+  let rec transmit l ~reuse =
+    match
+      if reuse then checkout t l.wi
+      else (Client.connect ~addr:t.workers.(l.wi).addr, false)
+    with
+    | exception e -> report l (outcome_of_exn e)
+    | c, reused -> (
+        match Client.send c req with
+        | () -> l.conn <- Some (c, reused)
+        | exception e ->
+            Client.close c;
+            failed l ~reused e)
+  and failed l ~reused e =
+    match outcome_of_exn e with
+    | Race.Transient when reused -> transmit l ~reuse:false
+    | o -> report l o
+  in
+  let receive l =
+    match l.conn with
+    | None -> ()
+    | Some (c, reused) -> (
+        l.conn <- None;
+        match Client.recv c with
+        | reply ->
+            checkin t l.wi c;
+            report l (outcome_of_reply reply)
+        | exception e ->
+            Client.close c;
+            failed l ~reused e)
+  in
+  let drop l =
+    Option.iter (fun (c, _) -> Client.close c) l.conn;
+    l.conn <- None
+  in
+  let act = function
+    | Race.Send r ->
+        let l = leg_of r in
+        if Float.is_nan l.started then begin
+          l.started <- Unix.gettimeofday ();
+          l.probing <- claim_half_open t l.wi
+        end;
+        if r = Race.Hedge then hedge_at := infinity;
+        transmit l ~reuse:true
+    | Race.Arm_retry (r, ms) ->
+        (leg_of r).retry_at <- Unix.gettimeofday () +. (ms /. 1000.)
+    | Race.Abandon r ->
+        let l = leg_of r in
+        drop l;
+        l.retry_at <- infinity;
+        if l.probing then release_half_open t l.wi;
+        (* The loser's elapsed time is a floor on its latency: recording
+           it keeps the slow tail in the p99 the hedge delay derives from. *)
+        sample l
+    | Race.Healthy r ->
+        let l = leg_of r in
+        record_success t l.wi;
+        sample l
+    | Race.Unhealthy r -> record_failure t (leg_of r).wi
+    | Race.Count c ->
+        Metrics.incr
+          (match c with
+          | Race.Hedged -> Metrics.router_hedges
+          | Race.Hedge_won -> Metrics.router_hedge_wins
+          | Race.Failed_over -> Metrics.router_failovers
+          | Race.Retried -> Metrics.serve_client_retries)
+    | Race.Decide v -> verdict := Some v
+  in
+  (* The next due timer as an event, else block in select until a socket
+     or the earliest timer is ready. *)
+  let wait () =
+    let now = Unix.gettimeofday () in
+    match List.find_opt (fun l -> l.retry_at <= now) legs with
+    | Some l ->
+        l.retry_at <- infinity;
+        Queue.add (Race.Retry_due l.racer) events
+    | None when !hedge_at <= now ->
+        hedge_at := infinity;
+        Queue.add Race.Hedge_due events
+    | None -> (
+        let out =
+          List.filter_map
+            (fun l -> Option.map (fun (c, _) -> (Client.fd c, l)) l.conn)
+            legs
+        in
+        let deadline =
+          List.fold_left (fun d l -> Float.min d l.retry_at) !hedge_at legs
+        in
+        let timeout = if deadline = infinity then -1. else deadline -. now in
+        match Unix.select (List.map fst out) [] [] timeout with
+        | ready, _, _ -> List.iter (fun fd -> receive (List.assoc fd out)) ready
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | exception Unix.Unix_error (Unix.EINVAL, _, _) when out <> [] ->
+            (* A descriptor past select's FD_SETSIZE (a process with over a
+               thousand open files): block on the first racer's reply
+               alone, giving up the timers for this wait. *)
+            receive (snd (List.hd out))
+        | exception e ->
+            List.iter
+              (fun (_, l) ->
+                drop l;
+                report l (Race.Fatal e))
+              out)
+  in
+  let rec run state =
+    match Queue.take_opt events with
+    | Some ev ->
+        let state, actions = Race.step state ev in
+        List.iter act actions;
+        run state
+    | None -> (
+        match !verdict with
+        | Some v -> v
+        | None ->
+            wait ();
+            run state)
+  in
+  let state, actions = Race.start ~backoff:t.backoff ~second:(hedge <> None) in
+  Fun.protect
+    ~finally:(fun () -> List.iter drop legs)
+    (fun () ->
+      List.iter act actions;
+      run state)
 
 (* A non-transient exchange failure becomes the client's structured reply:
    it is deterministic in the job (every worker would say the same), so
@@ -384,116 +790,6 @@ let fatal_reply (job : Protocol.job) e =
   in
   Protocol.error ~id:job.Protocol.id ~kind msg
 
-(* Race the owner against the next candidate: the primary goes out now,
-   the hedge fires once [delay_ms] passes without a primary verdict — or
-   immediately if the primary fails first (then it is ordinary failover,
-   not a hedge).  First Ok wins; the loser is abandoned, not joined —
-   its thread just finds the race decided and exits, costing at most one
-   wasted worker computation (idempotent by construction). *)
-let hedged_pair t job w1 w2 delay_ms =
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let first_ok = ref None in
-  let backpressure = ref None in
-  let fatal = ref None in
-  let primary_bp = ref false in
-  let primary_fatal = ref false in
-  let primary_failed = ref false in
-  let completed = ref 0 in
-  let is_bp (reply : Protocol.reply) =
-    reply.Protocol.status = Protocol.Busy
-    || reply.Protocol.status = Protocol.Overloaded
-  in
-  let finish outcome ~hedged =
-    Mutex.lock m;
-    (match outcome with
-    | Ok reply when is_bp reply ->
-        (* Backpressure from the owner ends the race at once — exactly the
-           unhedged relay, and hedging must not duplicate load onto the
-           rest of an overloaded fleet.  Backpressure from the hedge is
-           only a fallback: the owner may still produce a real answer. *)
-        if (not hedged) || !backpressure = None then backpressure := Some reply;
-        if not hedged then primary_bp := true
-    | Ok reply when !first_ok = None -> first_ok := Some (reply, hedged)
-    | Ok _ -> ()
-    | Error (`Fatal e) ->
-        (* Deterministic in the job, not a failover trigger: primary-side
-           it must end the race — the hedge could only repeat the same
-           verdict — and either side it is the reply of last resort. *)
-        if !fatal = None then fatal := Some e;
-        if not hedged then primary_fatal := true
-    | Error _ -> if not hedged then primary_failed := true);
-    incr completed;
-    Condition.signal cv;
-    Mutex.unlock m
-  in
-  (* A racer must always report back through [finish]: an exception that
-     escaped a racer thread would leave [completed] short and the
-     coordinator in Condition.wait forever (hanging the client connection
-     and, later, router shutdown's Thread.join).  [try_worker] is total by
-     construction; the catch-all is the belt for whatever it misses. *)
-  let race w ~hedged =
-    let outcome =
-      try try_worker t w (Protocol.Submit job) with e -> Error (`Fatal e)
-    in
-    finish outcome ~hedged
-  in
-  let _primary = Thread.create (fun () -> race w1 ~hedged:false) () in
-  let _hedge =
-    Thread.create
-      (fun () ->
-        let deadline = Unix.gettimeofday () +. (delay_ms /. 1000.) in
-        let decided = ref false in
-        let fire = ref false in
-        while not !decided do
-          Mutex.lock m;
-          if !first_ok <> None || !primary_bp || !primary_fatal then
-            decided := true
-          else if !primary_failed then begin
-            (* Primary already lost: fire now as plain failover. *)
-            decided := true;
-            fire := true
-          end
-          else if Unix.gettimeofday () >= deadline then begin
-            decided := true;
-            fire := true;
-            Metrics.incr Metrics.router_hedges
-          end;
-          Mutex.unlock m;
-          if not !decided then
-            sleepf (Float.min 0.005 (Float.max 0.0005 (delay_ms /. 4000.)))
-        done;
-        if !fire then begin
-          if !primary_failed then Metrics.incr Metrics.router_failovers;
-          race w2 ~hedged:true
-        end
-        else finish (Error `Abandoned) ~hedged:true)
-      ()
-  in
-  Mutex.lock m;
-  while
-    !first_ok = None
-    && (not !primary_bp)
-    && (not !primary_fatal)
-    && !completed < 2
-  do
-    Condition.wait cv m
-  done;
-  let verdict = !first_ok
-  and bp = !backpressure
-  and fatal_exn = !fatal
-  and primary_lost = !primary_failed in
-  Mutex.unlock m;
-  match verdict with
-  | Some (reply, hedged) ->
-      if hedged && not primary_lost then
-        Metrics.incr Metrics.router_hedge_wins;
-      Some reply
-  | None -> (
-      match bp with
-      | Some _ -> bp
-      | None -> Option.map (fatal_reply job) fatal_exn)
-
 let no_worker_reply (job : Protocol.job) =
   (* Every candidate failed: a structured error, so one dead fleet never
      crashes the router's connection handler. *)
@@ -506,24 +802,24 @@ let forward t (job : Protocol.job) =
   let candidates =
     match List.filter (admits t) order with [] -> order | live -> live
   in
+  let req = Protocol.Submit job in
+  (* Non-transient failures end the walk: the next worker would only say
+     the same thing, so answer now instead of walking (and misreporting a
+     deterministic failure as "no worker reachable"). *)
+  let relay walk rest = function
+    | Race.Relay reply -> reply
+    | Race.Failed e -> fatal_reply job e
+    | Race.Lost -> walk false rest
+  in
   let rec walk first = function
     | [] -> no_worker_reply job
-    | w :: rest -> (
+    | w :: rest ->
         if not first then Metrics.incr Metrics.router_failovers;
-        match try_worker t w (Protocol.Submit job) with
-        | Ok reply -> reply
-        | Error (`Fatal e) ->
-            (* Non-transient: the next worker would only say the same
-               thing, so answer now instead of walking (and misreporting
-               a deterministic failure as "no worker reachable"). *)
-            fatal_reply job e
-        | Error _ -> walk false rest)
+        relay walk rest (exchange t req w None)
   in
   match (t.hedge, candidates) with
-  | Some _, w1 :: w2 :: rest -> (
-      match hedged_pair t job w1 w2 (hedge_delay_ms t) with
-      | Some reply -> reply
-      | None -> walk false rest)
+  | Some _, w1 :: w2 :: rest ->
+      relay walk rest (exchange t req w1 (Some (w2, hedge_delay_ms t)))
   | _, _ -> walk true candidates
 
 (* --- health probing --- *)
@@ -535,9 +831,9 @@ let probe t wi =
   with_lock t (fun () ->
       let w = t.workers.(wi) in
       w.probes <- w.probes + 1);
-  match try_worker t wi Protocol.Hello with
-  | Ok _ -> ()
-  | Error _ -> trip t wi
+  match exchange t Protocol.Hello wi None with
+  | Race.Relay _ -> ()
+  | Race.Failed _ | Race.Lost -> trip t wi
 
 let health_check t = Array.iteri (fun wi _ -> probe t wi) t.workers
 
@@ -596,10 +892,10 @@ let stats_json t =
                ("opens_streak", Json.Num (float_of_int streak));
              ]
            in
-           match try_worker t w Protocol.Stats with
-           | Ok reply when reply.Protocol.status = Protocol.Ok ->
+           match exchange t Protocol.Stats w None with
+           | Race.Relay reply when reply.Protocol.status = Protocol.Ok ->
                Json.Obj (base @ [ ("stats", reply.Protocol.body) ])
-           | Ok _ | Error _ -> Json.Obj base)
+           | Race.Relay _ | Race.Failed _ | Race.Lost -> Json.Obj base)
          t.workers)
   in
   Json.Obj
@@ -623,12 +919,11 @@ type server = {
   health_interval_ms : int;
   lock : Mutex.t;
   mutable stop : bool;
-  mutable conns : (Unix.file_descr * Thread.t) list;
+  conns : Conns.t;
 }
 
 let create_server ?(backlog = 16) ?(health_interval_ms = 1000) ~listen router =
   if listen = [] then invalid_arg "Router.create_server: no listen addresses";
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listeners =
     let rec bind_all acc = function
       | [] -> List.rev acc
@@ -647,7 +942,7 @@ let create_server ?(backlog = 16) ?(health_interval_ms = 1000) ~listen router =
     health_interval_ms;
     lock = Mutex.create ();
     stop = false;
-    conns = [];
+    conns = Conns.create ();
   }
 
 let server_addresses s = List.map fst s.listeners
@@ -687,18 +982,17 @@ let handle_conn s fd =
     in
     send (Protocol.reply_to_json reply)
   in
-  (try
-     send (Protocol.hello_banner ());
-     let rec loop () =
-       match input_line ic with
-       | exception End_of_file -> ()
-       | line ->
-           if String.trim line <> "" then serve_line line;
-           loop ()
-     in
-     loop ()
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  try
+    send (Protocol.hello_banner ());
+    let rec loop () =
+      match input_line ic with
+      | exception End_of_file -> ()
+      | line ->
+          if String.trim line <> "" then serve_line line;
+          loop ()
+    in
+    loop ()
+  with Sys_error _ | Unix.Unix_error _ -> ()
 
 let serve s =
   (* Health probing on its own thread, so a slow worker never delays
@@ -724,11 +1018,7 @@ let serve s =
           List.iter
             (fun sock ->
               match Unix.accept sock with
-              | fd, _ ->
-                  let th = Thread.create (handle_conn s) fd in
-                  Mutex.lock s.lock;
-                  s.conns <- (fd, th) :: s.conns;
-                  Mutex.unlock s.lock
+              | fd, _ -> Conns.spawn s.conns (handle_conn s) fd
               | exception Unix.Unix_error _ -> ())
             ready);
       accept_loop ()
@@ -736,13 +1026,6 @@ let serve s =
   in
   accept_loop ();
   List.iter (fun (addr, fd) -> Transport.close_listener addr fd) s.listeners;
-  Mutex.lock s.lock;
-  let conns = s.conns in
-  s.conns <- [];
-  Mutex.unlock s.lock;
-  List.iter
-    (fun (fd, _) ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    conns;
-  List.iter (fun (_, th) -> Thread.join th) conns;
-  Thread.join prober
+  Conns.shutdown s.conns;
+  Thread.join prober;
+  close s.router

@@ -22,14 +22,35 @@
     {b Hedged requests.}  When the key's owner has not answered after a
     delay derived from recent forward latencies (the configured
     percentile, clamped into [[after_ms_min, after_ms_max]]), the job is
-    re-issued to the next ring candidate and the first reply wins; the
-    loser is abandoned.  Workers are deterministic and idempotent, so a
-    duplicated job can only waste time, never change bytes.  Hedges and
-    hedge wins count in [router.hedges] / [router.hedge_wins].
+    re-issued to the next ring candidate and the first real answer wins.
+    The race runs on the forwarding thread itself: the primary goes out,
+    the thread selects on its socket for the hedge delay, then on both
+    sockets and any racer's retry timer.  The loser is abandoned — its
+    connection closed — and its elapsed time still enters the latency
+    window, so the slow tail stays in the percentile.  Backpressure or a
+    fatal error from the owner ends the race; backpressure from the hedge
+    is only a fallback.  A transient failure of the owner fires the second
+    candidate at once, counted as failover, not as a hedge.  The rules
+    live in the pure {!Race} machine.  Workers are deterministic and
+    idempotent, so a duplicated job can only waste time, never change
+    bytes.  Hedges and hedge wins count in [router.hedges] /
+    [router.hedge_wins].
 
-    The router holds no job state and never parses a netlist; it relays
-    replies byte-for-byte, so an answer through the router is identical
-    to one straight from the worker. *)
+    {b Connection pool.}  Forwards, health probes and [Stats] requests
+    reuse up to a fixed number of idle connections per worker, so a
+    forward costs the worker no accept and no banner.  A pooled
+    connection never has a request in flight: it returns to the pool only
+    after its reply line has been read in full, and an abandoned or
+    failed connection is closed.  An idle connection the worker closed
+    (it restarted) is noticed before reuse and dropped; a reused
+    connection that fails before a reply arrives is re-sent once on a
+    fresh connection, charged to neither the breaker nor the attempt
+    budget.  A tripped breaker closes that worker's idle connections.
+
+    The router holds no job state and never parses a netlist: it relays
+    each reply as the worker sent it (decoded and re-encoded, which
+    preserves every byte of the payload), so an answer through the router
+    is identical to one straight from the worker. *)
 
 type t
 
@@ -97,6 +118,11 @@ val forward : t -> Protocol.job -> Protocol.reply
     raises.  When no worker is reachable the reply is a structured
     [connection] error. *)
 
+val close : t -> unit
+(** Close every pooled idle connection.  The router stays usable: later
+    forwards open fresh connections.  {!serve} calls this on its way
+    out. *)
+
 val breaker_state : t -> int -> breaker_view
 (** The breaker of worker index [w] (as listed by {!workers}), now. *)
 
@@ -128,6 +154,66 @@ val stats_json : t -> Symref_obs.Json.t
     closed), consecutive-failure count and — when reachable — its own
     stats reply. *)
 
+(** {1 The hedge race}
+
+    The rules that pick a forward's reply, as a pure function of
+    (state, event): no sockets, clocks or threads.  {!forward} runs one
+    race per exchange ([second = false] for a single candidate) and
+    carries out the actions it returns in order. *)
+module Race : sig
+  type racer = Primary | Hedge
+
+  type outcome =
+    | Answer of Protocol.reply  (** any reply but backpressure *)
+    | Backpressure of Protocol.reply  (** [Busy] or [Overloaded] *)
+    | Transient  (** a connection-level failure a retry may outlive *)
+    | Fatal of exn  (** deterministic in the job *)
+
+  type event =
+    | Replied of racer * outcome  (** the racer's current attempt ended *)
+    | Hedge_due  (** the hedge delay passed *)
+    | Retry_due of racer  (** the racer's retry timer ran out *)
+
+  type verdict =
+    | Relay of Protocol.reply  (** answer the client with this reply *)
+    | Failed of exn  (** answer with the matching structured error *)
+    | Lost  (** every racer failed transiently: walk on *)
+
+  type count =
+    | Hedged  (** [router.hedges] *)
+    | Hedge_won  (** [router.hedge_wins] *)
+    | Failed_over  (** [router.failovers] *)
+    | Retried  (** [serve.client_retries] *)
+
+  type action =
+    | Send of racer  (** put the request on a connection to its worker *)
+    | Arm_retry of racer * float
+        (** deliver [Retry_due racer] after this many ms *)
+    | Abandon of racer
+        (** close the racer's connection, never pool it; record its
+            elapsed time as a latency sample; hand back the worker's
+            half-open probe if this racer's send claimed it *)
+    | Healthy of racer  (** breaker success (and latency sample) *)
+    | Unhealthy of racer  (** breaker failure *)
+    | Count of count
+    | Decide of verdict  (** emitted exactly once, last *)
+
+  type t
+
+  val start : backoff:Client.backoff -> second:bool -> t * action list
+  (** A race whose primary goes out now; [second] says whether a second
+      candidate exists (for the hedge or for failover).  Each racer may
+      make [backoff.attempts] attempts, retrying backpressure and
+      transient failures after {!Client.delay_after}. *)
+
+  val step : t -> event -> t * action list
+  (** Events that do not apply (a reply from a racer not on the wire, a
+      timer that is no longer armed, anything after the verdict) change
+      nothing and return no action. *)
+
+  val decided : t -> bool
+end
+
 (** {1 Front-end server}
 
     The accept loop that makes the router a drop-in daemon: same NDJSON
@@ -153,8 +239,9 @@ val server_addresses : server -> Transport.address list
 
 val serve : server -> unit
 (** Run the accept loop and the health prober until a [shutdown] request
-    or {!request_stop}; listeners are closed and every connection joined
-    before this returns. *)
+    or {!request_stop}; listeners are closed, every connection handler has
+    finished and the worker connection pool is closed before this
+    returns. *)
 
 val request_stop : server -> unit
 (** Ask {!serve} to wind down; safe from any thread. *)

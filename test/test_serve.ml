@@ -491,25 +491,26 @@ let test_disk_cache_two_process_sharing () =
   let dir = temp_dir "symref-disk-share" in
   let payload = String.concat "," (List.init 64 string_of_int) in
   let key = Digest.to_hex (Digest.string "shared") in
-  (* Park the domain pool so the forked child owns a single-domain
-     runtime (a stop-the-world section in the child would otherwise wait
-     forever on domains that only exist in the parent). *)
-  Symref_core.Domain_pool.shutdown ();
-  (match Unix.fork () with
-  | 0 ->
-      (* The child is a genuinely separate process with its own handle on
-         the shared directory — the writer side of the fleet. *)
-      let dc = Serve.Disk_cache.create ~dir in
-      Serve.Disk_cache.store dc ~key payload;
-      Unix._exit 0
-  | pid ->
-      let _, status = Unix.waitpid [] pid in
-      Alcotest.(check bool) "writer exited cleanly" true
-        (status = Unix.WEXITED 0);
-      let dc = Serve.Disk_cache.create ~dir in
-      Alcotest.(check (option string)) "reader sees the writer's entry"
-        (Some payload)
-        (Serve.Disk_cache.find dc ~key));
+  (* The writer is a genuinely separate process with its own handle on
+     the shared directory — the writer side of the fleet.  It is a fresh
+     executable, not a fork: OCaml 5 refuses [Unix.fork] for the rest of
+     the process once any domain has been spawned. *)
+  let writer =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "disk_cache_writer.exe"
+  in
+  let pid =
+    Unix.create_process writer
+      [| writer; dir; key; payload |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "writer exited cleanly" true (status = Unix.WEXITED 0);
+  let dc = Serve.Disk_cache.create ~dir in
+  Alcotest.(check (option string)) "reader sees the writer's entry"
+    (Some payload)
+    (Serve.Disk_cache.find dc ~key);
   rm_rf dir
 
 let test_disk_cache_restart_replay () =
@@ -1153,6 +1154,573 @@ let test_scheduler_sweeper_eviction () =
   Metrics.disable ();
   Metrics.reset ()
 
+(* --- the connection pool and the thread-free hedge race --- *)
+
+module Race = Serve.Router.Race
+
+(* Finished handlers leave the live set (and close their sockets), so a
+   long-running server holds no entry per served connection. *)
+let test_conns_drop_finished () =
+  let conns = Serve.Conns.create () in
+  let peers =
+    List.init 20 (fun _ ->
+        let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Serve.Conns.spawn conns (fun _ -> ()) mine;
+        theirs)
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Serve.Conns.live conns > 0 && Unix.gettimeofday () < deadline do
+    Thread.yield ()
+  done;
+  Alcotest.(check int) "every finished handler dropped" 0
+    (Serve.Conns.live conns);
+  (* Each handler's socket was closed on exit: the peer reads end-of-file. *)
+  List.iter
+    (fun fd ->
+      Alcotest.(check int) "peer sees the close" 0
+        (Unix.read fd (Bytes.create 1) 0 1);
+      Unix.close fd)
+    peers;
+  Serve.Conns.shutdown conns
+
+(* A test-local worker that speaks the protocol: the banner, then one
+   reply per request line, each echoing the job's id and netlist and
+   naming the worker, so a reply read off the wrong connection shows.  It
+   counts accepts; [delay n] holds the reply to its [n]-th submit (counted
+   across connections), and [drop n] closes that submit's connection
+   without replying — a worker that died after the router's staleness
+   check. *)
+type fake = {
+  f_addr : Serve.Transport.address;
+  accepts : int Atomic.t;
+  f_stop : unit -> unit;
+}
+
+let fake_worker ?(delay = fun _ -> 0.) ?(drop = fun _ -> false) dir name =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let addr = Serve.Transport.Unix_sock (Filename.concat dir name) in
+  let listener = Serve.Transport.listen addr in
+  let accepts = Atomic.make 0 and submits = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let handle fd =
+    let ic = Unix.in_channel_of_descr fd in
+    let oc = Unix.out_channel_of_descr fd in
+    let send json =
+      output_string oc (Json.to_string json);
+      output_char oc '\n';
+      flush oc
+    in
+    let rec loop () =
+      match input_line ic with
+      | exception End_of_file -> ()
+      | line -> (
+          match Protocol.request_of_json (Json.parse line) with
+          | Protocol.Submit job ->
+              let n = Atomic.fetch_and_add submits 1 in
+              if not (drop n) then begin
+                Unix.sleepf (delay n);
+                let text =
+                  match job.Protocol.netlist with `Text s -> s | `Path p -> p
+                in
+                let body =
+                  Json.Obj [ ("echo", Json.Str text); ("from", Json.Str name) ]
+                in
+                let reply = Protocol.ok ~id:job.Protocol.id body in
+                send (Protocol.reply_to_json reply);
+                loop ()
+              end
+          | _ ->
+              let hello = Protocol.ok (Protocol.hello_banner ()) in
+              send (Protocol.reply_to_json hello);
+              loop ())
+    in
+    (try
+       send (Protocol.hello_banner ());
+       loop ()
+     with Sys_error _ | Unix.Unix_error _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  let rec accept_loop () =
+    if not (Atomic.get stop) then begin
+      (match Unix.select [ listener ] [] [] 0.05 with
+      | exception Unix.Unix_error _ -> ()
+      | [], _, _ -> ()
+      | _ :: _, _, _ -> (
+          match Unix.accept listener with
+          | fd, _ ->
+              Atomic.incr accepts;
+              ignore (Thread.create handle fd)
+          | exception Unix.Unix_error _ -> ()));
+      accept_loop ()
+    end
+  in
+  let th = Thread.create accept_loop () in
+  {
+    f_addr = addr;
+    accepts;
+    f_stop =
+      (fun () ->
+        Atomic.set stop true;
+        Thread.join th;
+        Serve.Transport.close_listener addr listener);
+  }
+
+(* A job whose ring walk starts at worker [w]. *)
+let job_owned_by router ~prefix w =
+  let rec find i =
+    if i > 500 then Alcotest.fail "no job found for owner"
+    else
+      let job =
+        reference_job
+          ~id:(Printf.sprintf "%s%d" prefix i)
+          (rc_text (Printf.sprintf "%s%d" prefix i))
+      in
+      if List.hd (Serve.Router.route router (Serve.Router.job_key job)) = w
+      then job
+      else find (i + 1)
+  in
+  find 0
+
+let check_echo what (job : Protocol.job) ~from (r : Protocol.reply) =
+  Alcotest.(check bool) (what ^ ": ok") true (r.Protocol.status = Protocol.Ok);
+  Alcotest.(check (option string)) (what ^ ": own id") job.Protocol.id
+    r.Protocol.reply_id;
+  let text = match job.Protocol.netlist with `Text s -> s | `Path p -> p in
+  Alcotest.(check (option string)) (what ^ ": own payload") (Some text)
+    (match Json.member "echo" r.Protocol.body with
+    | Some (Json.Str s) -> Some s
+    | _ -> None);
+  Alcotest.(check (option string)) (what ^ ": answered by") (Some from)
+    (match Json.member "from" r.Protocol.body with
+    | Some (Json.Str s) -> Some s
+    | _ -> None)
+
+let test_pool_one_accept () =
+  let dir = temp_dir "symref-pool" in
+  let solo = fake_worker dir "solo.sock" in
+  let a = fake_worker dir "a.sock" and b = fake_worker dir "b.sock" in
+  let fifty router ~owner name =
+    for i = 1 to 50 do
+      let prefix = Printf.sprintf "%s%d-" name i in
+      let job = job_owned_by router ~prefix owner in
+      check_echo name job ~from:(Printf.sprintf "%s.sock" name)
+        (Serve.Router.forward router job)
+    done;
+    Serve.Router.close router
+  in
+  fifty (Serve.Router.create ~hedge:None [ solo.f_addr ]) ~owner:0 "solo";
+  Alcotest.(check int) "unhedged: one accept for 50 forwards" 1
+    (Atomic.get solo.accepts);
+  (* Hedging on (its delay never passes against a worker this quick): the
+     race still sends every forward over the one pooled connection. *)
+  fifty (Serve.Router.create [ a.f_addr; b.f_addr ]) ~owner:0 "a";
+  Alcotest.(check int) "hedged: one accept for 50 forwards" 1
+    (Atomic.get a.accepts);
+  Alcotest.(check int) "hedged: the other worker never dialled" 0
+    (Atomic.get b.accepts);
+  List.iter (fun f -> f.f_stop ()) [ solo; a; b ];
+  rm_rf dir
+
+let test_pool_worker_restart () =
+  let dir = temp_dir "symref-pool-restart" in
+  let addr = Serve.Transport.Unix_sock (Filename.concat dir "w.sock") in
+  let start () =
+    let d = Serve.Daemon.create ~listen:[ addr ] () in
+    (d, Thread.create Serve.Daemon.serve d)
+  in
+  let stop (d, th) =
+    Serve.Daemon.request_stop d;
+    Thread.join th
+  in
+  (* One attempt and a threshold of 1: a single charged failure would
+     lose the forward and open the breaker. *)
+  let breaker = { Serve.Router.default_breaker with threshold = 1 } in
+  let backoff =
+    { Serve.Client.default_backoff with Serve.Client.attempts = 1 }
+  in
+  let router = Serve.Router.create ~backoff ~breaker ~hedge:None [ addr ] in
+  let job = reference_job ~id:"restart" (rc_text "restart") in
+  let w = start () in
+  let before = Serve.Router.forward router job in
+  Alcotest.(check bool) "first forward ok" true
+    (before.Protocol.status = Protocol.Ok);
+  (* The pooled connection now points at a dead process. *)
+  stop w;
+  let w = start () in
+  let after = Serve.Router.forward router job in
+  Alcotest.(check bool) "forward after the restart ok" true
+    (after.Protocol.status = Protocol.Ok);
+  Alcotest.(check string) "byte-identical across the restart"
+    (norm_reply before) (norm_reply after);
+  Alcotest.(check bool) "breaker stays closed" true
+    (Serve.Router.breaker_state router 0 = `Closed);
+  stop w;
+  Serve.Router.close router;
+  (* A pooled connection that passes the staleness check but dies before
+     the reply (the worker's second submit drops it): re-sent once on a
+     fresh connection, free of charge. *)
+  let f = fake_worker ~drop:(fun n -> n = 1) dir "drop.sock" in
+  let router = Serve.Router.create ~backoff ~breaker ~hedge:None [ f.f_addr ] in
+  let job1 = reference_job ~id:"stale1" (rc_text "stale1") in
+  let job2 = reference_job ~id:"stale2" (rc_text "stale2") in
+  check_echo "first" job1 ~from:"drop.sock" (Serve.Router.forward router job1);
+  check_echo "re-sent" job2 ~from:"drop.sock"
+    (Serve.Router.forward router job2);
+  Alcotest.(check int) "one fresh connection for the re-send" 2
+    (Atomic.get f.accepts);
+  Alcotest.(check bool) "stale re-send charges no breaker" true
+    (Serve.Router.breaker_state router 0 = `Closed);
+  Serve.Router.close router;
+  f.f_stop ();
+  rm_rf dir
+
+let test_hedge_loser_not_pooled () =
+  let dir = temp_dir "symref-pool-hedge" in
+  (* Worker a is slow on its first submit only, worker b on every submit
+     after its first: the first race goes to the hedge, the second to the
+     primary — which must answer on a connection of its own, not on the
+     abandoned one still carrying the first job. *)
+  let a =
+    fake_worker ~delay:(fun n -> if n = 0 then 0.3 else 0.) dir "a.sock"
+  in
+  let b =
+    fake_worker ~delay:(fun n -> if n = 0 then 0. else 0.6) dir "b.sock"
+  in
+  Metrics.reset ();
+  Metrics.enable ();
+  let router =
+    Serve.Router.create
+      ~hedge:
+        (Some
+           { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. })
+      [ a.f_addr; b.f_addr ]
+  in
+  let first = job_owned_by router ~prefix:"slow" 0 in
+  let second = job_owned_by router ~prefix:"next" 0 in
+  check_echo "hedge wins" first ~from:"b.sock"
+    (Serve.Router.forward router first);
+  check_echo "next forward" second ~from:"a.sock"
+    (Serve.Router.forward router second);
+  let snap = Snapshot.capture () in
+  Alcotest.(check int) "two hedges fired" 2 snap.Snapshot.router_hedges;
+  Alcotest.(check int) "one hedge win" 1 snap.Snapshot.router_hedge_wins;
+  Metrics.disable ();
+  Metrics.reset ();
+  Serve.Router.close router;
+  a.f_stop ();
+  b.f_stop ();
+  rm_rf dir
+
+(* A hedge that claimed a recovering worker's half-open probe and then
+   lost the race hands the probe back: the breaker returns to Open (its
+   cooldown passed) rather than staying half-open with no probe out. *)
+let test_abandoned_probe_released () =
+  let dir = temp_dir "symref-pool-probe" in
+  let a = fake_worker dir "a.sock" in
+  let b_addr = Serve.Transport.Unix_sock (Filename.concat dir "b.sock") in
+  let breaker =
+    { Serve.Router.threshold = 1; cooldown_ms = 30.; max_cooldown_ms = 200. }
+  in
+  let backoff =
+    { Serve.Client.default_backoff with Serve.Client.attempts = 1 }
+  in
+  let router =
+    Serve.Router.create ~backoff ~breaker
+      ~hedge:
+        (Some
+           { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. })
+      [ a.f_addr; b_addr ]
+  in
+  (* Nothing listens on b yet: a job it owns opens its breaker and fails
+     over to a. *)
+  let owned_by_b = job_owned_by router ~prefix:"probe-b" 1 in
+  check_echo "failover" owned_by_b ~from:"a.sock"
+    (Serve.Router.forward router owned_by_b);
+  Alcotest.(check bool) "b open" true (Serve.Router.breaker_state router 1 = `Open);
+  (* b comes back slow; past its cooldown, a's job hedges onto b at once,
+     claiming b's probe, and a's quicker answer cuts b off. *)
+  let b = fake_worker ~delay:(fun n -> if n = 0 then 0.3 else 0.) dir "b.sock" in
+  Unix.sleepf 0.06;
+  let owned_by_a = job_owned_by router ~prefix:"probe-a" 0 in
+  check_echo "primary wins" owned_by_a ~from:"a.sock"
+    (Serve.Router.forward router owned_by_a);
+  Alcotest.(check bool) "abandoned probe handed back" true
+    (Serve.Router.breaker_state router 1 = `Open);
+  (* The next probe through closes it. *)
+  Serve.Router.health_check router;
+  Alcotest.(check bool) "b closed after a real probe" true
+    (Serve.Router.breaker_state router 1 = `Closed);
+  Serve.Router.close router;
+  a.f_stop ();
+  b.f_stop ();
+  rm_rf dir
+
+(* Past select's FD_SETSIZE the worker sockets get descriptors select
+   cannot watch: forwards, hedged ones included, must still answer. *)
+let test_router_past_select_limit () =
+  let dir = temp_dir "symref-fdlimit" in
+  let mk name =
+    let addr = Serve.Transport.Unix_sock (Filename.concat dir name) in
+    let d = Serve.Daemon.create ~listen:[ addr ] () in
+    (addr, d, Thread.create Serve.Daemon.serve d)
+  in
+  let a = mk "a.sock" and b = mk "b.sock" in
+  let addrs = List.map (fun (addr, _, _) -> addr) [ a; b ] in
+  let padding = ref [] in
+  (try
+     for _ = 1 to 1100 do
+       padding := Unix.dup Unix.stdin :: !padding
+     done
+   with Unix.Unix_error (Unix.EMFILE, _, _) -> ());
+  List.iter
+    (fun hedge ->
+      let router = Serve.Router.create ~hedge addrs in
+      for i = 0 to 3 do
+        let job =
+          reference_job ~id:"fdlimit" (rc_text (Printf.sprintf "fdlimit%d" i))
+        in
+        let r = Serve.Router.forward router job in
+        Alcotest.(check bool) "forward ok past the select limit" true
+          (r.Protocol.status = Protocol.Ok)
+      done;
+      Serve.Router.close router)
+    [
+      None;
+      Some
+        { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. };
+    ];
+  List.iter Unix.close !padding;
+  List.iter
+    (fun (_, d, th) ->
+      Serve.Daemon.request_stop d;
+      Thread.join th)
+    [ a; b ];
+  rm_rf dir
+
+(* --- the race machine under random event orders --- *)
+
+let race_reply ?status racer =
+  let id =
+    Some (match racer with Race.Primary -> "primary" | Race.Hedge -> "hedge")
+  in
+  match status with
+  | Some `Busy -> Protocol.overloaded ~id ~retry_after_ms:5. "shed"
+  | None -> Protocol.ok ~id (Json.Str "answer")
+
+(* Drive one race: [picks] chooses, step by step, which pending event the
+   environment delivers next and how an attempt ends; every few steps it
+   also delivers an event that does not apply, which must change nothing. *)
+let drive_race ~attempts ~second picks =
+  let backoff =
+    {
+      Serve.Client.default_backoff with
+      Serve.Client.attempts;
+      base_delay_ms = 1.;
+    }
+  in
+  let picks = ref picks in
+  let pick n =
+    match !picks with
+    | [] -> 0
+    | p :: rest ->
+        picks := rest;
+        p mod n
+  in
+  let state, actions = Race.start ~backoff ~second in
+  let trace = ref [ (None, actions) ] in
+  (* What the environment may deliver next: replies of racers on the wire,
+     armed retry timers, the hedge timer. *)
+  let wire = ref [] and timers = ref [] and hedge_timer = ref second in
+  let apply actions =
+    List.iter
+      (function
+        | Race.Send r -> wire := r :: !wire
+        | Race.Arm_retry (r, _) -> timers := r :: !timers
+        | Race.Abandon r ->
+            wire := List.filter (( <> ) r) !wire;
+            timers := List.filter (( <> ) r) !timers
+        | _ -> ())
+      actions
+  in
+  apply actions;
+  let outcome racer =
+    match pick 4 with
+    | 0 -> Race.Answer (race_reply racer)
+    | 1 -> Race.Backpressure (race_reply ~status:`Busy racer)
+    | 2 -> Race.Transient
+    | _ -> Race.Fatal (Failure "bad reply")
+  in
+  let spurious () =
+    match pick 3 with
+    | 0 -> Race.Retry_due (if pick 2 = 0 then Race.Primary else Race.Hedge)
+    | 1 -> Race.Replied (Race.Hedge, Race.Transient)
+    | _ -> Race.Hedge_due
+  in
+  let applies s = function
+    | Race.Replied (r, _) -> List.mem r !wire && not (Race.decided s)
+    | Race.Retry_due r -> List.mem r !timers && not (Race.decided s)
+    | Race.Hedge_due -> !hedge_timer && not (Race.decided s)
+  in
+  let rec go s steps =
+    let choices =
+      List.map (fun r -> `Wire r) !wire
+      @ List.map (fun r -> `Timer r) !timers
+      @ if !hedge_timer then [ `Hedge ] else []
+    in
+    if choices = [] || steps > 200 then (s, true)
+    else if !picks <> [] && pick 5 = 0 then begin
+      (* An event that may not apply: if it does not, nothing happens. *)
+      let ev = spurious () in
+      if applies s ev then go s (steps + 1)
+      else
+        let s', acts = Race.step s ev in
+        if acts <> [] || Race.decided s' <> Race.decided s then (s', false)
+        else go s' (steps + 1)
+    end
+    else
+      let ev =
+        match List.nth choices (pick (List.length choices)) with
+        | `Wire r ->
+            wire := List.filter (( <> ) r) !wire;
+            Race.Replied (r, outcome r)
+        | `Timer r ->
+            timers := List.filter (( <> ) r) !timers;
+            Race.Retry_due r
+        | `Hedge ->
+            hedge_timer := false;
+            Race.Hedge_due
+      in
+      let s, acts = Race.step s ev in
+      trace := (Some ev, acts) :: !trace;
+      apply acts;
+      if Race.decided s then begin
+        (* The environment keeps delivering after the verdict: ignored. *)
+        wire := [];
+        timers := [];
+        hedge_timer := false
+      end;
+      go s (steps + 1)
+  in
+  let s, ignored_ok = go state 0 in
+  (s, ignored_ok, List.rev !trace)
+
+let is_send = function Race.Send _ -> true | _ -> false
+let is_abandon = function Race.Abandon _ -> true | _ -> false
+let is_decide = function Race.Decide _ -> true | _ -> false
+let arms_retry r = function Race.Arm_retry (r', _) -> r' = r | _ -> false
+
+(* The primary's backpressure ends its budget when no retry is armed. *)
+let primary_pushed_back_last (ev, acts) =
+  match ev with
+  | Some (Race.Replied (Race.Primary, Race.Backpressure _)) ->
+      not (List.exists (arms_retry Race.Primary) acts)
+  | _ -> false
+
+let prop_race_rules =
+  QCheck2.Test.make ~name:"race: one verdict, rules hold under any event order"
+    ~count:2000
+    ~print:QCheck2.Print.(triple int bool (list int))
+    QCheck2.Gen.(
+      triple (int_range 1 3) bool
+        (list_size (int_range 0 80) (int_range 0 1000)))
+    (fun (attempts, second, picks) ->
+      let s, ignored_ok, trace = drive_race ~attempts ~second picks in
+      let actions = List.concat_map snd trace in
+      let verdicts =
+        List.filter_map (function Race.Decide v -> Some v | _ -> None) actions
+      in
+      (* Exactly one verdict, the last action of its step. *)
+      let one_verdict =
+        List.length verdicts = 1
+        && List.for_all
+             (fun (_, acts) ->
+               match List.rev acts with
+               | _ :: earlier -> not (List.exists is_decide earlier)
+               | [] -> true)
+             trace
+      in
+      (* The loser's connection is always closed: after the verdict no
+         racer is left on the wire. *)
+      let on_wire =
+        List.fold_left
+          (fun wire (ev, acts) ->
+            let wire =
+              match ev with
+              | Some (Race.Replied (r, _)) -> List.filter (( <> ) r) wire
+              | _ -> wire
+            in
+            List.fold_left
+              (fun wire -> function
+                | Race.Send r -> r :: wire
+                | Race.Abandon r -> List.filter (( <> ) r) wire
+                | _ -> wire)
+              wire acts)
+          [] trace
+      in
+      (* Nothing is sent once the primary's backpressure has ended it. *)
+      let quiet_after_backpressure =
+        let rec go ended = function
+          | [] -> true
+          | step :: rest ->
+              let ended = ended || primary_pushed_back_last step in
+              (not (ended && List.exists is_send (snd step))) && go ended rest
+        in
+        go false trace
+      in
+      (* The hedge fires (on its timer or as failover) at most once. *)
+      let fired =
+        List.length
+          (List.filter
+             (function
+               | Race.Count (Race.Hedged | Race.Failed_over) -> true
+               | _ -> false)
+             actions)
+      in
+      (* The first real answer wins. *)
+      let first_answer_wins =
+        match
+          List.find_map
+            (function
+              | Some (Race.Replied (_, Race.Answer r)), _ -> Some r
+              | _ -> None)
+            trace
+        with
+        | None -> true
+        | Some r -> (
+            match verdicts with
+            | [ Race.Relay v ] -> v.Protocol.reply_id = r.Protocol.reply_id
+            | _ -> false)
+      in
+      (* Only an answer or the primary's own final backpressure or fatal
+         error may cut a race short: anything from the hedge (backpressure
+         included) decides only once no racer is left out, so it never
+         beats a later answer from the primary. *)
+      let cut_short_only_by_primary =
+        List.for_all
+          (fun ((ev, acts) as step) ->
+            (not (List.exists is_decide acts && List.exists is_abandon acts))
+            ||
+            match ev with
+            | Some (Race.Replied (_, Race.Answer _))
+            | Some (Race.Replied (Race.Primary, Race.Fatal _)) ->
+                true
+            | _ -> primary_pushed_back_last step)
+          trace
+      in
+      (* Events after the verdict change nothing. *)
+      let late =
+        [
+          Race.Replied (Race.Primary, Race.Answer (race_reply Race.Primary));
+          Race.Hedge_due;
+          Race.Retry_due Race.Hedge;
+        ]
+      in
+      ignored_ok && Race.decided s
+      && List.for_all (fun ev -> snd (Race.step s ev) = []) late
+      && one_verdict && on_wire = [] && quiet_after_backpressure
+      && fired <= (if second then 1 else 0)
+      && first_answer_wins && cut_short_only_by_primary)
+
 let suite =
   [
     ( "serve",
@@ -1219,5 +1787,18 @@ let suite =
           test_supervisor_stop_terminates;
         Alcotest.test_case "disk cache: orphaned staging files scrubbed"
           `Quick test_disk_cache_scrub;
+        Alcotest.test_case "conns: finished handlers leave the live set"
+          `Quick test_conns_drop_finished;
+        Alcotest.test_case "router: one accept for 50 pooled forwards" `Quick
+          test_pool_one_accept;
+        Alcotest.test_case "router: pool survives a worker restart" `Quick
+          test_pool_worker_restart;
+        Alcotest.test_case "router: hedge loser's connection never pooled"
+          `Quick test_hedge_loser_not_pooled;
+        Alcotest.test_case "router: forwards past select's descriptor limit"
+          `Quick test_router_past_select_limit;
+        Alcotest.test_case "router: abandoned half-open probe handed back"
+          `Quick test_abandoned_probe_released;
+        QCheck_alcotest.to_alcotest prop_race_rules;
       ] );
   ]
