@@ -213,19 +213,15 @@ let x2 () =
    baselines and writes machine-readable results to BENCH_interp.json, so
    successive PRs accumulate a perf trajectory:
 
-     - full Markowitz factorisation per point vs boxed refactorisation vs
-       the fused unboxed kernel vs the batched structure-of-arrays engine
-       (per-evaluation cost, four rungs), with the elimination program's
-       instruction counts and a decode-vs-float attribution of the
-       kernel-to-batched gap,
+     - full Markowitz factorisation per point vs one batch of one per
+       point vs one batch per sweep (per-evaluation cost, three rungs),
+       with the elimination program's instruction counts,
      - seed-style duplicated num/den adaptive runs vs the shared memoised
-       evaluator, at equal coefficients, and batch-on vs batch-off
-       coefficient identity,
+       evaluator, at equal coefficients,
      - 1-domain vs N-domain interpolation fan-out (bit-identical results),
-       persistent pool vs per-pass Domain.spawn,
      - a Symref_obs counter snapshot of one pipeline run, and the measured
        overhead of enabling counters / tracing, median-of-5 per mode
-       (schema v8, documented in doc/pipeline.mld).  *)
+       (schema v9, documented in doc/pipeline.mld).  *)
 
 module Interp_m = Interp
 module Random_net = Symref_circuit.Random_net
@@ -1010,28 +1006,22 @@ let run_json ~smoke =
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   section (if smoke then "SMOKE" else "JSON")
-    "pipeline benchmark: full-factor vs refactor, shared num/den, domains";
-  out "{\n  \"schema\": \"symref/bench-interp/v8\",\n";
+    "pipeline benchmark: full-factor vs batched replay, shared num/den, domains";
+  out "{\n  \"schema\": \"symref/bench-interp/v9\",\n";
   out "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full");
   out "  \"circuits\": [\n";
   let ncirc = List.length (json_circuits ~smoke) in
   List.iteri
     (fun ci jc ->
-      let mk ~reuse ~kernel =
-        Nodal.make ~reuse ~kernel jc.jcircuit ~input:jc.jinput ~output:jc.joutput
-      in
-      (* Four rungs of the same evaluation: full Markowitz search per point,
-         boxed replay of the recorded pivot order, the fused unboxed kernel,
-         and the batched structure-of-arrays engine (one program decode per
-         sweep).  All four return bit-identical values. *)
-      let p_full = mk ~reuse:false ~kernel:false in
-      let p_refac = mk ~reuse:true ~kernel:false in
-      let p_kernel = mk ~reuse:true ~kernel:true in
-      let dim = Nodal.dimension p_kernel in
-      let f = 1. /. Nodal.mean_capacitance p_kernel
-      and g = 1. /. Nodal.mean_conductance p_kernel in
-      let k = Nodal.order_bound p_kernel + 1 in
-      (* Per-evaluation cost over the unit-circle points of a first pass. *)
+      let p_full = Nodal.make ~reuse:false jc.jcircuit ~input:jc.jinput ~output:jc.joutput in
+      let p = Nodal.make jc.jcircuit ~input:jc.jinput ~output:jc.joutput in
+      let dim = Nodal.dimension p in
+      let f = 1. /. Nodal.mean_capacitance p and g = 1. /. Nodal.mean_conductance p in
+      let k = Nodal.order_bound p + 1 in
+      (* Three rungs of the same evaluation, bit-identical values: a full
+         Markowitz factorisation per point, one batch of one per point (how
+         guard retries and moved probes are served), and one batch over
+         the unit-circle points of a first pass. *)
       let npts = (k / 2) + 2 in
       let points = Array.init npts (fun j -> Uc.point (Int.max k 4) j) in
       let sweep p () =
@@ -1039,58 +1029,39 @@ let run_json ~smoke =
           ignore (Nodal.eval ~f ~g p points.(j))
         done
       in
-      let batch_sweep () = ignore (Nodal.eval_batch ~f ~g p_kernel points) in
+      let batch_sweep () = ignore (Nodal.eval_batch ~f ~g p points) in
       let per_point t = t /. float_of_int npts *. 1e6 in
       let t_full = median_wall ~runs:5 eval_reps (sweep p_full) in
-      let t_refac = median_wall ~runs:5 eval_reps (sweep p_refac) in
-      let t_kernel = median_wall ~runs:5 eval_reps (sweep p_kernel) in
+      let t_single = median_wall ~runs:5 eval_reps (sweep p) in
       let t_batch = median_wall ~runs:5 eval_reps batch_sweep in
-      (* Whole reference generation: seed path vs pipeline, equal results;
-         batch on vs off must agree to the bit, not just to tolerance. *)
-      let gen ~share ~reuse ?batch () =
-        Reference.generate ~share ~reuse ?batch jc.jcircuit ~input:jc.jinput
-          ~output:jc.joutput
+      (* Whole reference generation: seed path vs pipeline, equal results. *)
+      let gen ~share ~reuse () =
+        Reference.generate ~share ~reuse jc.jcircuit ~input:jc.jinput ~output:jc.joutput
       in
       let t_seed = time_wall reps (gen ~share:false ~reuse:false) in
       let t_pipeline = time_wall reps (gen ~share:true ~reuse:true) in
       let r_seed = gen ~share:false ~reuse:false () in
-      let r_pipe = gen ~share:true ~reuse:true ~batch:true () in
-      let r_nobatch = gen ~share:true ~reuse:true ~batch:false () in
+      let r_pipe = gen ~share:true ~reuse:true () in
       let equal =
         coeffs_match r_seed.Reference.num r_pipe.Reference.num
         && coeffs_match r_seed.Reference.den r_pipe.Reference.den
       in
-      let batch_identical =
-        r_pipe.Reference.num.Adaptive.coeffs = r_nobatch.Reference.num.Adaptive.coeffs
-        && r_pipe.Reference.den.Adaptive.coeffs
-           = r_nobatch.Reference.den.Adaptive.coeffs
-      in
       Printf.printf
-        "%-16s dim %3d: eval %8.1f -> %7.1f -> %7.1f -> %7.1f us/pt (batch %4.2fx)   \
-         reference %8.2f -> %7.2f ms (%4.1fx)  equal %b  batch_identical %b\n"
-        jc.jname dim (per_point t_full) (per_point t_refac) (per_point t_kernel)
-        (per_point t_batch) (t_kernel /. t_batch) (t_seed *. 1000.)
-        (t_pipeline *. 1000.)
-        (t_seed /. t_pipeline)
-        equal batch_identical;
+        "%-16s dim %3d: eval %8.1f -> %7.1f -> %7.1f us/pt (batch %4.2fx)   \
+         reference %8.2f -> %7.2f ms (%4.1fx)  equal %b\n"
+        jc.jname dim (per_point t_full) (per_point t_single) (per_point t_batch)
+        (t_single /. t_batch) (t_seed *. 1000.) (t_pipeline *. 1000.)
+        (t_seed /. t_pipeline) equal;
       out "    {\n      \"name\": \"%s\", \"dim\": %d, \"order_bound\": %d,\n"
-        jc.jname dim (Nodal.order_bound p_kernel);
+        jc.jname dim (Nodal.order_bound p);
       out
-        "      \"eval_us_per_point\": { \"full_factor\": %.3f, \"refactor\": \
-         %.3f, \"kernel\": %.3f, \"batched\": %.3f, \"speedup\": %.3f, \
-         \"kernel_speedup\": %.3f, \"batch_speedup\": %.3f },\n"
-        (per_point t_full) (per_point t_refac) (per_point t_kernel)
-        (per_point t_batch)
-        (t_full /. t_refac) (t_refac /. t_kernel) (t_kernel /. t_batch);
-      out "      \"kernel_us_per_point\": %.3f,\n" (per_point t_kernel);
+        "      \"eval_us_per_point\": { \"full_factor\": %.3f, \"single\": %.3f, \
+         \"batched\": %.3f, \"speedup\": %.3f, \"batch_speedup\": %.3f },\n"
+        (per_point t_full) (per_point t_single) (per_point t_batch)
+        (t_full /. t_batch) (t_single /. t_batch);
       out "      \"batched_us_per_point\": %.3f,\n" (per_point t_batch);
-      (* The elimination program the batched engine replays: instruction
-         counts (what the per-point engine re-decodes at every point), and
-         a decode-vs-float attribution of the kernel-to-batched gap — the
-         batched rung amortises the decode over the batch, so the per-point
-         difference estimates the decode traffic and the batched time the
-         irreducible float work. *)
-      (match Nodal.elimination_program ~f ~g p_kernel with
+      (* The elimination program the batched engine replays. *)
+      (match Nodal.elimination_program ~f ~g p with
       | None -> ()
       | Some prog ->
           let sum a = Array.fold_left (fun acc x -> acc + Array.length x) 0 a in
@@ -1104,16 +1075,9 @@ let run_json ~smoke =
             prog.Symref_linalg.Kernel.n prog.Symref_linalg.Kernel.nslots
             prog.Symref_linalg.Kernel.fill prog.Symref_linalg.Kernel.lower_len
             (sum prog.Symref_linalg.Kernel.elim_row)
-            updates;
-          let decode_us = Float.max 0. (per_point t_kernel -. per_point t_batch) in
-          out
-            "      \"decode_split\": { \"kernel_us\": %.3f, \"float_us\": %.3f, \
-             \"decode_us\": %.3f, \"decode_pct\": %.1f },\n"
-            (per_point t_kernel) (per_point t_batch) decode_us
-            (decode_us /. per_point t_kernel *. 100.));
-      out "      \"reference_ms\": { \"seed\": %.4f, \"pipeline\": %.4f, \"speedup\": %.3f, \"coeffs_match\": %b, \"batch_identical\": %b },\n"
-        (t_seed *. 1000.) (t_pipeline *. 1000.) (t_seed /. t_pipeline) equal
-        batch_identical;
+            updates);
+      out "      \"reference_ms\": { \"seed\": %.4f, \"pipeline\": %.4f, \"speedup\": %.3f, \"coeffs_match\": %b },\n"
+        (t_seed *. 1000.) (t_pipeline *. 1000.) (t_seed /. t_pipeline) equal;
       out "      \"lu_evaluations\": { \"seed\": %d, \"pipeline\": %d }\n"
         (Reference.total_evaluations r_seed) (Reference.total_evaluations r_pipe);
       out "    }%s\n" (if ci = ncirc - 1 then "" else ","))
@@ -1153,24 +1117,14 @@ let run_json ~smoke =
   let nd = List.length dlist in
   List.iteri
     (fun i d ->
-      (* "ms" is the default `Pool path; "spawn_ms" pays a Domain.spawn per
-         pass, the pre-pool behaviour that motivated Domain_pool. *)
       let t =
         time_wall reps (fun () -> Interp_m.run ~domains:d dev ~scale:dscale ~k:dk)
       in
-      let t_spawn =
-        time_wall reps (fun () ->
-            Interp_m.run ~domain_strategy:`Spawn ~domains:d dev ~scale:dscale
-              ~k:dk)
-      in
       let r = Interp_m.run ~domains:d dev ~scale:dscale ~k:dk in
       let identical = r.Interp_m.normalized = baseline.Interp_m.normalized in
-      Printf.printf "domains=%d: pool %.2f ms, spawn %.2f ms  bit-identical %b\n"
-        d (t *. 1000.) (t_spawn *. 1000.) identical;
-      out
-        "    { \"domains\": %d, \"ms\": %.4f, \"spawn_ms\": %.4f, \
-         \"bit_identical\": %b }%s\n"
-        d (t *. 1000.) (t_spawn *. 1000.) identical
+      Printf.printf "domains=%d: %.2f ms  bit-identical %b\n" d (t *. 1000.) identical;
+      out "    { \"domains\": %d, \"ms\": %.4f, \"bit_identical\": %b }%s\n" d
+        (t *. 1000.) identical
         (if i = nd - 1 then "" else ","))
     dlist;
   out "  ] },\n";

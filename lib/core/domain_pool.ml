@@ -55,7 +55,7 @@ let pool =
 
 let max_workers = Int.max 0 (Domain.recommended_domain_count () - 1)
 
-(* The dense per-domain index of the fused-kernel workspace pools, assigned
+(* The dense per-domain index of the batch workspace pools, assigned
    on first use.  Re-exported here because consumers think of it as "which
    pool worker am I"; it lives in [Symref_linalg.Kernel] so the matrix layer
    (which cannot see this module) can key workspaces off it. *)

@@ -45,8 +45,8 @@ val size : unit -> int
 
 val worker_index : unit -> int
 (** A small dense index for the calling domain, assigned on first use —
-    the key of the fused kernel's per-domain workspace pools
-    ({!Symref_linalg.Kernel.Pool}).  Pool workers claim theirs at spawn, so
+    the key of the batched engine's per-domain workspace pools
+    ({!Symref_linalg.Kernel.Batch.Pool}).  Pool workers claim theirs at spawn, so
     long-lived domains occupy the low indices; the main domain gets one on
     its first evaluation. *)
 

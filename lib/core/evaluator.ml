@@ -15,7 +15,6 @@ type t = {
   name : string;
   counter : int Atomic.t;
   guarded : bool;
-  kernel : bool;
 }
 
 (* Fault hooks shared by the nodal constructors.  NaN poisoning corrupts
@@ -48,16 +47,9 @@ let of_nodal problem ~num =
     name = (if num then "num" else "den");
     counter;
     guarded = true;
-    kernel = Nodal.kernel_enabled problem;
   }
 
 type shared = { snum : t; sden : t; factorizations : unit -> int; hits : unit -> int }
-
-(* Escape hatch mirroring [SYMREF_NO_KERNEL]: batching is bit-identical per
-   point, so the switch is a pure cost lever for A/B runs (CI's batched
-   bit-identity gate diffs a batch-on against a batch-off run). *)
-let batch_default =
-  match Sys.getenv_opt "SYMREF_NO_BATCH" with Some _ -> false | None -> true
 
 (* One factorisation already yields both the numerator and the denominator
    (eq. 8-10: one LU, one solve), yet separate adaptive runs would redo it.
@@ -66,7 +58,7 @@ let batch_default =
    share — all of the first pass, since the initial scale and point set
    depend only on the problem — costs a single factorisation.  Mutex-guarded
    so multi-domain interpolation can call it concurrently. *)
-let of_nodal_shared ?(batch = batch_default) problem =
+let of_nodal_shared problem =
   let table : (float * float * float * float, Nodal.value) Hashtbl.t =
     Hashtbl.create 256
   in
@@ -78,42 +70,38 @@ let of_nodal_shared ?(batch = batch_default) problem =
      calls all hit.  Counter shape: each prefetched point is a memo miss —
      the same misses a per-point sweep would record, just ahead of the
      calls — and the later [eval] calls are hits.  Keys are the exact
-     (f, g, re, im) quadruples of the points handed in, so [Interp.run]
-     must prefetch with the same [Uc.point] values it evaluates. *)
-  let prefetch =
-    if not (batch && Nodal.kernel_enabled problem) then None
-    else
-      Some
-        (fun ~f ~g (points : Complex.t array) ->
-          let seen = Hashtbl.create (2 * Array.length points) in
-          let missing =
-            Array.to_list points
-            |> List.filter (fun (s : Complex.t) ->
-                   let key = (f, g, s.Complex.re, s.Complex.im) in
-                   if Hashtbl.mem seen key then false
-                   else begin
-                     Hashtbl.add seen key ();
-                     Mutex.lock lock;
-                     let cached = Hashtbl.mem table key in
-                     Mutex.unlock lock;
-                     not cached
-                   end)
-            |> Array.of_list
-          in
-          if Array.length missing > 0 then begin
-            (* Compute outside the lock, like the per-point miss path:
-               concurrent domains may duplicate a point's work, but
-               identical results make the race benign. *)
-            let vals = Nodal.eval_batch ~f ~g problem missing in
-            Mutex.lock lock;
-            Array.iteri
-              (fun i (s : Complex.t) ->
-                Atomic.incr misses;
-                Obs.incr Obs.memo_misses;
-                Hashtbl.replace table (f, g, s.Complex.re, s.Complex.im) vals.(i))
-              missing;
-            Mutex.unlock lock
-          end)
+     (f, g, re, im) quadruples of the points handed in, so callers must
+     prefetch with the same point values they evaluate. *)
+  let prefetch ~f ~g (points : Complex.t array) =
+    let seen = Hashtbl.create (2 * Array.length points) in
+    let missing =
+      Array.to_list points
+      |> List.filter (fun (s : Complex.t) ->
+             let key = (f, g, s.Complex.re, s.Complex.im) in
+             if Hashtbl.mem seen key then false
+             else begin
+               Hashtbl.add seen key ();
+               Mutex.lock lock;
+               let cached = Hashtbl.mem table key in
+               Mutex.unlock lock;
+               not cached
+             end)
+      |> Array.of_list
+    in
+    if Array.length missing > 0 then begin
+      (* Compute outside the lock, like the per-point miss path:
+         concurrent domains may duplicate a point's work, but identical
+         results make the race benign. *)
+      let vals = Nodal.eval_batch ~f ~g problem missing in
+      Mutex.lock lock;
+      Array.iteri
+        (fun i (s : Complex.t) ->
+          Atomic.incr misses;
+          Obs.incr Obs.memo_misses;
+          Hashtbl.replace table (f, g, s.Complex.re, s.Complex.im) vals.(i))
+        missing;
+      Mutex.unlock lock
+    end
   in
   let shared_eval ~f ~g (s : Complex.t) =
     let key = (f, g, s.Complex.re, s.Complex.im) in
@@ -153,7 +141,7 @@ let of_nodal_shared ?(batch = batch_default) problem =
     in
     {
       eval;
-      prefetch;
+      prefetch = Some prefetch;
       gdeg = (if num then Nodal.num_gdeg problem else Nodal.den_gdeg problem);
       order_bound = Nodal.order_bound problem;
       f0 = 1. /. Nodal.mean_capacitance problem;
@@ -161,7 +149,6 @@ let of_nodal_shared ?(batch = batch_default) problem =
       name = (if num then "num" else "den");
       counter;
       guarded = true;
-      kernel = Nodal.kernel_enabled problem;
     }
   in
   {
@@ -198,7 +185,6 @@ let of_epoly ?(name = "poly") ~gdeg ~f0 ~g0 p =
     name;
     counter;
     guarded = false;
-    kernel = false;
   }
 
 let eval_count t = Atomic.get t.counter

@@ -11,16 +11,14 @@ type t = {
       (** Value of the scaled polynomial at a point. *)
   prefetch : (f:float -> g:float -> Complex.t array -> unit) option;
       (** Warm the evaluator for a whole batch of points before the
-          per-point [eval] calls — {!of_nodal_shared} backs this with the
-          batched structure-of-arrays kernel
-          ({!Symref_mna.Nodal.eval_batch}), computing every not-yet-memoised
+          per-point [eval] calls — {!of_nodal_shared} backs this with
+          {!Symref_mna.Nodal.eval_batch}, computing every not-yet-memoised
           point of the batch in one elimination-program replay and seeding
-          the memo table.  Purely a cost hook: values, fault-hook firing
-          order and the memo-miss count are bit-identical with or without
-          it, and [None] (synthetic and unshared evaluators, or batching
-          disabled) simply means per-point evaluation.  Callers must pass
-          the exact point values they will evaluate — the memo key is the
-          (f, g, re, im) quadruple. *)
+          the memo table.  Purely a cost hook: values and the memo-miss
+          count are bit-identical with or without it, and [None]
+          (synthetic and unshared evaluators) simply means per-point
+          evaluation.  Callers must pass the exact point values they will
+          evaluate — the memo key is the (f, g, re, im) quadruple. *)
   gdeg : int;
       (** Conductance-homogeneity degree: the [s^i] coefficient carries
           [g^(gdeg - i)] under conductance scaling (eq. 11). *)
@@ -42,12 +40,6 @@ type t = {
           evaluations at perturbed points; synthetic {!of_epoly} evaluators
           are unguarded, so legitimate roots on the unit circle are never
           perturbed. *)
-  kernel : bool;
-      (** [true] when evaluations may run through the fused unboxed
-          refactor+solve kernel ({!Symref_linalg.Kernel}) — a pure cost
-          property ({!Symref_mna.Nodal.kernel_enabled}); results are
-          bit-identical either way.  Surfaced in trace spans and bench
-          reports. *)
 }
 
 val of_nodal : Symref_mna.Nodal.t -> num:bool -> t
@@ -63,13 +55,7 @@ type shared = {
   hits : unit -> int;  (** evaluations served from the table *)
 }
 
-val batch_default : bool
-(** [true] unless the [SYMREF_NO_BATCH] environment variable is set — the
-    default for {!of_nodal_shared}'s [?batch].  Like [SYMREF_NO_KERNEL],
-    a pure cost switch for A/B gating outside the API: per-point results
-    are bit-identical either way. *)
-
-val of_nodal_shared : ?batch:bool -> Symref_mna.Nodal.t -> shared
+val of_nodal_shared : Symref_mna.Nodal.t -> shared
 (** Numerator and denominator evaluators drawing from one memoised
     {!Symref_mna.Nodal.eval} per (f, g, s): one factorisation already yields
     both values (eqs. 8-10), so every interpolation point the two adaptive
@@ -77,13 +63,12 @@ val of_nodal_shared : ?batch:bool -> Symref_mna.Nodal.t -> shared
     instead of twice.  Thread-safe; per-evaluator call counters keep the
     paper's cost metric unchanged.
 
-    [batch] (default {!batch_default}) backs the evaluators' [prefetch]
-    hook with {!Symref_mna.Nodal.eval_batch}, so an interpolation pass that
-    prefetches its point set replays the elimination program once per
-    chunk instead of once per point.  With batching the memo-hit/miss
-    {e split} shifts — prefetched points are misses up front, the [eval]
-    calls then all hit — but the miss count (= factorisations, the paper's
-    cost metric) and every computed value stay identical. *)
+    The evaluators' [prefetch] hook runs {!Symref_mna.Nodal.eval_batch},
+    so an interpolation pass that prefetches its point set replays the
+    elimination program once per chunk instead of once per point.
+    Prefetched points are memo misses up front and the [eval] calls then
+    hit; the miss count (= factorisations, the paper's cost metric) and
+    every computed value are those of per-point evaluation. *)
 
 val of_epoly :
   ?name:string -> gdeg:int -> f0:float -> g0:float -> Symref_poly.Epoly.t -> t

@@ -84,7 +84,7 @@ let idft_extended_half ~k half =
   end
 
 let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
-    ?(base = 0) ?(domains = 1) ?(domain_strategy = `Pool) (ev : Evaluator.t)
+    ?(base = 0) ?(domains = 1) (ev : Evaluator.t)
     ~(scale : Scaling.pair) ~k =
   if k < 1 then invalid_arg "Interp.run: k must be >= 1";
   if base < 0 then invalid_arg "Interp.run: base must be >= 0";
@@ -96,7 +96,6 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
         ("base", string_of_int base);
         ("domains", string_of_int domains);
         ("evaluator", ev.Evaluator.name);
-        ("kernel", string_of_bool ev.Evaluator.kernel);
       ]
     "interp.batch"
   @@ fun () ->
@@ -142,6 +141,14 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
      Purity is what lets the points fan out across domains bit-identically —
      every point computes the same value whichever domain runs it, and the
      ceiling is an order-independent maximum. *)
+  (* Warm the evaluator's memo for a set of points through one batched
+     replay; the points must be exactly those evaluated next, since the
+     memo key is the point's bits. *)
+  let prefetch points =
+    match ev.Evaluator.prefetch with
+    | None -> ()
+    | Some pf -> pf ~f:scale.Scaling.f ~g:scale.Scaling.g points
+  in
   let value_at j =
     let s0 = Uc.point k j in
     let eval_at s = ev.Evaluator.eval ~f:scale.Scaling.f ~g:scale.Scaling.g s in
@@ -166,8 +173,12 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
         count_retry cls;
         let delta = 1e-9 *. (10. ** float_of_int attempt) in
         let rot = { Complex.re = Float.cos delta; im = Float.sin delta } in
-        let vp = eval_at (Complex.mul s0 rot) in
-        let vm = eval_at (Complex.mul s0 (Complex.conj rot)) in
+        let sp = Complex.mul s0 rot and sm = Complex.mul s0 (Complex.conj rot) in
+        (* Both rotated points in one replay; the hook still fires for [sp]
+           (and its fallback) before [sm], as two single evaluations would. *)
+        prefetch [| sp; sm |];
+        let vp = eval_at sp in
+        let vm = eval_at sm in
         match (classify vp, classify vm) with
         | `Ok, `Ok ->
             Ec.mul_complex (Ec.add vp vm) { Complex.re = 0.5; im = 0. }
@@ -203,23 +214,15 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
     (v, mag)
   in
   (* The unit-circle points are embarrassingly parallel; [domains = 1]
-     (the default) stays on the calling domain.  Work is split into [d]
-     index-ordered chunks whichever strategy runs them, so results are
-     bit-identical to the sequential path.  [`Pool] (default) reuses the
-     persistent {!Domain_pool} workers across passes; [`Spawn] pays a fresh
-     [Domain.spawn] per pass and exists as the benchmark baseline that
-     motivated the pool. *)
+     (the default) stays on the calling domain.  Otherwise the persistent
+     {!Domain_pool} workers take [d] index-ordered chunks, so results are
+     bit-identical to the sequential path. *)
   (* Warm the evaluator's memo for a contiguous index range through the
-     batched kernel before the per-point loop: the exact [Uc.point] values
+     batched engine before the per-point loop: the exact [Uc.point] values
      the loop evaluates, so the memo keys match bit-for-bit.  Guard-retry
-     points are perturbed off the circle and stay on the per-point path. *)
-  let prefetch_range lo hi =
-    match ev.Evaluator.prefetch with
-    | None -> ()
-    | Some pf ->
-        pf ~f:scale.Scaling.f ~g:scale.Scaling.g
-          (Array.init (hi - lo) (fun i -> Uc.point k (lo + i)))
-  in
+     points are perturbed off the circle; each retry pair is prefetched
+     on its own. *)
+  let prefetch_range lo hi = prefetch (Array.init (hi - lo) (fun i -> Uc.point k (lo + i))) in
   let eval_many count =
     if domains <= 1 || count <= 1 then begin
       prefetch_range 0 count;
@@ -236,14 +239,7 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
           results.(j) <- value_at j
         done
       in
-      (match domain_strategy with
-      | `Pool -> Domain_pool.parallel (Array.init d worker)
-      | `Spawn ->
-          let spawned =
-            List.init (d - 1) (fun i -> Domain.spawn (worker (i + 1)))
-          in
-          worker 0 ();
-          List.iter Domain.join spawned);
+      Domain_pool.parallel (Array.init d worker);
       results
     end
   in

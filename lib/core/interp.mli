@@ -42,7 +42,6 @@ val run :
   ?known:(int * Symref_numeric.Extfloat.t) list ->
   ?base:int ->
   ?domains:int ->
-  ?domain_strategy:[ `Pool | `Spawn ] ->
   Evaluator.t ->
   scale:Scaling.pair ->
   k:int ->
@@ -64,12 +63,8 @@ val run :
     independent point evaluations out over that many OCaml domains; results,
     ceiling and evaluation counts are bit-identical to the sequential run
     (the evaluator must be thread-safe when [domains > 1], which all
-    {!Evaluator} constructors are).  The IDFT stays sequential.
-    [domain_strategy] selects how the fan-out runs: [`Pool] (default)
-    reuses the persistent {!Domain_pool} workers across passes; [`Spawn]
-    pays a fresh [Domain.spawn] per pass (the pre-pool behaviour, kept as a
-    benchmark baseline).  Both split the points into the same index-ordered
-    chunks, so the choice never changes results.
+    {!Evaluator} constructors are); the persistent {!Domain_pool} workers
+    run the index-ordered chunks.  The IDFT stays sequential.
 
     {b Singular-point recovery.}  When a {e guarded} evaluator (see
     {!Evaluator.t.guarded}) returns an exactly-zero or non-finite value —

@@ -22,27 +22,20 @@ type t = {
    split inside {!Symref_mna.Nodal.make}.  Both switches change cost only,
    never values. *)
 let generate ?(config = Adaptive.default_config) ?(share = true) ?(reuse = true)
-    ?kernel ?batch ?check circuit ~input ~output =
-  let problem = Nodal.make ~reuse ?kernel circuit ~input ~output in
-  let batch_on =
-    (match batch with Some b -> b | None -> Evaluator.batch_default)
-    && share
-    && Nodal.kernel_enabled problem
-  in
+    ?check circuit ~input ~output =
+  let problem = Nodal.make ~reuse circuit ~input ~output in
   Tr.span ~cat:"reference"
     ~args:
       [
         ("dim", string_of_int (Nodal.dimension problem));
         ("share", string_of_bool share);
         ("reuse", string_of_bool reuse);
-        ("kernel", string_of_bool (Nodal.kernel_enabled problem));
-        ("batch", string_of_bool batch_on);
       ]
     "reference.generate"
   @@ fun () ->
   let ev_num, ev_den =
     if share then
-      let s = Evaluator.of_nodal_shared ?batch problem in
+      let s = Evaluator.of_nodal_shared problem in
       (s.Evaluator.snum, s.Evaluator.sden)
     else
       (Evaluator.of_nodal problem ~num:true, Evaluator.of_nodal problem ~num:false)
@@ -147,10 +140,12 @@ type health = {
 }
 
 let health ?tolerance t =
-  (* Fresh unshared evaluators: the verification probes must not draw from
-     any table the generation populated. *)
-  let vn = Verify.check ?tolerance (Evaluator.of_nodal t.problem ~num:true) t.num in
-  let vd = Verify.check ?tolerance (Evaluator.of_nodal t.problem ~num:false) t.den in
+  (* A fresh table: the verification probes must not draw from the one the
+     generation populated.  Both sides share it, so a probe point the
+     numerator and denominator bands have in common is factorised once. *)
+  let fresh = Evaluator.of_nodal_shared t.problem in
+  let vn = Verify.check ?tolerance fresh.Evaluator.snum t.num in
+  let vd = Verify.check ?tolerance fresh.Evaluator.sden t.den in
   let dn = t.num.Adaptive.diagnosis and dd = t.den.Adaptive.diagnosis in
   let converged = t.num.Adaptive.converged && t.den.Adaptive.converged in
   let verified = vn.Verify.passed && vd.Verify.passed in

@@ -21,8 +21,6 @@ val generate :
   ?config:Adaptive.config ->
   ?share:bool ->
   ?reuse:bool ->
-  ?kernel:bool ->
-  ?batch:bool ->
   ?check:(unit -> unit) ->
   Symref_circuit.Netlist.t ->
   input:Symref_mna.Nodal.input ->
@@ -32,16 +30,11 @@ val generate :
     [share] (default [true]) lets the two runs draw from one memoised
     evaluation per point — one factorisation yields both values (eq. 8-10);
     [reuse] (default [true]) enables the symbolic/numeric factorisation
-    split per scale pair (see {!Symref_mna.Nodal.make}); [kernel] (default
-    [true] unless [SYMREF_NO_KERNEL] is set) runs replays through the
-    fused unboxed refactor+solve engine on per-domain workspaces
-    ({!Symref_linalg.Kernel}); [batch] (default [true] unless
-    [SYMREF_NO_BATCH] is set, effective only with [share] and the kernel)
-    prefetches each interpolation pass through the batched
-    structure-of-arrays engine — one elimination-program replay per chunk
-    of points instead of one per point
-    ({!Symref_mna.Nodal.eval_batch}).  All are pure cost switches: the
-    returned coefficients are identical either way.
+    split per scale pair (see {!Symref_mna.Nodal.make}).  Both are pure
+    cost switches: the returned coefficients are identical either way.
+    With [share], each interpolation pass is prefetched through the
+    batched engine — one elimination-program replay per chunk of points
+    ({!Symref_mna.Nodal.eval_batch}).
     [check] is a cooperative-cancellation hook run before {e every}
     evaluation (one LU decomposition each): raising from it aborts the
     generation with that exception — {!Symref_serve} uses it to enforce
@@ -98,10 +91,11 @@ type health = {
 }
 
 val health : ?tolerance:float -> t -> health
-(** Re-evaluates the circuit at {!Verify}'s off-circle probe points with
-    fresh (unshared, unmemoised) evaluators and combines the residuals with
-    the generation's own diagnosis.  [tolerance] is {!Verify.check}'s
-    (default [1e-4]). *)
+(** Re-evaluates the circuit at {!Verify}'s off-circle probe points and
+    combines the residuals with the generation's own diagnosis.  The probes
+    run on a fresh {!Evaluator.of_nodal_shared} table that the numerator
+    and denominator checks share — never the generation's table.
+    [tolerance] is {!Verify.check}'s (default [1e-4]). *)
 
 val health_to_strings : health -> (string * string) list
 (** Rendered key/value rows, in display order — shared by the [doctor]

@@ -53,6 +53,12 @@ let check ?(tolerance = 1e-4) (ev : Evaluator.t) (result : Adaptive.result) =
   in
   List.iter
     (fun scale ->
+      (* One batched replay for the band's probe points; a probe that has
+         to move is evaluated on its own. *)
+      Option.iter
+        (fun prefetch ->
+          prefetch ~f:scale.Scaling.f ~g:scale.Scaling.g (Array.of_list probe_points))
+        ev.Evaluator.prefetch;
       (* Renormalise the full coefficient set to this band's scale. *)
       let normalized =
         Epoly.of_coeffs

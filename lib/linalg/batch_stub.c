@@ -5,8 +5,8 @@
    every instruction's float work runs as a fixed-width loop over a tile
    of TILE points (plane index = slot * stride + point, stride a
    multiple of TILE).  GCC vectorises the tile loops; the
-   per-instruction decode cost — the per-point engine's dominant
-   overhead on small programs — is paid once per tile instead of once
+   per-instruction decode cost — the dominant overhead of replaying a
+   small program point by point — is paid once per tile instead of once
    per point.
 
    Tiling is the cache story: a tile's plane columns are TILE contiguous
@@ -18,28 +18,30 @@
    runs it.
 
    Bit-identity contract: each point's float sequence is exactly the
-   per-point fused kernel's (Kernel.run_fused + solve_into in
-   lib/linalg/kernel.ml) — same formulas, same per-point operation
+   boxed chain's (Sparse.refactor + Sparse.det + Sparse.solve in
+   lib/linalg/sparse.ml, with the RHS forward elimination folded into
+   the multiplier step) — same formulas, same per-point operation
    order.  Four things make the C translation exact:
 
    - hypot is the same libm entry point the OCaml runtime's
      caml_hypot_float primitive is a thin wrapper for, so those call
      sites return identical bits (and they stay scalar calls: no vector
      math library matches libm bitwise);
-   - frexp_exp below returns exactly what the OCaml cascade returns on
-     every input class (verified exhaustively; see its comment), and
-     scale2 replaces the OCaml side's Float.ldexp with power-of-two
-     multiplies that are bitwise-equal to ldexp for every exponent
-     frexp_exp can produce (argument in scale2's comment) — so the det
-     loop needs no libm at all and vectorises;
-   - branches the OCaml engine takes on per-point data (threshold bail,
-     det-hit-zero, Smith's division) are expressed as elementwise
-     selects: each lane keeps exactly the value its branch would have
-     computed, and the not-taken side's arithmetic is discarded
-     unobserved;
+   - frexp_exp below returns the exponent Float.frexp returns on every
+     finite non-zero input (verified exhaustively; see its comment), and
+     scale2 replaces Float.ldexp with power-of-two multiplies that are
+     bitwise-equal to ldexp for every exponent frexp_exp can produce
+     (argument in scale2's comment) — so the det loop (Extcomplex.mul
+     per pivot, as Sparse.det folds it) needs no libm at all and
+     vectorises;
+   - branches the boxed chain takes on per-point data (threshold bail,
+     det-hit-zero, Complex.div's Smith's algorithm) are expressed as
+     elementwise selects: each lane keeps exactly the value its branch
+     would have computed, and the not-taken side's arithmetic is
+     discarded unobserved;
    - this translation unit is compiled with -ffp-contract=off (see
      lib/linalg/dune), so GCC never fuses a multiply-add the OCaml code
-     would have rounded twice, and no -ffast-math-style value changes
+     rounds twice, and no -ffast-math-style value changes
      are licensed.  The omp simd pragmas (compiled with -fopenmp-simd,
      a pure compile-time flag) then only reorder work ACROSS lanes —
      IEEE packed div/mul/add are correctly rounded lane-wise — so
@@ -77,15 +79,17 @@ enum {
 #define DPLANE(v, i) ((double *) Caml_ba_data_val(Field((v), (i))))
 #define IPLANE(v, i) ((const int32_t *) Caml_ba_data_val(Field((v), (i))))
 
-/* snd (Float.frexp a) for a >= 0., equal to the OCaml frexp_exp
-   cascade (kernel.ml) on EVERY input class the cascade accepts — the
-   equality is what matters, since the per-point engine is the
-   reference.  Read the biased exponent straight from the bits; for
-   subnormals normalise with one exact *2^54 first.  The cascade's
-   off-the-scale conventions are selects: 0 -> -1535, inf -> 1536,
-   NaN -> 0.  Checked exhaustively over all 2048 exponents (incl.
-   specials) x 4096 mantissas against the cascade: identical.  ~10
-   branch-free ops instead of ~100, and the det loop vectorises. */
+/* snd (Float.frexp a) for finite a > 0., subnormals included — the
+   exponent Extcomplex's normalisation takes from Float.frexp, which is
+   what Sparse.det's fold uses.  Read the biased exponent straight from
+   the bits; for subnormals normalise with one exact *2^54 first.  Zero,
+   infinity and NaN (reached only by a zero product, handled by the
+   ma == 0 selects, or by garbage lanes that are discarded) map to the
+   fixed values -1535, 1536 and 0, which keep scale2 in range.  It was
+   checked exhaustively (all 2048 exponents x 4096 mantissas) against an
+   OCaml reference that matched Float.frexp across the full range; the
+   batch test suite checks determinants against Sparse.det across that
+   range.  ~10 branch-free ops, and the det loop vectorises. */
 static inline __attribute__((always_inline)) int frexp_exp(double a)
 {
   union { double d; uint64_t u; } ua, ud;
@@ -212,7 +216,7 @@ CAMLprim value symref_batch_run(value raw)
           if (m > rmax[q]) rmax[q] = m;
         }
       }
-      /* The per-point engine's threshold bail, as a sticky mark: the
+      /* Sparse.refactor's threshold bail, as a sticky mark: the
          marked point keeps computing garbage in its own plane column
          while the batch proceeds.  m -. m = 0. is Float.is_finite,
          literally.  pden and the pivot row's RHS load in the same
@@ -232,8 +236,9 @@ CAMLprim value symref_batch_run(value raw)
       for (long t = tb; t < te; t++) {
         const long base_a = (long) tgt_a[t] * stride;
         const long base_i = (long) tgt_row[t] * stride;
-        /* m = a / pivot, then the fused RHS forward elimination — same
-           formulas, same order as run_fused. */
+        /* m = a / pivot (refactor's naive quotient), then the fused RHS
+           forward elimination — Sparse.solve's lower replay, in the same
+           order per row. */
 #pragma omp simd
         for (long q = q0; q < q1; q++) {
           double ar = bre[base_a + q], ai = bim[base_a + q];
@@ -294,7 +299,8 @@ CAMLprim value symref_batch_run(value raw)
         dim[q] = -dim[q];
       }
 
-    /* Back substitution — solve_into with the point loop innermost. */
+    /* Back substitution — Sparse.solve's, with the point loop
+       innermost. */
     for (long k = n - 1; k >= 0; k--) {
       const long base_y = (long) piv_row[k] * stride;
       const long base_x = (long) piv_col[k] * stride;
@@ -325,7 +331,8 @@ CAMLprim value symref_batch_run(value raw)
       /* Smith's-algorithm division as selects: with rn/rd the chosen
          numerator/denominator, both branches of the original are
          rd + r * rn for d, so each lane's kept values are exactly its
-         branch's — one real division path per lane, as in OCaml. */
+         branch's — one real division path per lane, as in
+         Complex.div. */
       const long base_p = (long) piv_slot[k] * stride;
 #pragma omp simd
       for (long q = q0; q < q1; q++) {

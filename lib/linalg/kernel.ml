@@ -1,28 +1,9 @@
 module Ec = Symref_numeric.Extcomplex
 module Obs = Symref_obs.Metrics
 module Tr = Symref_obs.Trace
-module Inject = Symref_fault.Inject
 
-(* The fused refactor+solve execution engine.
-
-   [Sparse.refactor] already performs its elimination on flat [re]/[im]
-   float arrays, but then round-trips through a boxed [factor] (boxed
-   [Complex.t] per multiplier, nested [upper] arrays built by [Array.init]
-   closures) that [Sparse.solve] immediately unboxes again.  This module
-   replays the same recorded elimination program {e and} the forward/back
-   substitution directly on the flat workspaces: the boxed factor never
-   exists on the hot path, the multipliers are never stored (the RHS
-   forward elimination is fused into the step that computes each
-   multiplier), and a [workspace] is allocated once per (pattern, domain)
-   and reused across points and passes — the inner loop allocates nothing.
-
-   Bit-identity contract: every float operation below mirrors the boxed
-   [Sparse.refactor] + [Sparse.solve] + [Extcomplex] chain in the same
-   order with the same formulas, so the kernel's determinant and solution
-   are bit-for-bit the boxed path's.  Guard behaviour is mirrored too:
-   the [Inject.sparse_singular] hook fires at the same place, and the
-   threshold-floor / non-finite-pivot checks bail out exactly where
-   [refactor] would return [None]. *)
+(* The elimination program [Sparse.symbolic] records for a learned
+   sparsity pattern, and the batched engine that replays it. *)
 
 type program = {
   n : int;  (* matrix dimension *)
@@ -43,397 +24,43 @@ type program = {
   fill : int;
 }
 
-type workspace = {
-  prog : program;
-  re : float array;  (* nslots: matrix values, then L/U after [run] *)
-  im : float array;
-  y_re : float array;  (* n, by original row: RHS, then L^-1 RHS *)
-  y_im : float array;
-  x_re : float array;  (* n, by original column: the solution *)
-  x_im : float array;
-  det_m : float array;  (* length 2: determinant mantissa (re, im) *)
-  mutable det_e : int;  (* determinant binary exponent *)
-  mutable busy : bool;  (* checked out (same-domain reentrancy guard) *)
-  scratch : float array;  (* length 1: loop-carried row maximum *)
-}
-
-let program ws = ws.prog
-
-let workspace prog =
-  Obs.incr Obs.kernel_workspaces;
-  {
-    prog;
-    re = Array.make prog.nslots 0.;
-    im = Array.make prog.nslots 0.;
-    y_re = Array.make prog.n 0.;
-    y_im = Array.make prog.n 0.;
-    x_re = Array.make prog.n 0.;
-    x_im = Array.make prog.n 0.;
-    det_m = [| 0.; 0. |];
-    det_e = 0;
-    busy = false;
-    scratch = [| 0. |];
-  }
-
-let begin_point ws =
-  Array.fill ws.re 0 (Array.length ws.re) 0.;
-  Array.fill ws.im 0 (Array.length ws.im) 0.;
-  Array.fill ws.y_re 0 (Array.length ws.y_re) 0.;
-  Array.fill ws.y_im 0 (Array.length ws.y_im) 0.
-
-let[@inline] set_slot ws slot ~re ~im =
-  ws.re.(slot) <- re;
-  ws.im.(slot) <- im
-
-let[@inline] set_value ws e ~re ~im = set_slot ws ws.prog.coo_slot.(e) ~re ~im
-
-let[@inline] set_rhs ws row ~re ~im =
-  ws.y_re.(row) <- re;
-  ws.y_im.(row) <- im
-
-(* Raw buffer access for hot-path scatters: a cross-module call to the
-   setters above boxes its float arguments (no flambda), so allocation-free
-   callers store into the flat arrays directly. *)
-let matrix_re ws = ws.re
-let matrix_im ws = ws.im
-let rhs_buf_re ws = ws.y_re
-let rhs_buf_im ws = ws.y_im
-
-(* [snd (Float.frexp a)] for finite [a >= 0.], allocation-free
-   ([Float.frexp] boxes a tuple on every call).  Scaling by a power of two
-   is exact, so the exponent — and the mantissa [Float.ldexp a (-e)] the
-   caller derives from it — is bit-for-bit what [frexp] computes.  The
-   [512] step runs twice so deep subnormals (down to [2^-1074]) reach the
-   [[2^-512, 2^512)] band the cascade then narrows to [[0.5, 2)]. *)
-let[@inline always] frexp_exp a =
-  let x = if a >= 0x1p512 then a *. 0x1p-512 else if a < 0x1p-512 then a *. 0x1p512 else a in
-  let e = if a >= 0x1p512 then 512 else if a < 0x1p-512 then -512 else 0 in
-  let e = if x >= 0x1p512 then e + 512 else if x < 0x1p-512 then e - 512 else e in
-  let x = if x >= 0x1p512 then x *. 0x1p-512 else if x < 0x1p-512 then x *. 0x1p512 else x in
-  let e = if x >= 0x1p256 then e + 256 else if x < 0x1p-256 then e - 256 else e in
-  let x = if x >= 0x1p256 then x *. 0x1p-256 else if x < 0x1p-256 then x *. 0x1p256 else x in
-  let e = if x >= 0x1p128 then e + 128 else if x < 0x1p-128 then e - 128 else e in
-  let x = if x >= 0x1p128 then x *. 0x1p-128 else if x < 0x1p-128 then x *. 0x1p128 else x in
-  let e = if x >= 0x1p64 then e + 64 else if x < 0x1p-64 then e - 64 else e in
-  let x = if x >= 0x1p64 then x *. 0x1p-64 else if x < 0x1p-64 then x *. 0x1p64 else x in
-  let e = if x >= 0x1p32 then e + 32 else if x < 0x1p-32 then e - 32 else e in
-  let x = if x >= 0x1p32 then x *. 0x1p-32 else if x < 0x1p-32 then x *. 0x1p32 else x in
-  let e = if x >= 0x1p16 then e + 16 else if x < 0x1p-16 then e - 16 else e in
-  let x = if x >= 0x1p16 then x *. 0x1p-16 else if x < 0x1p-16 then x *. 0x1p16 else x in
-  let e = if x >= 0x1p8 then e + 8 else if x < 0x1p-8 then e - 8 else e in
-  let x = if x >= 0x1p8 then x *. 0x1p-8 else if x < 0x1p-8 then x *. 0x1p8 else x in
-  let e = if x >= 0x1p4 then e + 4 else if x < 0x1p-4 then e - 4 else e in
-  let x = if x >= 0x1p4 then x *. 0x1p-4 else if x < 0x1p-4 then x *. 0x1p4 else x in
-  let e = if x >= 0x1p2 then e + 2 else if x < 0x1p-2 then e - 2 else e in
-  let x = if x >= 0x1p2 then x *. 0x1p-2 else if x < 0x1p-2 then x *. 0x1p2 else x in
-  let e = if x >= 2. then e + 1 else if x < 0.5 then e - 1 else e in
-  let x = if x >= 2. then x *. 0.5 else if x < 0.5 then x *. 2. else x in
-  if x >= 1. then e + 1 else e
-
-exception Bail
-
-(* The fused replay.  Identical arithmetic to [Sparse.refactor] step for
-   step; the only additions are (a) the RHS forward elimination folded into
-   each multiplier — reading the pivot row's RHS, which is frozen once its
-   step runs, so the update sequence per row is exactly the boxed
-   [Sparse.solve] lower replay — and (b) the determinant accumulated
-   per step as an unboxed mirror of
-   [Ec.mul acc (Ec.of_complex pivot)] instead of a post-hoc fold. *)
-let run_fused ws =
-  let p = ws.prog in
-  let re = ws.re and im = ws.im in
-  let y_re = ws.y_re and y_im = ws.y_im in
-  let det_m = ws.det_m and scratch = ws.scratch in
-  let n = p.n in
-  (* det := Ec.one = { c = (0.5, 0.); e = 1 }. *)
-  det_m.(0) <- 0.5;
-  det_m.(1) <- 0.;
-  ws.det_e <- 1;
-  try
-    for step = 0 to n - 1 do
-      let ps = p.pivot_slot.(step) in
-      let pr = re.(ps) and pim = im.(ps) in
-      let pmag = Float.hypot pr pim in
-      (* Threshold floor: the pivot must still dominate its remaining row
-         the way Markowitz + threshold pivoting would have required.  A
-         non-finite pivot (NaN-contaminated values) bails out too: NaN
-         compares false against the floor, and the full search degrades to
-         a clean singular result where a replay would feed NaN downstream. *)
-      let us = p.u_slots.(step) in
-      (* Unsafe accesses below: every index comes straight out of the
-         recorded elimination program, whose construction in
-         [Sparse.symbolic] guarantees slots < nslots and rows < n —
-         bounds checks in these innermost loops are pure overhead. *)
-      scratch.(0) <- pmag;
-      for idx = 0 to Array.length us - 1 do
-        let s = Array.unsafe_get us idx in
-        let m = Float.hypot (Array.unsafe_get re s) (Array.unsafe_get im s) in
-        if m > scratch.(0) then scratch.(0) <- m
-      done;
-      if pmag = 0. || (not (Float.is_finite pmag)) || pmag < p.threshold *. scratch.(0)
-      then raise Bail;
-      let den = (pr *. pr) +. (pim *. pim) in
-      let targets = p.elim_row.(step) in
-      let a_slots = p.elim_a_slot.(step) in
-      let upds = p.elim_upd.(step) in
-      let prow = p.pivot_rows.(step) in
-      let pyr = y_re.(prow) and pyi = y_im.(prow) in
-      for t = 0 to Array.length targets - 1 do
-        let a = Array.unsafe_get a_slots t in
-        let ar = Array.unsafe_get re a and ai = Array.unsafe_get im a in
-        (* m = a / pivot, unboxed (same naive quotient as refactor). *)
-        let mr = ((ar *. pr) +. (ai *. pim)) /. den
-        and mi = ((ai *. pr) -. (ar *. pim)) /. den in
-        (* Fused forward elimination: y_i -= m * y_pivot, the boxed
-           [solve]'s lower replay without ever storing the multiplier. *)
-        let i = Array.unsafe_get targets t in
-        Array.unsafe_set y_re i
-          (Array.unsafe_get y_re i -. ((mr *. pyr) -. (mi *. pyi)));
-        Array.unsafe_set y_im i
-          (Array.unsafe_get y_im i -. ((mr *. pyi) +. (mi *. pyr)));
-        let upd = Array.unsafe_get upds t in
-        for idx = 0 to Array.length us - 1 do
-          let s = Array.unsafe_get us idx in
-          let ur = Array.unsafe_get re s and ui = Array.unsafe_get im s in
-          let d = Array.unsafe_get upd idx in
-          Array.unsafe_set re d
-            (Array.unsafe_get re d -. ((mr *. ur) -. (mi *. ui)));
-          Array.unsafe_set im d
-            (Array.unsafe_get im d -. ((mr *. ui) +. (mi *. ur)))
-        done
-      done;
-      (* det := det * pivot — [Ec.mul acc (Ec.of_complex pv)] unboxed:
-         normalise the pivot mantissa, multiply, renormalise. *)
-      let pa =
-        let apr = Float.abs pr and api = Float.abs pim in
-        if apr >= api then apr else api
-      in
-      let dep = frexp_exp pa in
-      let pmr = Float.ldexp pr (-dep) and pmi = Float.ldexp pim (-dep) in
-      let ar = det_m.(0) and ai = det_m.(1) in
-      let prr = (ar *. pmr) -. (ai *. pmi) in
-      let pri = (ar *. pmi) +. (ai *. pmr) in
-      let ma =
-        let apr = Float.abs prr and api = Float.abs pri in
-        if apr >= api then apr else api
-      in
-      if ma = 0. then begin
-        det_m.(0) <- 0.;
-        det_m.(1) <- 0.;
-        ws.det_e <- 0
-      end
-      else begin
-        let dem = frexp_exp ma in
-        det_m.(0) <- Float.ldexp prr (-dem);
-        det_m.(1) <- Float.ldexp pri (-dem);
-        ws.det_e <- ws.det_e + dep + dem
-      end
-    done;
-    if p.sign < 0 then begin
-      (* [Ec.neg]: mantissa negated, exponent untouched. *)
-      det_m.(0) <- -.det_m.(0);
-      det_m.(1) <- -.det_m.(1)
-    end;
-    true
-  with Bail -> false
-
-let run ws =
-  (* Same site, same budget as [Sparse.refactor]'s injection check, so an
-     armed fault plan consumes hits identically on either path.  Like the
-     boxed refactor, an injected singular is *not* a threshold fallback —
-     [refactor_fallbacks] stays untouched; only the kernel-local counter
-     records that this point left the fused path. *)
-  if Inject.fire Inject.sparse_singular then begin
-    Obs.incr Obs.kernel_fallbacks;
-    false
-  end
-  else begin
-    let ok =
-      if Tr.is_on () then Tr.span ~cat:"lu" "lu.kernel" (fun () -> run_fused ws)
-      else run_fused ws
-    in
-    if ok then begin
-      (* The kernel run IS the numeric refactorisation: count it under the
-         same catalogue entry so `replays + fallbacks = memo misses` keeps
-         holding whichever engine served the point. *)
-      Obs.incr Obs.lu_refactor;
-      Obs.incr Obs.kernel_points
-    end
-    else begin
-      Obs.incr Obs.refactor_fallbacks;
-      Obs.incr Obs.kernel_fallbacks
-    end;
-    ok
-  end
-
-let det_is_zero ws = ws.det_m.(0) = 0. && ws.det_m.(1) = 0.
-
-let det ws =
-  (* The stored mantissa is already normalised (it came out of the unboxed
-     [norm_mantissa] mirror above), so [Ec.make] reconstructs the exact
-     record the boxed fold produces. *)
-  Ec.make ~c:{ Complex.re = ws.det_m.(0); im = ws.det_m.(1) } ~e:ws.det_e
-
-(* Back substitution, accumulated in the solution arrays themselves: each
-   step's partial sums land in [x.(pivot_col)] — written by this step only —
-   so no register-like temporaries (which would box) are needed.  The final
-   division replicates [Complex.div]'s Smith's algorithm branch for branch. *)
-let solve_into ws =
-  let p = ws.prog in
-  let re = ws.re and im = ws.im in
-  let y_re = ws.y_re and y_im = ws.y_im in
-  let x_re = ws.x_re and x_im = ws.x_im in
-  for k = p.n - 1 downto 0 do
-    let prow = p.pivot_rows.(k) in
-    let pc = p.pivot_cols.(k) in
-    x_re.(pc) <- y_re.(prow);
-    x_im.(pc) <- y_im.(prow);
-    let cols = p.u_cols.(k) and slots = p.u_slots.(k) in
-    (* Program-derived indices, as in the replay above: unchecked. *)
-    for idx = 0 to Array.length cols - 1 do
-      let j = Array.unsafe_get cols idx in
-      let s = Array.unsafe_get slots idx in
-      let ur = Array.unsafe_get re s and ui = Array.unsafe_get im s in
-      let xr = Array.unsafe_get x_re j and xi = Array.unsafe_get x_im j in
-      x_re.(pc) <- x_re.(pc) -. ((ur *. xr) -. (ui *. xi));
-      x_im.(pc) <- x_im.(pc) -. ((ur *. xi) +. (ui *. xr))
-    done;
-    let ps = p.pivot_slot.(k) in
-    let pr = re.(ps) and pim = im.(ps) in
-    let ar = x_re.(pc) and ai = x_im.(pc) in
-    if Float.abs pr >= Float.abs pim then begin
-      let r = pim /. pr in
-      let d = pr +. (r *. pim) in
-      x_re.(pc) <- (ar +. (r *. ai)) /. d;
-      x_im.(pc) <- (ai -. (r *. ar)) /. d
-    end
-    else begin
-      let r = pr /. pim in
-      let d = pim +. (r *. pr) in
-      x_re.(pc) <- ((r *. ar) +. ai) /. d;
-      x_im.(pc) <- ((r *. ai) -. ar) /. d
-    end
-  done
-
-let solution_re ws = ws.x_re
-let solution_im ws = ws.x_im
-
-(* --- Per-domain workspace pooling ----------------------------------------
-
-   Workspaces are mutable scratch state: one per (pattern, domain).  Each
-   domain gets a dense small index on first use ([Domain_pool] workers touch
-   theirs at spawn), indexing a copy-on-write slot table per pool.  Only the
-   owning domain ever touches its slot, so the unlocked fast path is
-   race-free; growth serialises on a mutex and publishes a fresh array.
-   The [busy] flag guards same-domain reentrancy (systhreads running jobs on
-   one domain): a busy or over-cap checkout returns [None] and the caller
-   uses the boxed path, which is bit-identical, so pooling pressure is
-   invisible in results. *)
-
+(* A small dense index per domain, assigned on first use: the key of the
+   per-domain batch pools below ([Domain_pool] workers touch theirs at
+   spawn so long-lived domains get the low indices). *)
 let next_index = Atomic.make 0
 let index_key = Domain.DLS.new_key (fun () -> Atomic.fetch_and_add next_index 1)
 let domain_index () = Domain.DLS.get index_key
 
-let try_acquire ws =
-  if ws.busy then false
-  else begin
-    ws.busy <- true;
-    true
-  end
-
-let release ws = ws.busy <- false
-
-module Pool = struct
-  type t = {
-    p_prog : program;
-    slots : workspace option array Atomic.t;
-    grow : Mutex.t;
-  }
-
-  (* Spawn-strategy interpolation creates fresh domains per pass, so domain
-     indices can grow without bound; beyond the cap a point simply takes the
-     boxed path instead of leaking workspaces. *)
-  let max_slots = 64
-
-  let create prog = { p_prog = prog; slots = Atomic.make [||]; grow = Mutex.create () }
-
-  let slot_workspace pl idx =
-    let arr = Atomic.get pl.slots in
-    if idx < Array.length arr && arr.(idx) <> None then arr.(idx)
-    else begin
-      Mutex.lock pl.grow;
-      let arr = Atomic.get pl.slots in
-      let arr =
-        if idx < Array.length arr then arr
-        else begin
-          let bigger =
-            Array.make (Int.min max_slots (Int.max (idx + 1) ((2 * Array.length arr) + 1))) None
-          in
-          Array.blit arr 0 bigger 0 (Array.length arr);
-          Atomic.set pl.slots bigger;
-          bigger
-        end
-      in
-      let ws =
-        match arr.(idx) with
-        | Some ws -> ws
-        | None ->
-            let ws = workspace pl.p_prog in
-            arr.(idx) <- Some ws;
-            ws
-      in
-      Mutex.unlock pl.grow;
-      Some ws
-    end
-
-  let checkout pl =
-    let idx = domain_index () in
-    if idx >= max_slots then None
-    else
-      match slot_workspace pl idx with
-      | None -> None
-      | Some ws -> if try_acquire ws then Some ws else None
-
-  let release = release
-end
-
 (* --- The batched structure-of-arrays engine -------------------------------
 
-   The per-point engine above re-decodes the elimination program — every
-   instruction's index arrays, every loop bound — once per evaluation point.
-   For a whole interpolation pass that decode traffic rivals the float work
-   (rc-ladder patterns, whose programs are long and whose per-step float
-   count is tiny, see barely 1.3x from the fused kernel).  This engine
-   transposes the loops: [re]/[im] become planes of [nslots * count] floats
-   (slot-major, so one instruction's operand column is contiguous across
-   points), the program is decoded {e once per batch}, and every instruction
-   runs an inner contiguous loop over points — straight-line float code the
-   compiler can keep branch-free.
+   Replaying the program point by point re-decodes every instruction's
+   index arrays and loop bounds at every point; on long programs with
+   little float work per step (the rc-ladder shape) that decode traffic
+   rivals the float work.  This engine transposes the loops: [re]/[im]
+   become planes of [nslots * count] floats (slot-major, so one
+   instruction's operand column is contiguous across points), the program
+   is decoded {e once per batch}, and every instruction runs an inner
+   contiguous loop over points — straight-line float code the compiler
+   can keep branch-free.  A single evaluation is a batch of one.
 
-   Bit-identity contract, inherited from the per-point engine: batching
-   reorders operations only {e across} points, whose data never interact;
-   within one point the float dataflow — pivot magnitude, row maximum in
-   [u_slots] order, multiplier, RHS update, U updates, determinant
-   accumulation — is operation-for-operation the per-point [run_fused] +
-   [solve_into] chain, so every point's determinant and solution are
-   bit-for-bit what the per-point kernel (and therefore the boxed path)
-   produces.
+   Bit-identity contract: batching reorders operations only {e across}
+   points, whose data never interact; within one point the float dataflow
+   — pivot magnitude, row maximum in [u_slots] order, multiplier, RHS
+   update, U updates, determinant accumulation, back substitution — is
+   operation-for-operation the boxed [Sparse.refactor] + [Sparse.det] +
+   [Sparse.solve] chain, so every point's determinant and solution are
+   bit-for-bit that chain's.
 
    Eject semantics: a point whose reused pivot trips the threshold floor
    (or goes non-finite) is {e marked} ejected and keeps computing garbage —
    branch-free, and harmless because plane columns never mix points — while
    the rest of the batch proceeds; the caller discards the marked column
-   and re-evaluates that single point on the boxed path.  The batch itself
-   never consumes [Inject] hits: the caller fires the [sparse.singular]
-   hook per point {e in point order} after the batch, interleaving each
-   ejected point's boxed fallback, so an armed fault plan observes exactly
-   the per-point engine's fire sequence (see [Symref_mna.Nodal.eval_batch]).
-
-   Counters are likewise the caller's: served points count under
-   [lu.refactor] + [kernel.batch_points], ejected ones under
-   [kernel.fallback] + [kernel.batch_ejects] (plus [lu.refactor_fallback]
-   for threshold bails) — never under [kernel.points], so the two engines
-   stay distinguishable in snapshots. *)
+   and re-evaluates that single point with a full [Sparse.factor].  The
+   batch itself never consumes [Inject] hits and touches no counters: the
+   caller fires the [sparse.singular] hook per point {e in point order}
+   after the batch, interleaving each ejected point's fallback, so an armed
+   fault plan sees one fire per point in point order whatever the batch
+   size (see [Symref_mna.Nodal.eval_batch]). *)
 
 module BA1 = Bigarray.Array1
 
@@ -492,7 +119,6 @@ module Batch = struct
   type t = {
     b_prog : program;
     mutable cap : int;  (* allocated lane capacity (a stride, so 8-padded) *)
-    mutable b_count : int;  (* live points in the current batch *)
     mutable s_re : float array;  (* the batch's evaluation points *)
     mutable s_im : float array;
     mutable b_busy : bool;
@@ -501,22 +127,21 @@ module Batch = struct
 
   (* The stub runs the program once per 8-lane tile so a tile's plane
      columns (8 contiguous doubles per slot) stay L1-resident across the
-     whole elimination — the full batch's working set is L2-sized and
-     was the OCaml engine's real cost.  Padding the stride to the tile
-     width keeps every tile a full vector with no scalar tail; the pad
-     lanes compute harmless garbage in their own columns (they scatter
-     as zero, so they just mark themselves ejected) and nothing reads
-     them back. *)
+     whole elimination — the full batch's working set is L2-sized.
+     Padding the stride to the tile width keeps every tile a full vector
+     with no scalar tail; the pad lanes compute harmless garbage in their
+     own columns (they scatter as zero, so they just mark themselves
+     ejected) and nothing reads them back. *)
   let tile = 8
 
   let stride_of cnt = (cnt + (tile - 1)) land lnot (tile - 1)
 
-  (* The whole batched elimination + back substitution, in C: the same
-     instruction walk and per-point formulas as [run_elim]/[run_solve]
-     used to spell in OCaml, with the point loop innermost over
-     contiguous plane columns so GCC vectorises the float work
-     (batch_stub.c carries the bit-identity argument; -ffp-contract=off
-     keeps every rounding the OCaml engine's). *)
+  (* The whole batched elimination + back substitution, in C: the
+     instruction walk and per-point formulas of [Sparse.refactor] and
+     [Sparse.solve], with the point loop innermost over contiguous plane
+     columns so GCC vectorises the float work (batch_stub.c carries the
+     bit-identity argument; -ffp-contract=off keeps every rounding the
+     boxed chain's). *)
   external raw_run : raw -> unit = "symref_batch_run" [@@noalloc]
 
   let mkplane len = BA1.create Bigarray.Float64 Bigarray.C_layout len
@@ -541,7 +166,6 @@ module Batch = struct
     {
       b_prog = prog;
       cap = 0;
-      b_count = 0;
       s_re = [||];
       s_im = [||];
       b_busy = false;
@@ -589,8 +213,6 @@ module Batch = struct
         };
     }
 
-  let program b = b.b_prog
-  let count b = b.b_count
   let stride b = b.raw.r_stride
 
   let grow b lanes =
@@ -618,22 +240,32 @@ module Batch = struct
     b.s_re <- Array.make lanes 0.;
     b.s_im <- Array.make lanes 0.
 
+  (* Zero the first [len] entries; a loop rather than [BA1.fill] over a
+     [BA1.sub], which would allocate a view per call. *)
+  let zero_prefix (p : plane) len =
+    for i = 0 to len - 1 do
+      BA1.unsafe_set p i 0.
+    done
+
   (* The planes are packed with stride [stride b] — the count padded to
      the tile width — so their layout changes per batch; [begin_batch]
-     refills everything a batch reads.  Capacity only grows — the steady
-     state (same pass sizes every generation) allocates nothing. *)
+     refills everything a batch reads, which is only the prefix this
+     stride uses: a batch of one after a whole pass must not pay for
+     zeroing the pass's capacity.  Capacity only grows — the steady state
+     (same pass sizes every generation) allocates nothing. *)
   let begin_batch b cnt =
     let lanes = stride_of cnt in
     if lanes > b.cap then grow b lanes;
-    let r = b.raw in
+    let p = b.b_prog and r = b.raw in
     r.r_stride <- lanes;
     r.r_cnt <- cnt;
-    b.b_count <- cnt;
-    BA1.fill r.r_re 0.;
-    BA1.fill r.r_im 0.;
-    BA1.fill r.r_y_re 0.;
-    BA1.fill r.r_y_im 0.;
-    BA1.fill r.r_eject 0l
+    zero_prefix r.r_re (p.nslots * lanes);
+    zero_prefix r.r_im (p.nslots * lanes);
+    zero_prefix r.r_y_re (p.n * lanes);
+    zero_prefix r.r_y_im (p.n * lanes);
+    for q = 0 to lanes - 1 do
+      BA1.unsafe_set r.r_eject q 0l
+    done
 
   let matrix_re b = b.raw.r_re
   let matrix_im b = b.raw.r_im
@@ -645,7 +277,7 @@ module Batch = struct
   let run b =
     if Tr.is_on () then
       Tr.span ~cat:"lu"
-        ~args:[ ("points", string_of_int b.b_count) ]
+        ~args:[ ("points", string_of_int b.raw.r_cnt) ]
         "lu.batch"
         (fun () -> raw_run b.raw)
     else raw_run b.raw
@@ -654,8 +286,8 @@ module Batch = struct
   let det_is_zero b q = BA1.get b.raw.r_dre q = 0. && BA1.get b.raw.r_dim q = 0.
 
   let det b q =
-    (* Normalised mantissa, as in the per-point [det]: [Ec.make] rebuilds
-       the exact record the boxed fold produces. *)
+    (* The stub keeps the mantissa normalised, so [Ec.make] rebuilds the
+       exact record [Sparse.det]'s boxed fold produces. *)
     Ec.make
       ~c:{ Complex.re = BA1.get b.raw.r_dre q; im = BA1.get b.raw.r_dim q }
       ~e:(Int32.to_int (BA1.get b.raw.r_dexp q))
@@ -663,10 +295,13 @@ module Batch = struct
   let solution_re b = b.raw.r_x_re
   let solution_im b = b.raw.r_x_im
 
-  (* Per-domain batch pooling, same shape as {!Pool}: one growable batch
-     workspace per (pattern, domain), busy-guarded against same-domain
-     reentrancy; a failed checkout sends the whole batch to the per-point
-     path, which is bit-identical. *)
+  (* Per-domain batch pooling: one growable batch workspace per (pattern,
+     domain), indexed by [domain_index] in a copy-on-write table.  Only
+     the owning domain touches its slot, so the unlocked fast path is
+     race-free; growth serialises on a mutex and publishes a fresh array.
+     The busy flag guards same-domain reentrancy (systhreads running jobs
+     on one domain): a busy slot, or a domain index past the cap, gets a
+     fresh unpooled batch, which computes the same bits. *)
   module Pool = struct
     type batch = t
 
@@ -676,6 +311,9 @@ module Batch = struct
       grow : Mutex.t;
     }
 
+    (* Every domain ever created takes a fresh index, so indices can grow
+       without bound; past the cap a checkout gets an unpooled batch
+       instead of leaking workspaces. *)
     let max_slots = 64
     let fresh_batch = create
 
@@ -683,47 +321,43 @@ module Batch = struct
 
     let slot_batch pl idx =
       let arr = Atomic.get pl.slots in
-      if idx < Array.length arr && arr.(idx) <> None then arr.(idx)
-      else begin
-        Mutex.lock pl.grow;
-        let arr = Atomic.get pl.slots in
-        let arr =
-          if idx < Array.length arr then arr
-          else begin
-            let bigger =
-              Array.make
-                (Int.min max_slots (Int.max (idx + 1) ((2 * Array.length arr) + 1)))
-                None
-            in
-            Array.blit arr 0 bigger 0 (Array.length arr);
-            Atomic.set pl.slots bigger;
-            bigger
-          end
-        in
-        let b =
-          match arr.(idx) with
-          | Some b -> b
-          | None ->
-              let b = fresh_batch pl.p_prog in
-              arr.(idx) <- Some b;
-              b
-        in
-        Mutex.unlock pl.grow;
-        Some b
-      end
+      match if idx < Array.length arr then arr.(idx) else None with
+      | Some b -> b
+      | None ->
+          Mutex.lock pl.grow;
+          let arr = Atomic.get pl.slots in
+          let arr =
+            if idx < Array.length arr then arr
+            else begin
+              let bigger =
+                Array.make
+                  (Int.min max_slots (Int.max (idx + 1) ((2 * Array.length arr) + 1)))
+                  None
+              in
+              Array.blit arr 0 bigger 0 (Array.length arr);
+              Atomic.set pl.slots bigger;
+              bigger
+            end
+          in
+          let b =
+            match arr.(idx) with
+            | Some b -> b
+            | None ->
+                let b = fresh_batch pl.p_prog in
+                arr.(idx) <- Some b;
+                b
+          in
+          Mutex.unlock pl.grow;
+          b
 
     let checkout pl =
       let idx = domain_index () in
-      if idx >= max_slots then None
-      else
-        match slot_batch pl idx with
-        | None -> None
-        | Some b ->
-            if b.b_busy then None
-            else begin
-              b.b_busy <- true;
-              Some b
-            end
+      let b = if idx < max_slots then slot_batch pl idx else fresh_batch pl.p_prog in
+      if b.b_busy then fresh_batch pl.p_prog
+      else begin
+        b.b_busy <- true;
+        b
+      end
 
     let release b = b.b_busy <- false
   end

@@ -1,26 +1,17 @@
-(** Fused unboxed refactor+solve execution engine.
+(** The recorded elimination program of a sparse LU, and the batched
+    structure-of-arrays engine that replays it.
 
-    {!Sparse.refactor} replays a recorded elimination program on flat float
-    arrays but then materialises a boxed factor that {!Sparse.solve}
-    immediately unboxes again.  This module runs the {e same} program plus
-    the forward/back substitution directly on preallocated flat [re]/[im]
-    workspaces: no boxed factor, no stored multipliers (the RHS forward
-    elimination is fused into multiplier computation), and zero heap
-    allocation per point once a workspace exists.
+    {!Sparse.symbolic} learns a pivot order once per sparsity pattern and
+    records it as a {!program}; {!Batch} replays that program — numeric
+    elimination, the forward substitution fused into it, and the back
+    substitution — on a whole batch of evaluation points at once.  A
+    single evaluation is a batch of one.
 
-    Bit-identity contract: {!run}, {!det} and {!solve_into} perform exactly
-    the float operations of the boxed
-    [Sparse.refactor] → [Sparse.det] → [Sparse.solve] chain, in the same
-    order — results are bit-for-bit identical, and the threshold-floor
-    bailout, non-finite-pivot degradation and
-    [Inject.sparse_singular] fault hook behave identically, so the boxed
-    path remains a semantically invisible fallback.
-
-    Typical use per evaluation point: {!Pool.checkout} (or a dedicated
-    {!workspace}), {!begin_point}, scatter with {!set_value}/{!set_rhs},
-    {!run}; on success read {!det} and, unless {!det_is_zero}, call
-    {!solve_into} and read {!solution_re}/{!solution_im}; finally
-    {!Pool.release}. *)
+    Bit-identity contract: for every point, {!Batch.det} and the solution
+    planes hold exactly the bits of the boxed
+    [Sparse.refactor] → [Sparse.det] → [Sparse.solve] chain, and a point
+    is {!Batch.ejected} exactly when [Sparse.refactor] would return [None]
+    (threshold floor, zero or non-finite pivot). *)
 
 type program = {
   n : int;  (** matrix dimension *)
@@ -38,114 +29,19 @@ type program = {
   elim_upd : int array array array;
       (** step -> target -> destination slot per U entry (aligned with
           [u_slots]) *)
-  lower_len : int;  (** multipliers the boxed path would store *)
+  lower_len : int;  (** multipliers [Sparse.refactor] stores *)
   fill : int;  (** structural fill-in *)
 }
 (** The recorded elimination program — the value-independent half of a
     factorisation, shared with {!Sparse.pattern}
     (see {!Sparse.pattern_program}). *)
 
-type workspace
-(** Flat preallocated scratch state for one (program, domain): matrix
-    slots, RHS and solution buffers, determinant accumulator. *)
-
-val workspace : program -> workspace
-(** Allocate a fresh workspace (counted by [kernel.workspaces]). *)
-
-val program : workspace -> program
-
-val begin_point : workspace -> unit
-(** Zero the matrix and RHS buffers for a new evaluation point. *)
-
-val set_value : workspace -> int -> re:float -> im:float -> unit
-(** [set_value ws e ~re ~im] stores the value of structural entry [e] (in
-    {!Sparse.pattern_coords} order — the scatter {!Sparse.refactor} applies
-    to its [values] argument). *)
-
-val set_slot : workspace -> int -> re:float -> im:float -> unit
-(** Store directly by workspace slot (callers that precompose the
-    coordinate-to-slot map skip the [coo_slot] indirection). *)
-
-val set_rhs : workspace -> int -> re:float -> im:float -> unit
-(** [set_rhs ws row ~re ~im] stores the right-hand side for an original
-    row. *)
-
-val matrix_re : workspace -> float array
-val matrix_im : workspace -> float array
-(** The raw slot-indexed matrix buffers (what {!set_slot} writes into).
-    Hot-path scatter loops store into these directly: without flambda a
-    cross-module [set_slot] call boxes its float arguments, and the whole
-    point of the kernel is an allocation-free inner loop.  Write only
-    between {!begin_point} and {!run}, at indices below the program's
-    [nslots]. *)
-
-val rhs_buf_re : workspace -> float array
-val rhs_buf_im : workspace -> float array
-(** The raw row-indexed right-hand-side buffers behind {!set_rhs}, under
-    the same direct-store contract as {!matrix_re}. *)
-
-val run : workspace -> bool
-(** Replay the elimination program on the scattered values, fusing the RHS
-    forward elimination.  [false] exactly when {!Sparse.refactor} would
-    return [None]: a reused pivot is zero, non-finite, or under the
-    threshold-pivoting floor — or the [sparse.singular] fault fired (the
-    hook consumes one hit here just as [refactor] does).  Counts a success
-    under [lu.refactor] + [kernel.points] and a threshold bailout under
-    [lu.refactor_fallback] + [kernel.fallback], mirroring the boxed path's
-    accounting; an injected singular counts only [kernel.fallback], since
-    the boxed refactor's injection path increments nothing.
-    Allocation-free in the steady state (a trace span is built only while
-    tracing is on). *)
-
-val frexp_exp : float -> int
-(** [snd (Float.frexp a)] for finite [a >= 0.], allocation-free
-    ([Float.frexp] boxes a tuple per call) — the determinant accumulator's
-    normalisation step.  Exposed so the test suite can check it against
-    [Float.frexp] across the full range, subnormals included. *)
-
-val det : workspace -> Symref_numeric.Extcomplex.t
-(** Determinant of the last successful {!run}: product of the pivots times
-    the permutation sign, accumulated without ever storing the lower
-    multipliers — bit-identical to [Sparse.det (Sparse.refactor ...)]. *)
-
-val det_is_zero : workspace -> bool
-(** Allocation-free [Ec.is_zero (det ws)]. *)
-
-val solve_into : workspace -> unit
-(** Back substitution into the preallocated solution buffers (the forward
-    half already happened inside {!run}).  Only meaningful after a
-    successful {!run} with a non-zero determinant. *)
-
-val solution_re : workspace -> float array
-val solution_im : workspace -> float array
-(** The solution by original column index, valid until the next
-    {!begin_point}.  These are the workspace's own buffers: read, don't
-    keep. *)
-
-(** {1 Per-domain indexing and pooling} *)
+(** {1 Per-domain indexing} *)
 
 val domain_index : unit -> int
 (** A small dense index for the calling domain, assigned on first use
     (re-exported as {!Symref_core.Domain_pool.worker_index}; pool workers
     touch theirs at spawn so long-lived domains get the low indices). *)
-
-val try_acquire : workspace -> bool
-(** Check the workspace out ([false] if already checked out — e.g. a
-    systhread re-entering on the same domain). *)
-
-val release : workspace -> unit
-
-(** A per-domain workspace pool for one program: each domain lazily gets
-    its own workspace, indexed by {!domain_index} in a copy-on-write table.
-    Checkout fails (→ caller takes the bit-identical boxed path) when the
-    index exceeds the table cap or the domain's workspace is busy. *)
-module Pool : sig
-  type t
-
-  val create : program -> t
-  val checkout : t -> workspace option
-  val release : workspace -> unit
-end
 
 (** {1 The batched structure-of-arrays engine} *)
 
@@ -159,29 +55,23 @@ type plane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Replays the elimination program {e once per batch}: the program —
     pre-flattened into int32 instruction streams — is decoded instruction
     by instruction, and every instruction runs an inner contiguous loop
-    over a tile of the batch's points — amortising the decode traffic the
-    per-point engine pays at every point, which dominates on long
-    programs with little float work per step (the rc-ladder shape).  The
-    loops themselves live in a C stub (batch_stub.c) compiled with
-    vectorisation on and FP contraction off, so the float work runs as
-    packed IEEE arithmetic while every per-point rounding stays exactly
-    the OCaml engine's.
-
-    Bit-identity: batching reorders float operations only across points
-    (whose data never interact); within one point the dataflow is
-    operation-for-operation the per-point {!run} + {!solve_into} chain, so
-    per-point results are bit-for-bit identical.
+    over a tile of the batch's points, so the decode traffic is paid once
+    per tile instead of once per point (it dominates on long programs
+    with little float work per step, the rc-ladder shape).  The loops
+    live in a C stub (batch_stub.c) compiled with vectorisation on and FP
+    contraction off, so the float work runs as packed IEEE arithmetic
+    while every per-point rounding stays exactly the boxed chain's.
 
     Eject semantics: a point that trips the threshold floor (or goes
     non-finite) is {e marked} ({!Batch.ejected}) and keeps computing
     garbage confined to its own plane column while the batch proceeds; the
-    caller re-evaluates marked points on the boxed path.  The engine itself
-    fires no fault hooks and touches no counters — the caller owns both, so
-    it can interleave [Inject.sparse_singular] fires and per-point
-    fallbacks in point order, reproducing the per-point engine's fire
-    sequence exactly ({!Symref_mna.Nodal.eval_batch} is the reference
-    consumer, and the accounting contract lives with the
-    [kernel.batch_points]/[kernel.batch_ejects] counters). *)
+    caller re-evaluates marked points with a full factorisation.  The
+    engine itself fires no fault hooks and touches no counters — the
+    caller owns both, so it can interleave [Inject.sparse_singular] fires
+    and per-point fallbacks in point order
+    ({!Symref_mna.Nodal.eval_batch} is the consumer, and the accounting
+    contract lives with the [lu.refactor]/[kernel.batch_ejects]
+    counters). *)
 module Batch : sig
   type t
   (** A growable batch workspace for one program: value/RHS/solution planes
@@ -192,27 +82,23 @@ module Batch : sig
   (** Allocate an empty batch workspace (counted under
       [kernel.workspaces]); capacity grows on first use. *)
 
-  val program : t -> program
-
   val begin_batch : t -> int -> unit
   (** [begin_batch b count] sizes the planes for [count] points (growing
       capacity if needed — the steady state allocates nothing) and zeroes
       the value and RHS planes.  Fixes {!stride} for this batch. *)
 
-  val count : t -> int
-  (** Points in the current batch. *)
-
   val stride : t -> int
-  (** The plane stride for the current batch: {!count} padded up to the
-      engine's tile width (a multiple of 8).  Lanes at
+  (** The plane stride for the current batch: its point count padded up
+      to the engine's tile width (a multiple of 8).  Lanes at
       [count <= q < stride] are padding — zero-scattered, computed as
       garbage, never read back. *)
 
   val matrix_re : t -> plane
   val matrix_im : t -> plane
-  (** Raw value planes for the scatter, under the same direct-store
-      contract as the per-point {!matrix_re}: write between
-      {!begin_batch} and {!run} at [slot * stride + point]. *)
+  (** Raw value planes for the scatter: write between {!begin_batch} and
+      {!run} at [slot * stride + point].  Hot-path scatters store into
+      these directly — without flambda a cross-module setter call would
+      box its float arguments. *)
 
   val rhs_re : t -> plane
   val rhs_im : t -> plane
@@ -232,28 +118,34 @@ module Batch : sig
 
   val ejected : t -> int -> bool
   (** Whether the point left the batch (threshold floor or non-finite
-      pivot at some step) — its column is garbage; re-evaluate it on the
-      boxed path. *)
+      pivot at some step) — its column is garbage; re-evaluate it with a
+      full factorisation. *)
 
   val det_is_zero : t -> int -> bool
 
   val det : t -> int -> Symref_numeric.Extcomplex.t
-  (** Determinant of a non-ejected point, bit-identical to the per-point
-      {!det}. *)
+  (** Determinant of a non-ejected point, bit-identical to
+      [Sparse.det (Sparse.refactor ...)]. *)
 
   val solution_re : t -> plane
   val solution_im : t -> plane
   (** Solution planes, index [column * stride + point], valid until the
       next {!begin_batch}. *)
 
-  (** Per-domain batch pooling, mirroring {!Pool}: a failed checkout sends
-      the whole batch to the bit-identical per-point path. *)
+  (** Per-domain batch pooling: each domain lazily gets its own batch
+      workspace for the program, indexed by {!domain_index}. *)
   module Pool : sig
     type batch = t
     type t
 
     val create : program -> t
-    val checkout : t -> batch option
+
+    val checkout : t -> batch
+    (** The calling domain's pooled batch, marked busy until {!release}.
+        When that batch is already checked out (a systhread re-entering
+        on the same domain) or the domain index is past the pool's cap,
+        a fresh unpooled batch — same program, same results. *)
+
     val release : batch -> unit
   end
 end

@@ -82,6 +82,74 @@ let injected_singular n =
     singular = true;
   }
 
+(* One step's pivot choice over the active submatrix: Markowitz search
+   restricted to a few sparsest candidate rows, the classical
+   circuit-simulator compromise between fill-in optimality and search cost
+   (a full scan would dominate the factorisation).  An entry is a
+   candidate when it passes the threshold test against its row's largest
+   active entry; the smallest Markowitz count [(r-1)(c-1)] wins, ties to
+   the larger magnitude.  [None] when no active entry is admissible.
+   [factor] and [symbolic] both pivot here, so a recorded pattern is the
+   pivot sequence a full factorisation would choose. *)
+let max_candidate_rows = 8
+
+let markowitz_pivot ~pivot_threshold rows ~row_active ~col_active ~row_count
+    ~col_count =
+  let n = Array.length rows in
+  let best = ref None in
+  let search_row i =
+    let row = rows.(i) in
+    let rmax = ref 0. in
+    Hashtbl.iter
+      (fun j v ->
+        if col_active.(j) then begin
+          let m = Complex.norm v in
+          if m > !rmax then rmax := m
+        end)
+      row;
+    if !rmax > 0. then
+      Hashtbl.iter
+        (fun j v ->
+          if col_active.(j) then begin
+            let m = Complex.norm v in
+            if m >= pivot_threshold *. !rmax then begin
+              let cost = (row_count.(i) - 1) * (col_count.(j) - 1) in
+              let better =
+                match !best with
+                | None -> true
+                | Some (_, _, _, bcost, bmag) -> cost < bcost || (cost = bcost && m > bmag)
+              in
+              if better then best := Some (i, j, v, cost, m)
+            end
+          end)
+        row
+  in
+  (* Examine only the sparsest active rows (counts within one of the
+     minimum), allocation-free. *)
+  let min_count = ref max_int in
+  for i = 0 to n - 1 do
+    if row_active.(i) && row_count.(i) > 0 && row_count.(i) < !min_count then
+      min_count := row_count.(i)
+  done;
+  if !min_count < max_int then begin
+    let examined = ref 0 in
+    let i = ref 0 in
+    while !examined < max_candidate_rows && !i < n do
+      if row_active.(!i) && row_count.(!i) > 0 && row_count.(!i) <= !min_count + 1 then begin
+        search_row !i;
+        incr examined
+      end;
+      incr i
+    done;
+    (* Threshold pivoting can reject every entry of the sparse candidate
+       rows; fall back to a full search before declaring singularity. *)
+    if !best = None then
+      for i = 0 to n - 1 do
+        if row_active.(i) && row_count.(i) > 0 then search_row i
+      done
+  end;
+  Option.map (fun (i, j, v, _, _) -> (i, j, v)) !best
+
 let factor ?(pivot_threshold = 0.1) (b : builder) =
   Obs.incr Obs.lu_factor;
   Tr.span ~cat:"lu" "lu.factor" @@ fun () ->
@@ -105,71 +173,15 @@ let factor ?(pivot_threshold = 0.1) (b : builder) =
   let det_mag = ref Ec.one in
   let fill = ref 0 in
   let singular = ref false in
-  (* Markowitz search restricted to a few sparsest candidate rows: the
-     classical circuit-simulator compromise between fill-in optimality and
-     search cost (a full scan would dominate the factorisation). *)
-  let max_candidate_rows = 8 in
   (try
      for k = 0 to n - 1 do
-       let best = ref None in
-       let search_row i =
-         let row = rows.(i) in
-         let rmax = ref 0. in
-         Hashtbl.iter
-           (fun j v ->
-             if col_active.(j) then begin
-               let m = Complex.norm v in
-               if m > !rmax then rmax := m
-             end)
-           row;
-         if !rmax > 0. then
-           Hashtbl.iter
-             (fun j v ->
-               if col_active.(j) then begin
-                 let m = Complex.norm v in
-                 if m >= pivot_threshold *. !rmax then begin
-                   let cost = (row_count.(i) - 1) * (col_count.(j) - 1) in
-                   let better =
-                     match !best with
-                     | None -> true
-                     | Some (_, _, _, bcost, bmag) ->
-                         cost < bcost || (cost = bcost && m > bmag)
-                   in
-                   if better then best := Some (i, j, v, cost, m)
-                 end
-               end)
-             row
-       in
-       (* Examine only the sparsest active rows (counts within one of the
-          minimum), allocation-free. *)
-       let min_count = ref max_int in
-       for i = 0 to n - 1 do
-         if row_active.(i) && row_count.(i) > 0 && row_count.(i) < !min_count then
-           min_count := row_count.(i)
-       done;
-       if !min_count < max_int then begin
-         let examined = ref 0 in
-         let i = ref 0 in
-         while !examined < max_candidate_rows && !i < n do
-           if row_active.(!i) && row_count.(!i) > 0 && row_count.(!i) <= !min_count + 1
-           then begin
-             search_row !i;
-             incr examined
-           end;
-           incr i
-         done;
-         (* Threshold pivoting can reject every entry of the sparse candidate
-            rows; fall back to a full search before declaring singularity. *)
-         if !best = None then
-           for i = 0 to n - 1 do
-             if row_active.(i) && row_count.(i) > 0 then search_row i
-           done
-       end;
-       match !best with
+       match
+         markowitz_pivot ~pivot_threshold rows ~row_active ~col_active ~row_count ~col_count
+       with
        | None ->
            singular := true;
            raise Exit
-       | Some (pi, pj, pv, _, _) ->
+       | Some (pi, pj, pv) ->
            pivot_rows.(k) <- pi;
            pivot_cols.(k) <- pj;
            pivots.(k) <- pv;
@@ -258,9 +270,8 @@ let fill_in f = f.fill_in
 module Kernel = Kernel
 
 (* The slot layout and elimination program live in {!Kernel.program} — the
-   fused execution engine replays them without this module — while the
-   pattern keeps the coordinate list that defines {!refactor}'s [values]
-   order. *)
+   batched engine replays them without this module — while the pattern
+   keeps the coordinate list that defines {!refactor}'s [values] order. *)
 type pattern = {
   prog : Kernel.program;
   coo_rows : int array;  (* values index -> original row *)
@@ -321,64 +332,15 @@ let symbolic ?(pivot_threshold = 0.1) (b : builder) =
   let det_mag = ref Ec.one in
   let fill = ref 0 in
   let singular = ref false in
-  let max_candidate_rows = 8 in
   (try
      for k = 0 to n - 1 do
-       let best = ref None in
-       let search_row i =
-         let row = rows.(i) in
-         let rmax = ref 0. in
-         Hashtbl.iter
-           (fun j v ->
-             if col_active.(j) then begin
-               let m = Complex.norm v in
-               if m > !rmax then rmax := m
-             end)
-           row;
-         if !rmax > 0. then
-           Hashtbl.iter
-             (fun j v ->
-               if col_active.(j) then begin
-                 let m = Complex.norm v in
-                 if m >= pivot_threshold *. !rmax then begin
-                   let cost = (row_count.(i) - 1) * (col_count.(j) - 1) in
-                   let better =
-                     match !best with
-                     | None -> true
-                     | Some (_, _, _, bcost, bmag) ->
-                         cost < bcost || (cost = bcost && m > bmag)
-                   in
-                   if better then best := Some (i, j, v, cost, m)
-                 end
-               end)
-             row
-       in
-       let min_count = ref max_int in
-       for i = 0 to n - 1 do
-         if row_active.(i) && row_count.(i) > 0 && row_count.(i) < !min_count then
-           min_count := row_count.(i)
-       done;
-       if !min_count < max_int then begin
-         let examined = ref 0 in
-         let i = ref 0 in
-         while !examined < max_candidate_rows && !i < n do
-           if row_active.(!i) && row_count.(!i) > 0 && row_count.(!i) <= !min_count + 1
-           then begin
-             search_row !i;
-             incr examined
-           end;
-           incr i
-         done;
-         if !best = None then
-           for i = 0 to n - 1 do
-             if row_active.(i) && row_count.(i) > 0 then search_row i
-           done
-       end;
-       match !best with
+       match
+         markowitz_pivot ~pivot_threshold rows ~row_active ~col_active ~row_count ~col_count
+       with
        | None ->
            singular := true;
            raise Exit
-       | Some (pi, pj, pv, _, _) ->
+       | Some (pi, pj, pv) ->
            pivot_rows.(k) <- pi;
            pivot_cols.(k) <- pj;
            pivots.(k) <- pv;
@@ -491,7 +453,8 @@ let symbolic ?(pivot_threshold = 0.1) (b : builder) =
    values.  Returns [None] — caller falls back to a full Markowitz
    factorisation — whenever a reused pivot is exactly zero or falls below the
    threshold-pivoting floor relative to its remaining row, so accuracy never
-   regresses versus from-scratch pivoting. *)
+   regresses versus from-scratch pivoting.  No production path calls it: it
+   is the boxed reference that {!Kernel.Batch} must match bit for bit. *)
 let refactor (p : pattern) (values : Complex.t array) =
   let q = p.prog in
   if Array.length values <> Array.length q.Kernel.coo_slot then

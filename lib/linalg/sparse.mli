@@ -64,8 +64,10 @@ val solve_transpose : factor -> Complex.t array -> Complex.t array
     are pure overhead after the first point.  {!symbolic} runs one full
     Markowitz factorisation and records its {e pattern} — pivot order, slot
     layout (fill-ins included) and the elimination program as flat index
-    arrays; {!refactor} then replays only the numeric elimination on unboxed
-    float arrays, typically several times faster than {!factor}. *)
+    arrays — which {!Kernel.Batch} replays on whole batches of points.
+    {!refactor} replays the same program one point at a time into a boxed
+    factor: it is the reference the batch engine is checked against, bit
+    for bit. *)
 
 type pattern
 (** The value-independent half of a factorisation: reusable across any
@@ -85,7 +87,10 @@ val refactor : pattern -> Complex.t array -> factor option
     entry at {!pattern_coords}[ p].(e).  [None] when a reused pivot is
     exactly zero or falls below the threshold-pivoting floor relative to its
     remaining row — the caller should fall back to a fresh {!factor} so
-    accuracy never regresses versus from-scratch pivoting.
+    accuracy never regresses versus from-scratch pivoting.  Unlike {!factor}
+    it keeps the recorded pivots and divides with the naive complex
+    quotient, exactly as {!Kernel.Batch} does, which makes it that
+    engine's test oracle.
     @raise Invalid_argument when [values] does not match the pattern. *)
 
 val pattern_coords : pattern -> (int * int) array
@@ -100,17 +105,14 @@ val pattern_nnz : pattern -> int
 val pattern_stats : pattern -> int * int
 (** [(slots, structural_fill)] — workspace size diagnostics. *)
 
-(** {1 The fused kernel}
+(** {1 The batched replay}
 
-    {!Kernel} executes a pattern's recorded elimination program {e and} the
-    forward/back substitution directly on flat preallocated workspaces —
-    no boxed factor on the hot path, bit-identical results.
-    [Sparse.Kernel] re-exports it so the engine reads as part of this
-    module's API. *)
+    [Sparse.Kernel] re-exports {!Kernel}, the batched engine that replays a
+    pattern's elimination program on many points at once. *)
 
 module Kernel = Kernel
 
 val pattern_program : pattern -> Kernel.program
-(** The pattern's elimination program, ready for {!Kernel.workspace} /
-    {!Kernel.Pool.create}.  Entry [e] of {!refactor}'s [values] order
+(** The pattern's elimination program, ready for {!Kernel.Batch.create} /
+    {!Kernel.Batch.Pool.create}.  Entry [e] of {!refactor}'s [values] order
     scatters to slot [(pattern_program p).coo_slot.(e)]. *)

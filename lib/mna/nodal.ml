@@ -47,20 +47,12 @@ type stamp = {
    pattern could not be learned (singular at the canonical point); evaluate
    from scratch.  The mutex makes concurrent [eval] calls from several
    domains safe. *)
-(* The kernel half of a learned pattern: the coordinate-to-slot scatter map
-   ([-1] for entries identically zero over the pass) and the per-domain
-   workspace pool of the fused engine.  [None] when the kernel is disabled
-   for this problem. *)
-type kernel_payload = {
-  k_slot : int array;
-  k_pool : Kernel.Pool.t;
-  k_batch : Kernel.Batch.Pool.t;
-}
-
 type payload = {
-  pl_pat : Sparse.pattern;
-  pl_pos : int array;  (* stamp coordinate -> pattern values index, -1 none *)
-  pl_kernel : kernel_payload option;
+  pl_prog : Kernel.program;
+  pl_slot : int array;
+      (* stamp coordinate -> program slot, -1 for entries identically zero
+         over the pass *)
+  pl_pool : Kernel.Batch.Pool.t;  (* per-domain batch workspaces *)
 }
 
 type cache = {
@@ -80,7 +72,6 @@ type t = {
   order_bound : int;
   stamp : stamp;
   reuse : bool;
-  use_kernel : bool;
   cache : cache;
 }
 
@@ -184,12 +175,7 @@ let build_stamp circuit (roles : role array) dim injections =
     live;
   { m_rows; m_cols; m_g; m_c; rhs_g; rhs_c; rhs_k }
 
-(* Escape hatch for A/B gating outside the API (CI's kernel bit-identity
-   job diffs a kernel-on against a kernel-off run of the same binary). *)
-let kernel_default =
-  match Sys.getenv_opt "SYMREF_NO_KERNEL" with Some _ -> false | None -> true
-
-let make ?(reuse = true) ?(kernel = kernel_default) circuit ~input ~output =
+let make ?(reuse = true) circuit ~input ~output =
   (* Resolve the input into (circuit without source, driven nodes, current
      injections). *)
   let circuit, driven, injections_nodes =
@@ -276,7 +262,6 @@ let make ?(reuse = true) ?(kernel = kernel_default) circuit ~input ~output =
     order_bound = Int.min (Netlist.capacitor_count circuit) dim;
     stamp = build_stamp circuit roles dim injections;
     reuse;
-    use_kernel = kernel;
     cache = { pats = []; lock = Mutex.create () };
   }
 
@@ -300,7 +285,6 @@ let plan t =
   }
 
 let dimension t = t.dim
-let kernel_enabled t = t.use_kernel && t.reuse
 let order_bound t = t.order_bound
 let den_gdeg t = t.den_gdeg
 let num_gdeg t = t.num_gdeg
@@ -322,35 +306,18 @@ let learn_pattern t ~f ~g =
   match Sparse.symbolic b with
   | None -> None
   | Some (pat, _) ->
-      (* Map our coordinate order onto the pattern's values order. *)
+      (* Map our coordinate order onto the pattern's values order, then
+         onto program slots, so the hot-path scatter is one indirection. *)
       let index = Hashtbl.create 64 in
       Array.iteri (fun p rc -> Hashtbl.replace index rc p) (Sparse.pattern_coords pat);
-      let pos =
+      let prog = Sparse.pattern_program pat in
+      let slot =
         Array.init (Array.length st.m_rows) (fun e ->
             match Hashtbl.find_opt index (st.m_rows.(e), st.m_cols.(e)) with
-            | Some p -> p
+            | Some p -> prog.Kernel.coo_slot.(p)
             | None -> -1 (* identically zero at every point of this pass *))
       in
-      let pl_kernel =
-        if not t.use_kernel then None
-        else begin
-          let prog = Sparse.pattern_program pat in
-          (* Precompose coordinate -> values index -> slot so the hot-path
-             scatter is one indirection. *)
-          let k_slot =
-            Array.map
-              (fun p -> if p < 0 then -1 else prog.Kernel.coo_slot.(p))
-              pos
-          in
-          Some
-            {
-              k_slot;
-              k_pool = Kernel.Pool.create prog;
-              k_batch = Kernel.Batch.Pool.create prog;
-            }
-        end
-      in
-      Some { pl_pat = pat; pl_pos = pos; pl_kernel }
+      Some { pl_prog = prog; pl_slot = slot; pl_pool = Kernel.Batch.Pool.create prog }
 
 let pattern_for t ~f ~g =
   let c = t.cache in
@@ -368,14 +335,12 @@ let pattern_for t ~f ~g =
           c.pats <- (f, g, payload) :: c.pats;
           payload)
 
-(* The boxed per-point machinery, shared between [eval] and [eval_batch]'s
-   per-point fallbacks (ejected points, pole points).  Toplevel rather than
-   closures so both entry points run the exact same float expressions —
-   bit-identity across the engines depends on the expression shapes here. *)
+(* The per-point fallbacks of [eval_batch]: a full factorisation for
+   ejected points (and every point when [reuse] is off or the pattern
+   could not be learned), Cramer determinants for pole points. *)
 
-(* Lazy: the kernel paths write the right-hand side straight into their
-   workspaces and never need the boxed array — only the boxed solve and the
-   Cramer fallback force it. *)
+(* Lazy: the batch writes the right-hand side straight into its planes and
+   never needs the boxed array — only the fallbacks force it. *)
 let rhs_lazy t ~f ~g ~sre ~sim =
   let st = t.stamp in
   lazy
@@ -437,126 +402,25 @@ let from_scratch_at t ~f ~g ~sre ~sim ~rhs =
   finish_at t ~f ~g ~sre ~sim ~rhs
     (Sparse.factor (build_at t ~f ~g ~sre ~sim ~rhs ()))
 
-let eval ?(f = 1.) ?(g = 1.) t s =
-  let st = t.stamp in
-  let m = Array.length st.m_rows in
-  let sre = s.Complex.re and sim = s.Complex.im in
-  (* Value of coordinate [e] at this point: [g_coef*g + s*(c_coef*f)]. *)
-  let value e =
-    let cf = st.m_c.(e) *. f in
-    { Complex.re = (st.m_g.(e) *. g) +. (sre *. cf); im = sim *. cf }
-  in
-  let rhs = rhs_lazy t ~f ~g ~sre ~sim in
-  let singular_value () = singular_value_at t ~f ~g ~sre ~sim ~rhs in
-  let finish factor = finish_at t ~f ~g ~sre ~sim ~rhs factor in
-  let from_scratch () = from_scratch_at t ~f ~g ~sre ~sim ~rhs in
-  (* Fused-kernel evaluation: scatter, replay and substitute on the calling
-     domain's pooled workspace — no boxed factor, no per-point allocation
-     inside the engine.  Every outcome re-joins a boxed-path behaviour
-     bit-identically: [`Bail] is exactly [refactor] returning [None],
-     [`Pole] (a determinant of exactly zero) the boxed Cramer branch, and
-     [`Unavailable] (workspace busy or over the pool cap) simply runs the
-     boxed replay. *)
-  let eval_kernel kp =
-    match Kernel.Pool.checkout kp.k_pool with
-    | None -> `Unavailable
-    | Some ws ->
-        Kernel.begin_point ws;
-        (* Direct stores into the workspace buffers: a cross-module setter
-           call would box every float argument in the scatter loop. *)
-        let wre = Kernel.matrix_re ws and wim = Kernel.matrix_im ws in
-        let k_slot = kp.k_slot in
-        for e = 0 to m - 1 do
-          let sl = k_slot.(e) in
-          if sl >= 0 then begin
-            let cf = st.m_c.(e) *. f in
-            wre.(sl) <- (st.m_g.(e) *. g) +. (sre *. cf);
-            wim.(sl) <- sim *. cf
-          end
-        done;
-        (* Same arithmetic as the boxed [rhs] array, written straight into
-           the workspace — no boxed Complex per entry. *)
-        let yre = Kernel.rhs_buf_re ws and yim = Kernel.rhs_buf_im ws in
-        for r = 0 to t.dim - 1 do
-          let cf = st.rhs_c.(r) *. f in
-          yre.(r) <- st.rhs_k.(r) +. (st.rhs_g.(r) *. g) +. (sre *. cf);
-          yim.(r) <- sim *. cf
-        done;
-        if not (Kernel.run ws) then begin
-          Kernel.Pool.release ws;
-          `Bail
-        end
-        else if Kernel.det_is_zero ws then begin
-          Kernel.Pool.release ws;
-          `Pole
-        end
-        else begin
-          let den = Kernel.det ws in
-          Kernel.solve_into ws;
-          let xr = Kernel.solution_re ws and xi = Kernel.solution_im ws in
-          let hre =
-            (match t.out_p with Some i -> xr.(i) | None -> 0.)
-            -. (match t.out_m with Some i -> xr.(i) | None -> 0.)
-          and him =
-            (match t.out_p with Some i -> xi.(i) | None -> 0.)
-            -. (match t.out_m with Some i -> xi.(i) | None -> 0.)
-          in
-          Kernel.Pool.release ws;
-          let h = { Complex.re = hre; im = him } in
-          let num = Ec.mul_complex den h in
-          `Value { den; num; h; singular = false }
-        end
-  in
-  if not t.reuse then from_scratch ()
-  else
-    match pattern_for t ~f ~g with
-    | None -> from_scratch ()
-    | Some pl -> (
-        let boxed () =
-          let pat = pl.pl_pat and pos = pl.pl_pos in
-          let vals = Array.make (Sparse.pattern_nnz pat) Complex.zero in
-          for e = 0 to m - 1 do
-            let p = pos.(e) in
-            if p >= 0 then vals.(p) <- value e
-          done;
-          match Sparse.refactor pat vals with
-          (* Reused pivots hit the threshold floor (or an exact pole): redo
-             the full Markowitz search so accuracy never regresses. *)
-          | None -> from_scratch ()
-          | Some factor -> finish factor
-        in
-        match pl.pl_kernel with
-        | None -> boxed ()
-        | Some kp -> (
-            match eval_kernel kp with
-            | `Value v -> v
-            | `Pole -> singular_value ()
-            | `Bail -> from_scratch ()
-            | `Unavailable -> boxed ()))
-
-(* One whole interpolation pass through the batched structure-of-arrays
-   engine: scatter every point's matrix and RHS into slot-major planes, run
-   the elimination program once (inner loops over the contiguous points of
-   each instruction), then walk the points {e in order} to fire the
+(* Every point through the batched structure-of-arrays engine: scatter
+   every point's matrix and RHS into slot-major planes, run the elimination
+   program once (inner loops over the contiguous points of each
+   instruction), then walk the points {e in order} to fire the
    [sparse.singular] hook and dispatch per-point fallbacks.
 
    Fire ordering is the reason the walk is sequential and ordered: the
    batched engine itself consumes no [Inject] hits and touches no counters,
-   so point [q]'s kernel-site fire — and any [Sparse.factor] fires its
-   fallback performs — lands strictly between point [q-1]'s and [q+1]'s,
-   exactly the sequence the per-point engine produces.  An armed fault plan
-   therefore replays identically under both engines, which is what the CI
-   batched bit-identity gate diffs.
+   so point [q]'s fire — and any [Sparse.factor] fires its fallback
+   performs — lands strictly between point [q-1]'s and [q+1]'s.  An armed
+   fault plan therefore sees the same fire sequence whether the points
+   come as one batch or one at a time.
 
-   Counter contract (see [Metrics.kernel_batch_points]): a batch-served
-   point counts [lu.refactor] + [kernel.batch_points]; an ejected point
-   (threshold floor, non-finite pivot, or injected singular) counts
-   [kernel.fallback] + [kernel.batch_ejects] exactly once — it goes
-   straight to the boxed full factorisation, never through the per-point
-   kernel, so the eject can't double-count.  Threshold ejects additionally
-   count [lu.refactor_fallback], injected ones don't — mirroring
-   [Kernel.run]'s accounting branch for branch. *)
-let run_batch t ~f ~g kp b points =
+   Counter contract: a batch-served point counts [lu.refactor]; an ejected
+   point (threshold floor, non-finite pivot, or injected singular) counts
+   [kernel.batch_ejects] and goes to a full [Sparse.factor] (counted under
+   [lu.factor]).  Threshold ejects additionally count
+   [lu.refactor_fallback]; injected ones don't. *)
+let run_batch t ~f ~g pl b points =
   let st = t.stamp in
   let m = Array.length st.m_rows in
   let cnt = Array.length points in
@@ -569,10 +433,10 @@ let run_batch t ~f ~g kp b points =
   done;
   (* Direct stores into the planes: the per-coordinate coefficients are
      loop-invariant across the batch, so hoisting [g_coef*g] and [c_coef*f]
-     keeps the per-point expression tree identical to [eval]'s
+     keeps the per-point expression tree identical to [build_at]'s
      [(m_g*g) +. (sre *. (m_c*f))]. *)
   let wre = Kernel.Batch.matrix_re b and wim = Kernel.Batch.matrix_im b in
-  let k_slot = kp.k_slot in
+  let k_slot = pl.pl_slot in
   for e = 0 to m - 1 do
     let sl = Array.unsafe_get k_slot e in
     if sl >= 0 then begin
@@ -602,23 +466,19 @@ let run_batch t ~f ~g kp b points =
       let sre = s.Complex.re and sim = s.Complex.im in
       let rhs = rhs_lazy t ~f ~g ~sre ~sim in
       if Inject.fire Inject.sparse_singular then begin
-        (* Injected singular: the per-point kernel bails here before its
-           elimination, so injection takes precedence over a threshold
-           eject — and, like [Kernel.run], it is not a threshold fallback:
-           [lu.refactor_fallback] stays untouched. *)
-        Obs.incr Obs.kernel_fallbacks;
+        (* Injected singular: takes precedence over a threshold eject, and
+           is not a threshold fallback — [lu.refactor_fallback] stays
+           untouched. *)
         Obs.incr Obs.kernel_batch_ejects;
         from_scratch_at t ~f ~g ~sre ~sim ~rhs
       end
       else if Kernel.Batch.ejected b q then begin
         Obs.incr Obs.refactor_fallbacks;
-        Obs.incr Obs.kernel_fallbacks;
         Obs.incr Obs.kernel_batch_ejects;
         from_scratch_at t ~f ~g ~sre ~sim ~rhs
       end
       else begin
         Obs.incr Obs.lu_refactor;
-        Obs.incr Obs.kernel_batch_points;
         if Kernel.Batch.det_is_zero b q then
           singular_value_at t ~f ~g ~sre ~sim ~rhs
         else begin
@@ -645,32 +505,22 @@ let run_batch t ~f ~g kp b points =
       end)
 
 let eval_batch ?(f = 1.) ?(g = 1.) t points =
-  let cnt = Array.length points in
-  if cnt = 0 then [||]
-  else begin
-    let per_point () = Array.map (fun s -> eval ~f ~g t s) points in
-    if not (kernel_enabled t) then per_point ()
-    else
-      match pattern_for t ~f ~g with
-      | None -> per_point ()
-      | Some pl -> (
-          match pl.pl_kernel with
-          | None -> per_point ()
-          | Some kp -> (
-              (* A failed checkout (pool cap, busy batch on a re-entrant
-                 systhread) sends the whole pass down the bit-identical
-                 per-point path. *)
-              match Kernel.Batch.Pool.checkout kp.k_batch with
-              | None -> per_point ()
-              | Some b ->
-                  Fun.protect
-                    ~finally:(fun () -> Kernel.Batch.Pool.release b)
-                    (fun () -> run_batch t ~f ~g kp b points)))
-  end
+  let pattern = if t.reuse && Array.length points > 0 then pattern_for t ~f ~g else None in
+  match pattern with
+  | None ->
+      Array.map
+        (fun (s : Complex.t) ->
+          let sre = s.Complex.re and sim = s.Complex.im in
+          from_scratch_at t ~f ~g ~sre ~sim ~rhs:(rhs_lazy t ~f ~g ~sre ~sim))
+        points
+  | Some pl ->
+      let b = Kernel.Batch.Pool.checkout pl.pl_pool in
+      Fun.protect
+        ~finally:(fun () -> Kernel.Batch.Pool.release b)
+        (fun () -> run_batch t ~f ~g pl b points)
+
+let eval ?f ?g t s = (eval_batch ?f ?g t [| s |]).(0)
 
 let elimination_program ?(f = 1.) ?(g = 1.) t =
   if not t.reuse then None
-  else
-    match pattern_for t ~f ~g with
-    | None -> None
-    | Some pl -> Some (Sparse.pattern_program pl.pl_pat)
+  else Option.map (fun pl -> pl.pl_prog) (pattern_for t ~f ~g)

@@ -46,7 +46,6 @@ exception Unsupported of string
 
 val make :
   ?reuse:bool ->
-  ?kernel:bool ->
   Symref_circuit.Netlist.t ->
   input:input ->
   output:output ->
@@ -54,20 +53,12 @@ val make :
 (** [reuse] (default [true]) enables the symbolic/numeric factorisation
     split: the Markowitz ordering of the reduced matrix is learned once per
     scale pair (at the canonical point [s = i]) and every evaluation replays
-    only the numeric elimination, falling back to a full from-scratch
-    factorisation whenever a reused pivot hits the threshold-pivoting floor.
-    [~reuse:false] restores the factor-from-scratch-per-point behaviour
-    (benchmark baseline).  [kernel] (default [true] unless the
-    [SYMREF_NO_KERNEL] environment variable is set) additionally runs the
-    replay {e and} the solve through the fused unboxed engine
-    ({!Symref_linalg.Kernel}) on a per-domain pooled workspace; it only
-    takes effect together with [reuse], is bit-identical to the boxed
-    replay (including threshold-floor, fault-injection and singular-point
-    behaviour), and is therefore a pure cost switch.  Evaluation is
-    thread-safe either way. *)
-
-val kernel_enabled : t -> bool
-(** Whether evaluations may use the fused kernel ([kernel && reuse]). *)
+    only the numeric elimination through the batched engine
+    ({!Symref_linalg.Kernel.Batch}), falling back to a full from-scratch
+    factorisation for any point whose reused pivot hits the
+    threshold-pivoting floor.  [~reuse:false] restores the
+    factor-from-scratch-per-point behaviour (benchmark baseline).
+    Evaluation is thread-safe either way. *)
 
 val dimension : t -> int
 (** Order of the reduced nodal matrix. *)
@@ -96,23 +87,21 @@ type value = {
 
 val eval : ?f:float -> ?g:float -> t -> Complex.t -> value
 (** [eval ~f ~g t s] evaluates at the point [s] with frequency scale [f] and
-    conductance scale [g] (both default [1.]). *)
+    conductance scale [g] (both default [1.]): a batch of one through
+    {!eval_batch}. *)
 
 val eval_batch : ?f:float -> ?g:float -> t -> Complex.t array -> value array
-(** [eval_batch ~f ~g t points] evaluates every point of one interpolation
-    pass through the batched structure-of-arrays engine
-    ({!Symref_linalg.Kernel.Batch}): the elimination program is decoded once
-    and each instruction loops over the contiguous points, instead of
-    replaying the whole program per point.  Result [i] is bit-for-bit the
-    value [eval ~f ~g t points.(i)] would produce, including threshold-floor
-    ejects, singular points and armed [sparse.singular] fault plans (hook
-    fires are interleaved in point order, exactly as a sequential per-point
-    sweep consumes them) — so batching is a pure cost switch.  Falls back to
-    a per-point sweep when the kernel is disabled, the pattern is
-    unavailable, or the per-domain batch pool refuses a checkout.
-    Batch-served points count [kernel.batch_points] (instead of
-    [kernel.points]); ejected points count [kernel.fallback] +
-    [kernel.batch_ejects] exactly once each. *)
+(** [eval_batch ~f ~g t points] evaluates every point through the batched
+    structure-of-arrays engine ({!Symref_linalg.Kernel.Batch}): the
+    elimination program is decoded once and each instruction loops over
+    the contiguous points, instead of replaying the whole program per
+    point.  Result [i] is bit-for-bit the value [eval ~f ~g t points.(i)]
+    produces, including threshold-floor ejects, singular points and armed
+    [sparse.singular] fault plans: the hook fires once per point in point
+    order, and a point it hits — or one the threshold floor ejects — is
+    refactorised from scratch right there, before the next point fires.
+    Batch-served points count [lu.refactor]; ejected points count
+    [kernel.batch_ejects] once each. *)
 
 val elimination_program :
   ?f:float -> ?g:float -> t -> Symref_linalg.Kernel.program option

@@ -93,15 +93,10 @@ let lu_symbolic = counter "lu.symbolic"
 let lu_refactor = counter "lu.refactor"
 let refactor_fallbacks = counter "lu.refactor_fallback"
 
-(* The kernel family: the fused unboxed refactor+solve engine
-   ([Symref_linalg.Kernel]).  Kernel-served points are *also* counted under
-   [lu.refactor]/[lu.refactor_fallback] — the kernel is the numeric
-   refactorisation, fused — so the lu.* invariants hold whichever engine
-   served a point; these three tell how many went through the fused path. *)
-let kernel_points = counter "kernel.points"
-let kernel_fallbacks = counter "kernel.fallback"
+(* The batched engine ([Symref_linalg.Kernel.Batch]): its served points
+   count under [lu.refactor], its threshold ejects under
+   [lu.refactor_fallback]. *)
 let kernel_workspaces = counter "kernel.workspaces"
-let kernel_batch_points = counter "kernel.batch_points"
 let kernel_batch_ejects = counter "kernel.batch_ejects"
 let evaluator_calls = counter "evaluator.calls"
 let memo_hits = counter "evaluator.memo_hit"

@@ -64,43 +64,24 @@ val lu_symbolic : counter
     ({!Symref_linalg.Sparse.symbolic}). *)
 
 val lu_refactor : counter
-(** Successful numeric replays ({!Symref_linalg.Sparse.refactor}). *)
+(** Points served by a numeric replay of a learned pattern
+    ({!Symref_linalg.Kernel.Batch}). *)
 
 val refactor_fallbacks : counter
-(** Refactor attempts rejected by the threshold-pivoting floor (the caller
-    fell back to a full factorisation). *)
+(** Replays rejected by the threshold-pivoting floor (the point fell back
+    to a full factorisation). *)
 
-(** {2 The kernel family}
-
-    The fused unboxed refactor+solve engine ({!Symref_linalg.Kernel}).
-    Kernel-served points are {e also} counted under
-    [lu.refactor]/[lu.refactor_fallback] — the kernel {e is} the numeric
-    refactorisation, fused — so the lu.* invariants are engine-agnostic. *)
-
-val kernel_points : counter
-(** Evaluation points served by the fused kernel (elimination + solve on
-    flat workspaces, no boxed factor). *)
-
-val kernel_fallbacks : counter
-(** Kernel runs that bailed (threshold floor, non-finite pivot or injected
-    singularity) back to the boxed path. *)
+(** {2 The batched engine} *)
 
 val kernel_workspaces : counter
-(** Workspaces allocated — one per (pattern, domain) in the steady state,
-    per-point and batched alike. *)
-
-val kernel_batch_points : counter
-(** Evaluation points served by the batched structure-of-arrays engine
-    ({!Symref_linalg.Kernel.Batch}) — counted {e instead of}
-    [kernel.points], so the two engines stay distinguishable; batch-served
-    points still count under [lu.refactor]. *)
+(** Batch workspaces allocated — one per (pattern, domain) in the steady
+    state, plus one per checkout that found the domain's batch busy. *)
 
 val kernel_batch_ejects : counter
-(** Points ejected from a batch to the boxed per-point fallback (threshold
-    floor, non-finite pivot, or injected singularity).  An ejected point is
-    counted here and under [kernel.fallback] exactly once — it goes
-    straight to the boxed full factorisation, never through the per-point
-    kernel, so the two counters cannot double-count one point. *)
+(** Points ejected from a batch to a full factorisation (threshold floor,
+    non-finite pivot, or injected singularity), once each.  Every
+    evaluation of a learned pattern counts exactly one of [lu.refactor]
+    and [kernel.batch_ejects]. *)
 
 val evaluator_calls : counter
 (** {!Symref_core.Evaluator} [eval] calls — the paper's cost metric. *)

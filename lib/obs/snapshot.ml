@@ -3,10 +3,7 @@ type t = {
   lu_symbolic : int;
   lu_refactor : int;
   refactor_fallbacks : int;
-  kernel_points : int;
-  kernel_fallbacks : int;
   kernel_workspaces : int;
-  kernel_batch_points : int;
   kernel_batch_ejects : int;
   evaluator_calls : int;
   memo_hits : int;
@@ -63,10 +60,7 @@ let zero =
     lu_symbolic = 0;
     lu_refactor = 0;
     refactor_fallbacks = 0;
-    kernel_points = 0;
-    kernel_fallbacks = 0;
     kernel_workspaces = 0;
-    kernel_batch_points = 0;
     kernel_batch_ejects = 0;
     evaluator_calls = 0;
     memo_hits = 0;
@@ -123,10 +117,7 @@ let capture () =
     lu_symbolic = Metrics.value Metrics.lu_symbolic;
     lu_refactor = Metrics.value Metrics.lu_refactor;
     refactor_fallbacks = Metrics.value Metrics.refactor_fallbacks;
-    kernel_points = Metrics.value Metrics.kernel_points;
-    kernel_fallbacks = Metrics.value Metrics.kernel_fallbacks;
     kernel_workspaces = Metrics.value Metrics.kernel_workspaces;
-    kernel_batch_points = Metrics.value Metrics.kernel_batch_points;
     kernel_batch_ejects = Metrics.value Metrics.kernel_batch_ejects;
     evaluator_calls = Metrics.value Metrics.evaluator_calls;
     memo_hits = Metrics.value Metrics.memo_hits;
@@ -193,16 +184,9 @@ let fields =
     ( "lu.refactor_fallback",
       (fun t -> t.refactor_fallbacks),
       fun t v -> { t with refactor_fallbacks = v } );
-    ("kernel.points", (fun t -> t.kernel_points), fun t v -> { t with kernel_points = v });
-    ( "kernel.fallback",
-      (fun t -> t.kernel_fallbacks),
-      fun t v -> { t with kernel_fallbacks = v } );
     ( "kernel.workspaces",
       (fun t -> t.kernel_workspaces),
       fun t v -> { t with kernel_workspaces = v } );
-    ( "kernel.batch_points",
-      (fun t -> t.kernel_batch_points),
-      fun t v -> { t with kernel_batch_points = v } );
     ( "kernel.batch_ejects",
       (fun t -> t.kernel_batch_ejects),
       fun t v -> { t with kernel_batch_ejects = v } );

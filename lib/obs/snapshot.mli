@@ -10,12 +10,9 @@ type t = {
   lu_symbolic : int;  (** symbolic (pattern-recording) factorisations *)
   lu_refactor : int;  (** successful numeric replays *)
   refactor_fallbacks : int;  (** replays rejected by the threshold floor *)
-  kernel_points : int;  (** points served by the fused kernel *)
-  kernel_fallbacks : int;  (** kernel bailouts to the boxed path *)
-  kernel_workspaces : int;  (** kernel workspaces allocated *)
-  kernel_batch_points : int;  (** points served by the batched SoA engine *)
+  kernel_workspaces : int;  (** batch workspaces allocated *)
   kernel_batch_ejects : int;
-      (** points ejected from a batch to the boxed fallback *)
+      (** points ejected from a batch to a full factorisation *)
   evaluator_calls : int;  (** evaluator [eval] calls *)
   memo_hits : int;  (** shared num/den table hits *)
   memo_misses : int;  (** shared num/den table misses (factorised) *)

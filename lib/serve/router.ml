@@ -106,6 +106,7 @@ module Race = struct
     backpressure : Protocol.reply option;
     fatal : exn option;
     primary_lost : bool;  (* the primary failed transiently *)
+    pushed_back : bool;  (* the primary has answered backpressure *)
     decided : bool;
   }
 
@@ -119,6 +120,7 @@ module Race = struct
         backpressure = None;
         fatal = None;
         primary_lost = false;
+        pushed_back = false;
         decided = false;
       },
       [ Send Primary ] )
@@ -187,8 +189,16 @@ module Race = struct
   (* One attempt came back.  Each racer keeps the router's attempt budget:
      backpressure or a transient failure with attempts left arms a retry
      timer (the server's [retry_after_ms] hint when it gave one), exactly
-     as {!Client.retry_request} would sleep. *)
+     as {!Client.retry_request} would sleep.  Backpressure from the primary,
+     even with attempts left, also disarms the hedge timer for the rest of
+     the race: a hedge sent while the primary's worker is overloaded would
+     only add load. *)
   let attempt_done s r n o =
+    let s =
+      match (r, o) with
+      | Primary, Backpressure _ -> { s with pushed_back = true }
+      | _ -> s
+    in
     let retry ~retry_after_ms =
       let ms = Client.delay_after s.backoff ~attempt:n ~retry_after_ms in
       (set s r (Backing_off (n + 1)), [ Count Retried; Arm_retry (r, ms) ])
@@ -206,7 +216,7 @@ module Race = struct
     if s.decided then (s, [])
     else
       match ev with
-      | Hedge_due when s.second && s.hedge = Idle -> fire s Hedged
+      | Hedge_due when s.second && s.hedge = Idle && not s.pushed_back -> fire s Hedged
       | Retry_due r -> (
           match phase s r with
           | Backing_off n -> (set s r (Sending n), [ Send r ])

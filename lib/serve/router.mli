@@ -27,9 +27,10 @@
     the thread selects on its socket for the hedge delay, then on both
     sockets and any racer's retry timer.  The loser is abandoned — its
     connection closed — and its elapsed time still enters the latency
-    window, so the slow tail stays in the percentile.  Backpressure or a
-    fatal error from the owner ends the race; backpressure from the hedge
-    is only a fallback.  A transient failure of the owner fires the second
+    window, so the slow tail stays in the percentile.  Final backpressure
+    or a fatal error from the owner ends the race, and once the owner has
+    answered backpressure at all — even with attempts left — the hedge
+    timer sends nothing; backpressure from the hedge is only a fallback.  A transient failure of the owner fires the second
     candidate at once, counted as failover, not as a hedge.  The rules
     live in the pure {!Race} machine.  Workers are deterministic and
     idempotent, so a duplicated job can only waste time, never change

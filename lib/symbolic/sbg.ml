@@ -58,10 +58,8 @@ let response circuit ~input ~output freqs =
   | exception Nodal.Unsupported _ -> None
   | problem ->
       let values =
-        Array.map
-          (fun f ->
-            Nodal.eval problem { Complex.re = 0.; im = 2. *. Float.pi *. f })
-          freqs
+        Nodal.eval_batch problem
+          (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
       in
       if Array.exists (fun v -> v.Nodal.singular) values then None
       else Some (Array.map (fun v -> v.Nodal.h) values)

@@ -1,11 +1,12 @@
-(* The batched structure-of-arrays engine: per-point bit-identity against
-   the per-point kernel / boxed chain, eject parity with the threshold
-   bailout, allocation-freedom of the steady-state batch, fault-injection
-   parity with the hook interleaved mid-batch, and the no-double-count
-   accounting of kernel.batch_ejects.
+(* The batched structure-of-arrays engine — the one numeric replay:
+   per-point bit-identity against the boxed [Sparse.refactor] + [det] +
+   [solve] chain, eject parity with its threshold bailout, determinant
+   exponents across the full float range, allocation-freedom of the
+   steady-state batch, pool reuse and busy-slot checkouts, fault-injection
+   parity with the hook interleaved mid-batch, and the eject accounting.
 
-   "Bit-identical" is literal, as in [Test_kernel]: comparisons go through
-   [Int64.bits_of_float]. *)
+   "Bit-identical" is literal: comparisons go through
+   [Int64.bits_of_float], so even NaN payloads and [-0.] must match. *)
 
 module Sparse = Symref_linalg.Sparse
 module Kernel = Symref_linalg.Kernel
@@ -13,6 +14,7 @@ module Batch = Symref_linalg.Kernel.Batch
 module Ec = Symref_numeric.Extcomplex
 module Nodal = Symref_mna.Nodal
 module Random_net = Symref_circuit.Random_net
+module Ua741 = Symref_circuit.Ua741
 module Uc = Symref_dft.Unit_circle
 module Inject = Symref_fault.Inject
 module BA1 = Bigarray.Array1
@@ -26,8 +28,28 @@ let ec_bits_equal (a : Ec.t) (b : Ec.t) =
 
 (* --- Sparse-level: batched = boxed refactor+det+solve, per point --------- *)
 
-let lcg = Test_kernel.lcg
-let random_system = Test_kernel.random_system
+(* Deterministic LCG so every run exercises the same matrices. *)
+let lcg seed =
+  let state = ref (Int64.of_int seed) in
+  fun () ->
+    state := Int64.add (Int64.mul !state 6364136223846793005L) 1442695040888963407L;
+    Int64.to_float (Int64.shift_right_logical !state 11) /. 9007199254740992.0
+
+let random_system rand n =
+  let b = Sparse.create n in
+  for i = 0 to n - 1 do
+    (* Strong diagonal so replays at perturbed values rarely bail — the
+       eject-parity case is covered separately below. *)
+    Sparse.add b i i { Complex.re = 2. +. rand (); im = 1. +. rand () };
+    let offs = 1 + (int_of_float (rand () *. 3.) mod 3) in
+    for _ = 1 to offs do
+      let j = int_of_float (rand () *. float_of_int n) mod n in
+      if j <> i then
+        Sparse.add b i j { Complex.re = (rand () -. 0.5) *. 0.8; im = (rand () -. 0.5) *. 0.8 }
+    done
+  done;
+  let rhs = Array.init n (fun _ -> { Complex.re = rand () -. 0.5; im = rand () -. 0.5 }) in
+  (b, rhs)
 
 (* Scatter one value assignment into column [q] of the batch planes, and
    the same RHS for every point (value variation is what matters; the RHS
@@ -48,6 +70,20 @@ let scatter_point b prog q vals (rhs : Complex.t array) =
       BA1.set yim ((r * stride) + q) v.Complex.im)
     rhs
 
+(* The values [Sparse.refactor pat] would see, in pattern order. *)
+let pattern_values b pat =
+  let dense = Sparse.to_dense b in
+  Array.map (fun (i, j) -> dense.(i).(j)) (Sparse.pattern_coords pat)
+
+(* One batch over [per_point] value assignments, all with the same RHS. *)
+let run_points pat per_point rhs =
+  let prog = Sparse.pattern_program pat in
+  let bt = Batch.create prog in
+  Batch.begin_batch bt (Array.length per_point);
+  Array.iteri (fun q vals -> scatter_point bt prog q vals rhs) per_point;
+  Batch.run bt;
+  bt
+
 let prop_sparse_batch_identity =
   QCheck2.Test.make
     ~name:"batched = boxed bitwise on random sparse systems" ~count:30
@@ -58,10 +94,7 @@ let prop_sparse_batch_identity =
       match Sparse.symbolic b with
       | None -> true
       | Some (pat, _) ->
-          let coords = Sparse.pattern_coords pat in
-          let dense = Sparse.to_dense b in
-          let base = Array.map (fun (i, j) -> dense.(i).(j)) coords in
-          let prog = Sparse.pattern_program pat in
+          let base = pattern_values b pat in
           (* Per-point value assignments: the first is the base system, the
              rest perturb it — including a decade-scaled one so some points
              of a batch bail while others don't. *)
@@ -78,10 +111,7 @@ let prop_sparse_batch_identity =
                       })
                     base)
           in
-          let bt = Batch.create prog in
-          Batch.begin_batch bt cnt;
-          Array.iteri (fun q vals -> scatter_point bt prog q vals rhs) per_point;
-          Batch.run bt;
+          let bt = run_points pat per_point rhs in
           let stride = Batch.stride bt in
           let xr = Batch.solution_re bt and xi = Batch.solution_im bt in
           Array.for_all Fun.id
@@ -106,10 +136,108 @@ let prop_sparse_batch_identity =
                              x)))
                per_point))
 
+let test_eject_parity () =
+  (* Degrade the diagonal towards zero until the threshold floor trips:
+     the batch must eject exactly the value assignments the boxed refactor
+     rejects. *)
+  let rand = lcg 777 in
+  let b, rhs = random_system rand 8 in
+  match Sparse.symbolic b with
+  | None -> Alcotest.fail "symbolic factorisation unexpectedly failed"
+  | Some (pat, _) ->
+      let coords = Sparse.pattern_coords pat in
+      let base = pattern_values b pat in
+      let scales = [| 1.; 0.1; 1e-3; 1e-6; 1e-9; 1e-12; 0. |] in
+      let per_point =
+        Array.map
+          (fun scale ->
+            Array.mapi
+              (fun e (v : Complex.t) ->
+                let i, j = coords.(e) in
+                if i = j then { Complex.re = v.Complex.re *. scale; im = v.Complex.im *. scale }
+                else v)
+              base)
+          scales
+      in
+      let bt = run_points pat per_point rhs in
+      Array.iteri
+        (fun q vals ->
+          Alcotest.(check bool)
+            (Printf.sprintf "scale %g: eject parity" scales.(q))
+            (Sparse.refactor pat vals = None)
+            (Batch.ejected bt q))
+        per_point;
+      Alcotest.(check bool) "the sweep actually ejected points" true
+        (Array.exists Fun.id (Array.mapi (fun q _ -> Batch.ejected bt q) per_point))
+
+(* Determinant exponents across the float range: a 1x1 system's
+   determinant is its pivot, normalised by the stub's branch-free frexp,
+   so every exponent class — subnormals, the top binade, exact powers of
+   two — must land on the bits [Sparse.det] gets through [Float.frexp]. *)
+let det_matches_refactor values =
+  let b = Sparse.create 1 in
+  Sparse.add b 0 0 Complex.one;
+  match Sparse.symbolic b with
+  | None -> false
+  | Some (pat, _) ->
+      let per_point = Array.map (fun v -> [| v |]) values in
+      let bt = run_points pat per_point [| Complex.one |] in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun q vals ->
+             match Sparse.refactor pat vals with
+             | None -> Batch.ejected bt q
+             | Some factor ->
+                 (not (Batch.ejected bt q)) && ec_bits_equal (Sparse.det factor) (Batch.det bt q))
+           per_point)
+
+let prop_det_exponent_range =
+  QCheck2.Test.make ~name:"det = refactor det across the full float range" ~count:500
+    QCheck2.Gen.(
+      let magnitude =
+        oneof
+          [
+            float_bound_exclusive 1e308;
+            (* deep subnormals and huge values via exponent sampling *)
+            map2 (fun m e -> Float.ldexp (Float.abs m) e) (float_bound_exclusive 1.)
+              (int_range (-1080) 1023);
+          ]
+      in
+      array_size (int_range 1 9) (pair magnitude (float_range (-1.) 1.)))
+    (fun pts ->
+      det_matches_refactor
+        (Array.map (fun (a, r) -> { Complex.re = Float.abs a; im = Float.abs a *. r }) pts))
+
+let test_det_exponent_edges () =
+  let edges =
+    [
+      min_float; max_float; Float.ldexp 1. (-1074) (* smallest subnormal *);
+      Float.ldexp 1. (-1022); Float.ldexp 0.75 (-1060); 1.; 0.5; 2.; 0x1p512; 0x1p-512;
+      1e-300; 1e300; Float.pi;
+    ]
+  in
+  List.iter
+    (fun a ->
+      Alcotest.(check bool)
+        (Printf.sprintf "det of %.17g" a)
+        true
+        (det_matches_refactor
+           [| { Complex.re = a; im = 0. }; { Complex.re = -.a; im = a }; { Complex.re = 0.; im = a } |]))
+    edges
+
 (* --- Nodal-level: eval_batch = per-point eval on random circuits --------- *)
 
-let problem_of = Test_kernel.problem_of
-let value_bits_equal = Test_kernel.value_bits_equal
+let problem_of seed nodes =
+  let circuit = Random_net.circuit ~seed ~nodes () in
+  Nodal.make circuit ~input:(Nodal.Vsrc_element "vin")
+    ~output:(Nodal.Out_node (Random_net.output_node ~seed ~nodes))
+
+let value_bits_equal (a : Nodal.value) (b : Nodal.value) =
+  ec_bits_equal a.Nodal.den b.Nodal.den
+  && ec_bits_equal a.Nodal.num b.Nodal.num
+  && bits a.Nodal.h.Complex.re = bits b.Nodal.h.Complex.re
+  && bits a.Nodal.h.Complex.im = bits b.Nodal.h.Complex.im
+  && a.Nodal.singular = b.Nodal.singular
 
 let batch_matches_per_point p ~f ~g points =
   let vb = Nodal.eval_batch ~f ~g p points in
@@ -124,7 +252,7 @@ let prop_nodal_batch_identity =
     ~name:"eval_batch = eval bitwise on random circuits" ~count:20
     QCheck2.Gen.(pair (int_range 1 10_000) (int_range 3 14))
     (fun (seed, nodes) ->
-      let p = problem_of ~kernel:true seed nodes in
+      let p = problem_of seed nodes in
       let f = 1. /. Nodal.mean_capacitance p
       and g = 1. /. Nodal.mean_conductance p in
       let k = Int.max 4 (Nodal.order_bound p + 1) in
@@ -213,7 +341,7 @@ let test_chaos_batch_parity () =
         Inject.enable ~seed:7 ();
         Inject.arm Inject.sparse_singular
           (Inject.Times { skip = 3; count = 4 });
-        let p = problem_of ~kernel:true 4242 10 in
+        let p = problem_of 4242 10 in
         let f = 1. /. Nodal.mean_capacitance p
         and g = 1. /. Nodal.mean_conductance p in
         let k = Int.max 4 (Nodal.order_bound p + 1) in
@@ -240,13 +368,84 @@ let test_chaos_batch_parity () =
             (value_bits_equal a vp.(j)))
         vb)
 
+(* --- pool reuse and busy-slot checkouts ------------------------------------ *)
+
+let test_workspace_reuse_invariance () =
+  (* The same pooled batch serves many points and passes: replaying a point
+     later — after the planes held other data — must reproduce the first
+     visit bit for bit. *)
+  let p =
+    Nodal.make Ua741.circuit
+      ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
+      ~output:(Nodal.Out_node Ua741.output)
+  in
+  let f = 1. /. Nodal.mean_capacitance p and g = 1. /. Nodal.mean_conductance p in
+  let k = Nodal.order_bound p + 1 in
+  let first = Array.init k (fun j -> Nodal.eval ~f ~g p (Uc.point k j)) in
+  (* Interleave other work: a whole-circle batch at this scale (the pooled
+     batch grows), another scale (fresh pattern and pool), then revisit
+     every original point one at a time. *)
+  ignore (Nodal.eval_batch ~f ~g p (Array.init k (fun j -> Uc.point (2 * k) j)));
+  for j = 0 to (k / 2) + 1 do
+    ignore (Nodal.eval ~f:(3. *. f) ~g:(2. *. g) p (Uc.point k j))
+  done;
+  Array.iteri
+    (fun j v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "point %d replays bit-identically" j)
+        true
+        (value_bits_equal v (Nodal.eval ~f ~g p (Uc.point k j))))
+    first
+
+let test_busy_checkout () =
+  (* A checkout while the domain's pooled batch is out (a systhread
+     re-entering on the same domain) gets a separate batch; both compute
+     the same bits, and the pooled one comes back once released. *)
+  let rand = lcg 4242 in
+  let b, rhs = random_system rand 10 in
+  match Sparse.symbolic b with
+  | None -> Alcotest.fail "symbolic factorisation unexpectedly failed"
+  | Some (pat, _) ->
+      let prog = Sparse.pattern_program pat in
+      let vals = pattern_values b pat in
+      let pool = Batch.Pool.create prog in
+      let solve bt =
+        Batch.begin_batch bt 3;
+        for q = 0 to 2 do
+          scatter_point bt prog q vals rhs
+        done;
+        Batch.run bt
+      in
+      let pooled = Batch.Pool.checkout pool in
+      let other = Batch.Pool.checkout pool in
+      Alcotest.(check bool) "busy slot yields a separate batch" false (pooled == other);
+      solve pooled;
+      solve other;
+      let stride = Batch.stride pooled in
+      let plane_bits pl = Array.init (prog.Kernel.n * stride) (fun i -> bits (BA1.get pl i)) in
+      for q = 0 to 2 do
+        Alcotest.(check bool)
+          (Printf.sprintf "point %d det bit-identical" q)
+          true
+          (ec_bits_equal (Batch.det pooled q) (Batch.det other q))
+      done;
+      Alcotest.(check bool) "solutions bit-identical (re)" true
+        (plane_bits (Batch.solution_re pooled) = plane_bits (Batch.solution_re other));
+      Alcotest.(check bool) "solutions bit-identical (im)" true
+        (plane_bits (Batch.solution_im pooled) = plane_bits (Batch.solution_im other));
+      Batch.Pool.release other;
+      Batch.Pool.release pooled;
+      Alcotest.(check bool) "released slot is pooled again" true
+        (Batch.Pool.checkout pool == pooled);
+      Batch.Pool.release pooled
+
 (* --- eject accounting ---------------------------------------------------- *)
 
 let test_batch_counters () =
   let module Obs = Symref_obs.Metrics in
   let module Snapshot = Symref_obs.Snapshot in
   let sweep () =
-    let p = problem_of ~kernel:true 99 8 in
+    let p = problem_of 99 8 in
     let f = 1. /. Nodal.mean_capacitance p
     and g = 1. /. Nodal.mean_conductance p in
     let k = Int.max 4 (Nodal.order_bound p + 1) in
@@ -261,20 +460,15 @@ let test_batch_counters () =
       Obs.disable ();
       Obs.reset ())
     (fun () ->
-      (* Clean sweep: every point batch-served, nothing ejected, nothing
-         leaked to the per-point kernel counters. *)
+      (* Clean sweep: every point served by the replay, nothing ejected. *)
       let k = sweep () in
       let s = Snapshot.capture () in
-      Alcotest.(check int) "every point batch-served" k
-        s.Snapshot.kernel_batch_points;
-      Alcotest.(check int) "batch points count as replays"
-        s.Snapshot.lu_refactor s.Snapshot.kernel_batch_points;
-      Alcotest.(check int) "no per-point kernel points" 0 s.Snapshot.kernel_points;
+      Alcotest.(check int) "every point replayed" k s.Snapshot.lu_refactor;
       Alcotest.(check int) "no ejects" 0 s.Snapshot.kernel_batch_ejects;
-      Alcotest.(check int) "no kernel fallbacks" 0 s.Snapshot.kernel_fallbacks;
+      Alcotest.(check int) "no full factorisations" 0 s.Snapshot.lu_factor;
       (* Injected sweep: each fired point is ejected and counted exactly
-         once under kernel.fallback = kernel.batch_ejects; served + ejected
-         still covers every point, so nothing is double-counted. *)
+         once; served + ejected still covers every point, so nothing is
+         double-counted. *)
       Obs.reset ();
       with_registry (fun () ->
           Inject.enable ~seed:1 ();
@@ -283,15 +477,11 @@ let test_batch_counters () =
           let fired = Inject.fired Inject.sparse_singular in
           let s = Snapshot.capture () in
           Alcotest.(check bool) "the plan actually fired" true (fired > 0);
-          Alcotest.(check int) "ejects = kernel fallbacks"
-            s.Snapshot.kernel_fallbacks s.Snapshot.kernel_batch_ejects;
           Alcotest.(check int) "served + ejected = points" k
-            (s.Snapshot.kernel_batch_points + s.Snapshot.kernel_batch_ejects);
-          Alcotest.(check int) "no per-point kernel points" 0
-            s.Snapshot.kernel_points;
-          (* Injected ejects are not threshold fallbacks, so lu.refactor
-             plus the full-factorisation count must still cover the sweep:
-             the fired points went straight to Sparse.factor. *)
+            (s.Snapshot.lu_refactor + s.Snapshot.kernel_batch_ejects);
+          Alcotest.(check int) "injected ejects are not threshold fallbacks" 0
+            s.Snapshot.refactor_fallbacks;
+          (* The fired points went straight to Sparse.factor. *)
           Alcotest.(check bool) "ejected points were factorised from scratch"
             true
             (s.Snapshot.lu_factor >= s.Snapshot.kernel_batch_ejects)))
@@ -301,9 +491,16 @@ let suite =
     ( "batch",
       [
         QCheck_alcotest.to_alcotest prop_sparse_batch_identity;
+        Alcotest.test_case "threshold eject parity" `Quick test_eject_parity;
+        QCheck_alcotest.to_alcotest prop_det_exponent_range;
+        Alcotest.test_case "det exponent edge cases" `Quick test_det_exponent_edges;
         QCheck_alcotest.to_alcotest prop_nodal_batch_identity;
         Alcotest.test_case "zero allocation per batch" `Quick
           test_zero_alloc_batch;
+        Alcotest.test_case "workspace reuse invariance" `Quick
+          test_workspace_reuse_invariance;
+        Alcotest.test_case "busy slot: separate batch, same bits" `Quick
+          test_busy_checkout;
         Alcotest.test_case "chaos: sparse.singular armed mid-batch" `Quick
           test_chaos_batch_parity;
         Alcotest.test_case "batch counters and eject accounting" `Quick

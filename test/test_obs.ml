@@ -61,13 +61,8 @@ let test_ua741_counters () =
     s.Snapshot.memo_hits;
   Alcotest.(check int) "replays + fallbacks = memo misses" s.Snapshot.memo_misses
     (s.Snapshot.lu_refactor + s.Snapshot.refactor_fallbacks);
-  (* All clean-run points are served by the batched engine: nothing ejects,
-     nothing leaks to the per-point kernel counter. *)
-  Alcotest.(check int) "batched points = replays" s.Snapshot.lu_refactor
-    s.Snapshot.kernel_batch_points;
-  Alcotest.(check int) "no per-point kernel points" 0 s.Snapshot.kernel_points;
+  (* A clean run ejects nothing from its batches. *)
   Alcotest.(check int) "no batch ejects" 0 s.Snapshot.kernel_batch_ejects;
-  Alcotest.(check int) "no kernel fallbacks" 0 s.Snapshot.kernel_fallbacks;
   Alcotest.(check int) "factorizations = refactor + scratch"
     (Snapshot.factorizations s)
     (s.Snapshot.lu_refactor + s.Snapshot.lu_factor);

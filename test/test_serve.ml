@@ -1667,6 +1667,27 @@ let prop_race_rules =
         in
         go false trace
       in
+      (* The hedge timer adds no load once the primary has pushed back,
+         even with attempts left: no [Hedged] after any primary
+         backpressure (failover after a primary transient may still
+         fire). *)
+      let no_hedge_after_pushback =
+        let rec go pushed = function
+          | [] -> true
+          | (ev, acts) :: rest ->
+              (not (pushed && List.mem (Race.Count Race.Hedged) acts))
+              &&
+              let pushed =
+                pushed
+                ||
+                match ev with
+                | Some (Race.Replied (Race.Primary, Race.Backpressure _)) -> true
+                | _ -> false
+              in
+              go pushed rest
+        in
+        go false trace
+      in
       (* The hedge fires (on its timer or as failover) at most once. *)
       let fired =
         List.length
@@ -1718,6 +1739,7 @@ let prop_race_rules =
       ignored_ok && Race.decided s
       && List.for_all (fun ev -> snd (Race.step s ev) = []) late
       && one_verdict && on_wire = [] && quiet_after_backpressure
+      && no_hedge_after_pushback
       && fired <= (if second then 1 else 0)
       && first_answer_wins && cut_short_only_by_primary)
 
