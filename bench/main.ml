@@ -879,7 +879,7 @@ let run_fleet_chaos ~smoke =
       0 addrs
   in
   let restarts = Ssup.restarts sup in
-  let snap = Snapshot.capture () in
+  let counter = Snapshot.value (Snapshot.capture ()) in
   Ssup.stop ~grace_s:2.0
     ~notify:(fun ~slot ~pid:_ ->
       try ignore (chaos_exchange_reply (Stransport.parse (sock slot)) Sproto.Shutdown)
@@ -906,9 +906,9 @@ let run_fleet_chaos ~smoke =
      machinery: hedges %d (wins %d), failovers %d, breakers %d/%d/%d \
      (open/half/close), restarts %d, shed %d\n"
     total threads keys (pct 0.50) (pct 0.99) !errors !mismatches !retries
-    snap.Snapshot.router_hedges snap.Snapshot.router_hedge_wins
-    snap.Snapshot.router_failovers snap.Snapshot.router_breaker_opens
-    snap.Snapshot.router_breaker_half_opens snap.Snapshot.router_breaker_closes
+    (counter Obs.router_hedges) (counter Obs.router_hedge_wins)
+    (counter Obs.router_failovers) (counter Obs.router_breaker_opens)
+    (counter Obs.router_breaker_half_opens) (counter Obs.router_breaker_closes)
     restarts shed;
   Printf.sprintf
     "  \"fleet_chaos\": { \"workers\": 3, \"threads\": %d, \"keys\": %d, \
@@ -920,10 +920,10 @@ let run_fleet_chaos ~smoke =
      \"breaker_closes\": %d,\n\
     \    \"restarts\": %d, \"giveups\": %d, \"shed_jobs\": %d },\n"
     threads keys total !errors !mismatches !retries (pct 0.50) (pct 0.99)
-    snap.Snapshot.router_hedges snap.Snapshot.router_hedge_wins
-    snap.Snapshot.router_failovers snap.Snapshot.router_breaker_opens
-    snap.Snapshot.router_breaker_half_opens snap.Snapshot.router_breaker_closes
-    restarts snap.Snapshot.fleet_giveups shed
+    (counter Obs.router_hedges) (counter Obs.router_hedge_wins)
+    (counter Obs.router_failovers) (counter Obs.router_breaker_opens)
+    (counter Obs.router_breaker_half_opens) (counter Obs.router_breaker_closes)
+    restarts (counter Obs.fleet_giveups) shed
 
 (* --- simplify benchmark: reference-driven symbolic compression --------------
 
@@ -1140,8 +1140,8 @@ let run_json ~smoke =
   let snap = Snapshot.capture () in
   Printf.printf
     "counters on %s: %d adaptive passes, %d factorizations, %d memo hits\n"
-    shared_target.jname snap.Snapshot.adaptive_passes
-    (Snapshot.factorizations snap) snap.Snapshot.memo_hits;
+    shared_target.jname (Snapshot.value snap Obs.adaptive_passes)
+    (Snapshot.factorizations snap) (Snapshot.value snap Obs.memo_hits);
   out "  \"counters\": { \"circuit\": \"%s\", \"snapshot\": %s },\n"
     shared_target.jname
     (Json.to_string (Snapshot.to_json snap));

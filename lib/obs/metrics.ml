@@ -46,7 +46,6 @@ let histogram name =
 
 let incr c = if !enabled_flag then Atomic.incr c.cell
 let add c n = if !enabled_flag then ignore (Atomic.fetch_and_add c.cell n)
-let value c = Atomic.get c.cell
 let name c = c.c_name
 
 let bucket_index v =
@@ -78,14 +77,16 @@ let reset () =
   List.iter (fun c -> Atomic.set c.cell 0) !counters;
   List.iter (fun h -> Array.iter (fun a -> Atomic.set a 0) h.counts) !histograms
 
-let all () = List.rev_map (fun c -> (c.c_name, value c)) !counters
+let all () = List.rev_map (fun c -> (c.c_name, Atomic.get c.cell)) !counters
 let all_histograms () =
   List.rev_map (fun h -> (h.h_name, histogram_buckets_of h)) !histograms
 
 (* --- the pipeline's counter catalogue ------------------------------------
 
    Defined here (not at the call sites) so instrumentation, the CLI table,
-   snapshots and tests all agree on one name per quantity.  Keep
+   snapshots and tests all agree on one name per quantity.  Registration
+   order is the order of the snapshot JSON and the --stats table, which
+   tools parse: append new entries rather than reordering.  Keep
    [doc/observability.mld] in sync when adding entries. *)
 
 let lu_factor = counter "lu.factor"
@@ -137,17 +138,18 @@ let serve_disk_cache_hits = counter "serve.disk_cache_hit"
 let serve_disk_cache_misses = counter "serve.disk_cache_miss"
 let serve_disk_cache_writes = counter "serve.disk_cache_write"
 let serve_disk_cache_corrupt = counter "serve.disk_cache_corrupt"
+
+(* Resilience additions: the disk-cache scrubber and overload shedding in
+   the scheduler (listed with the serve family), then request hedging and
+   the per-worker circuit breakers in the router, and the fleet
+   supervisor's restart accounting. *)
+let serve_disk_cache_scrubbed = counter "serve.disk_cache_scrubbed"
+let serve_shed_jobs = counter "serve.shed_jobs"
+let serve_evicted_jobs = counter "serve.evicted_jobs"
 let router_requests = counter "router.requests"
 let router_failovers = counter "router.failovers"
 let router_health_checks = counter "router.health_checks"
 let router_dead_workers = counter "router.dead_workers"
-
-(* Resilience additions: overload shedding in the scheduler, the disk-cache
-   scrubber, request hedging and the per-worker circuit breakers in the
-   router, and the fleet supervisor's restart accounting. *)
-let serve_shed_jobs = counter "serve.shed_jobs"
-let serve_evicted_jobs = counter "serve.evicted_jobs"
-let serve_disk_cache_scrubbed = counter "serve.disk_cache_scrubbed"
 let router_hedges = counter "router.hedges"
 let router_hedge_wins = counter "router.hedge_wins"
 let router_breaker_opens = counter "router.breaker_open"

@@ -8,7 +8,8 @@
     multi-domain interpolation ({!Symref_core.Interp.run}[ ~domains]).
 
     The fixed catalogue at the bottom is the single source of truth for the
-    pipeline's counter names; {!Snapshot} dumps exactly these. *)
+    pipeline's counter names; {!Snapshot} dumps exactly these, in
+    registration order. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
@@ -30,7 +31,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 (** No-op while disabled. *)
 
-val value : counter -> int
 val name : counter -> string
 
 val all : unit -> (string * int) list
@@ -49,10 +49,9 @@ val histogram : string -> histogram
 val observe : histogram -> int -> unit
 val histogram_name : histogram -> string
 
-val histogram_buckets_of : histogram -> (int * int) list
-(** [(bucket upper bound, count)] for every non-empty bucket, ascending. *)
-
 val all_histograms : unit -> (string * (int * int) list) list
+(** Every registered histogram, in registration order, with
+    [(bucket upper bound, count)] for each non-empty bucket, ascending. *)
 
 (** {1 The pipeline's counter catalogue} *)
 
@@ -210,8 +209,9 @@ val serve_shed_jobs : counter
     a typed [overloaded] reply carrying [retry_after_ms]. *)
 
 val serve_evicted_jobs : counter
-(** Queued jobs evicted at dequeue because their deadline passed while they
-    waited.  Also counted under [serve.shed_jobs]. *)
+(** Queued jobs evicted because their deadline passed while they waited.
+    Counted here only, never under [serve.shed_jobs]: the two are
+    disjoint. *)
 
 val serve_disk_cache_scrubbed : counter
 (** Orphaned [.tmp.*] staging files removed when the on-disk cache

@@ -463,9 +463,10 @@ let test_batch_counters () =
       (* Clean sweep: every point served by the replay, nothing ejected. *)
       let k = sweep () in
       let s = Snapshot.capture () in
-      Alcotest.(check int) "every point replayed" k s.Snapshot.lu_refactor;
-      Alcotest.(check int) "no ejects" 0 s.Snapshot.kernel_batch_ejects;
-      Alcotest.(check int) "no full factorisations" 0 s.Snapshot.lu_factor;
+      let v = Snapshot.value s in
+      Alcotest.(check int) "every point replayed" k (v Obs.lu_refactor);
+      Alcotest.(check int) "no ejects" 0 (v Obs.kernel_batch_ejects);
+      Alcotest.(check int) "no full factorisations" 0 (v Obs.lu_factor);
       (* Injected sweep: each fired point is ejected and counted exactly
          once; served + ejected still covers every point, so nothing is
          double-counted. *)
@@ -475,16 +476,16 @@ let test_batch_counters () =
           Inject.arm Inject.sparse_singular (Inject.Times { skip = 1; count = 2 });
           let k = sweep () in
           let fired = Inject.fired Inject.sparse_singular in
-          let s = Snapshot.capture () in
+          let v = Snapshot.value (Snapshot.capture ()) in
           Alcotest.(check bool) "the plan actually fired" true (fired > 0);
           Alcotest.(check int) "served + ejected = points" k
-            (s.Snapshot.lu_refactor + s.Snapshot.kernel_batch_ejects);
+            (v Obs.lu_refactor + v Obs.kernel_batch_ejects);
           Alcotest.(check int) "injected ejects are not threshold fallbacks" 0
-            s.Snapshot.refactor_fallbacks;
+            (v Obs.refactor_fallbacks);
           (* The fired points went straight to Sparse.factor. *)
           Alcotest.(check bool) "ejected points were factorised from scratch"
             true
-            (s.Snapshot.lu_factor >= s.Snapshot.kernel_batch_ejects)))
+            (v Obs.lu_factor >= v Obs.kernel_batch_ejects)))
 
 let suite =
   [

@@ -52,26 +52,28 @@ let test_ua741_counters () =
   let r = generate_ua741 () in
   Metrics.disable ();
   let s = Snapshot.capture () in
-  Alcotest.(check int) "evaluator calls" 87 s.Snapshot.evaluator_calls;
-  Alcotest.(check int) "factorisations (memo misses)" 63 s.Snapshot.memo_misses;
+  let v = Snapshot.value s in
+  Alcotest.(check int) "evaluator calls" 87 (v Metrics.evaluator_calls);
+  Alcotest.(check int) "factorisations (memo misses)" 63 (v Metrics.memo_misses);
   (* Batched prefetch seeds the memo before the per-point loop, so every
      eval call hits (per-point mode would record 24 hits + 63 miss-calls —
      same 63 factorisations, same values, different split). *)
-  Alcotest.(check int) "memo hits = calls" s.Snapshot.evaluator_calls
-    s.Snapshot.memo_hits;
-  Alcotest.(check int) "replays + fallbacks = memo misses" s.Snapshot.memo_misses
-    (s.Snapshot.lu_refactor + s.Snapshot.refactor_fallbacks);
+  Alcotest.(check int) "memo hits = calls" (v Metrics.evaluator_calls)
+    (v Metrics.memo_hits);
+  Alcotest.(check int) "replays + fallbacks = memo misses" (v Metrics.memo_misses)
+    (v Metrics.lu_refactor + v Metrics.refactor_fallbacks);
   (* A clean run ejects nothing from its batches. *)
-  Alcotest.(check int) "no batch ejects" 0 s.Snapshot.kernel_batch_ejects;
+  Alcotest.(check int) "no batch ejects" 0 (v Metrics.kernel_batch_ejects);
   Alcotest.(check int) "factorizations = refactor + scratch"
     (Snapshot.factorizations s)
-    (s.Snapshot.lu_refactor + s.Snapshot.lu_factor);
+    (v Metrics.lu_refactor + v Metrics.lu_factor);
   Alcotest.(check int) "calls agree with Reference.total_evaluations"
     (Reference.total_evaluations r)
-    s.Snapshot.evaluator_calls;
-  Alcotest.(check bool) "adaptive passes ran" true (s.Snapshot.adaptive_passes > 0);
-  Alcotest.(check int) "histogram covers every batch" s.Snapshot.adaptive_passes
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 s.Snapshot.points_per_pass)
+    (v Metrics.evaluator_calls);
+  Alcotest.(check bool) "adaptive passes ran" true (v Metrics.adaptive_passes > 0);
+  Alcotest.(check int) "histogram covers every batch" (v Metrics.adaptive_passes)
+    (List.fold_left (fun acc (_, n) -> acc + n) 0
+       (Snapshot.buckets s Metrics.points_per_pass))
 
 (* The trace file is valid JSON whose events are balanced: complete "X"
    events carrying a duration (B/E pairs would also be acceptable, but the
@@ -133,8 +135,48 @@ let test_snapshot_roundtrip () =
   Alcotest.(check bool) "non-trivial snapshot" false (Snapshot.is_zero s);
   let s' = Snapshot.of_string (Snapshot.to_string s) in
   Alcotest.(check bool) "of_string (to_string s) = s" true (s = s');
-  let z = Snapshot.of_string (Snapshot.to_string Snapshot.zero) in
-  Alcotest.(check bool) "zero round-trips" true (z = Snapshot.zero)
+  let zero = Snapshot.capture () in
+  Alcotest.(check bool) "reset snapshot is zero" true (Snapshot.is_zero zero);
+  let z = Snapshot.of_string (Snapshot.to_string zero) in
+  Alcotest.(check bool) "zero round-trips" true (z = zero)
+
+(* The zero snapshot's JSON, byte for byte: BENCH_interp.json and serve
+   [stats] replies embed this rendering, so its keys and their order are an
+   interface. *)
+let zero_snapshot_json =
+  String.concat ""
+    [
+      "{\"lu.factor\":0,\"lu.symbolic\":0,\"lu.refactor\":0,";
+      "\"lu.refactor_fallback\":0,\"kernel.workspaces\":0,";
+      "\"kernel.batch_ejects\":0,\"evaluator.calls\":0,";
+      "\"evaluator.memo_hit\":0,\"evaluator.memo_miss\":0,";
+      "\"nodal.pattern_hit\":0,\"nodal.pattern_miss\":0,\"adaptive.passes\":0,";
+      "\"adaptive.dry_passes\":0,\"adaptive.deflated_passes\":0,";
+      "\"interp.points_evaluated\":0,\"guard.singular_retries\":0,";
+      "\"guard.nonfinite_retries\":0,\"guard.retry_giveups\":0,";
+      "\"serve.cache_hit\":0,\"serve.cache_miss\":0,";
+      "\"serve.cache_eviction\":0,\"serve.jobs_submitted\":0,";
+      "\"serve.jobs_completed\":0,\"serve.jobs_failed\":0,";
+      "\"serve.jobs_timeout\":0,\"serve.jobs_rejected\":0,";
+      "\"serve.client_retries\":0,\"serve.cache_bytes\":0,";
+      "\"serve.disk_cache_hit\":0,\"serve.disk_cache_miss\":0,";
+      "\"serve.disk_cache_write\":0,\"serve.disk_cache_corrupt\":0,";
+      "\"serve.disk_cache_scrubbed\":0,\"serve.shed_jobs\":0,";
+      "\"serve.evicted_jobs\":0,\"router.requests\":0,\"router.failovers\":0,";
+      "\"router.health_checks\":0,\"router.dead_workers\":0,";
+      "\"router.hedges\":0,\"router.hedge_wins\":0,\"router.breaker_open\":0,";
+      "\"router.breaker_half_open\":0,\"router.breaker_close\":0,";
+      "\"fleet.restarts\":0,\"fleet.giveups\":0,\"simplify.requests\":0,";
+      "\"simplify.retries\":0,\"simplify.fallbacks\":0,";
+      "\"simplify.unsupported\":0,\"simplify.removed_elements\":0,";
+      "\"simplify.removed_terms\":0,\"interp.points_per_pass\":[]}";
+    ]
+
+let test_zero_snapshot_pinned () =
+  Metrics.disable ();
+  Metrics.reset ();
+  Alcotest.(check string) "zero snapshot JSON" zero_snapshot_json
+    (Snapshot.to_string (Snapshot.capture ()))
 
 (* The pooled fan-out returns bit-identical interpolation results and
    survives a shutdown/restart cycle. *)
@@ -180,6 +222,8 @@ let suite =
           test_trace_file;
         Alcotest.test_case "snapshot JSON round-trip" `Quick
           test_snapshot_roundtrip;
+        Alcotest.test_case "zero snapshot JSON pinned" `Quick
+          test_zero_snapshot_pinned;
         Alcotest.test_case "domain pool" `Quick test_domain_pool;
       ] );
   ]

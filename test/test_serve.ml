@@ -739,11 +739,11 @@ let test_breaker_lifecycle () =
     (r3.Protocol.status = Protocol.Ok);
   Alcotest.(check bool) "success closes the breaker" true
     (Serve.Router.breaker_state router 0 = `Closed);
-  let snap = Snapshot.capture () in
+  let v = Snapshot.value (Snapshot.capture ()) in
   Alcotest.(check bool) "open/half-open/close all counted" true
-    (snap.Snapshot.router_breaker_opens >= 1
-    && snap.Snapshot.router_breaker_half_opens >= 1
-    && snap.Snapshot.router_breaker_closes >= 1);
+    (v Metrics.router_breaker_opens >= 1
+    && v Metrics.router_breaker_half_opens >= 1
+    && v Metrics.router_breaker_closes >= 1);
   Serve.Daemon.request_stop d;
   Thread.join th;
   Metrics.disable ();
@@ -906,10 +906,9 @@ let test_worker_flapping_chaos () =
     Alcotest.(check bool) "owner breaker closed again" true
       (Serve.Router.breaker_state router owner = `Closed)
   done;
-  let snap = Snapshot.capture () in
+  let v = Snapshot.value (Snapshot.capture ()) in
   Alcotest.(check bool) "flap transitions counted" true
-    (snap.Snapshot.router_breaker_opens >= 2
-    && snap.Snapshot.router_breaker_closes >= 2);
+    (v Metrics.router_breaker_opens >= 2 && v Metrics.router_breaker_closes >= 2);
   Metrics.disable ();
   Metrics.reset ();
   Array.iter
@@ -932,7 +931,7 @@ let test_disk_cache_scrub () =
   let d = Serve.Disk_cache.create ~dir in
   let snap = Snapshot.capture () in
   Alcotest.(check int) "orphaned staging files scrubbed" 2
-    snap.Snapshot.serve_disk_cache_scrubbed;
+    (Snapshot.value snap Metrics.serve_disk_cache_scrubbed);
   Alcotest.(check bool) "tmp files gone from the directory" true
     (Array.for_all
        (fun f -> not (String.starts_with ~prefix:".tmp." f))
@@ -1139,11 +1138,10 @@ let test_scheduler_sweeper_eviction () =
   | Error e -> Alcotest.fail ("unexpected error: " ^ Printexc.to_string e));
   Alcotest.(check bool) "holder still running while doomed resolved" true
     (Scheduler.peek (ticket_of holder) = None);
-  let snap = Snapshot.capture () in
-  Alcotest.(check int) "eviction counted once" 1
-    snap.Snapshot.serve_evicted_jobs;
+  let v = Snapshot.value (Snapshot.capture ()) in
+  Alcotest.(check int) "eviction counted once" 1 (v Metrics.serve_evicted_jobs);
   Alcotest.(check int) "eviction does not count as shed" 0
-    snap.Snapshot.serve_shed_jobs;
+    (v Metrics.serve_shed_jobs);
   Mutex.lock gate;
   released := true;
   Condition.broadcast open_gate;
@@ -1401,9 +1399,9 @@ let test_hedge_loser_not_pooled () =
     (Serve.Router.forward router first);
   check_echo "next forward" second ~from:"a.sock"
     (Serve.Router.forward router second);
-  let snap = Snapshot.capture () in
-  Alcotest.(check int) "two hedges fired" 2 snap.Snapshot.router_hedges;
-  Alcotest.(check int) "one hedge win" 1 snap.Snapshot.router_hedge_wins;
+  let v = Snapshot.value (Snapshot.capture ()) in
+  Alcotest.(check int) "two hedges fired" 2 (v Metrics.router_hedges);
+  Alcotest.(check int) "one hedge win" 1 (v Metrics.router_hedge_wins);
   Metrics.disable ();
   Metrics.reset ();
   Serve.Router.close router;

@@ -1,7 +1,3 @@
-(* Deterministic seed for the property tests unless the caller overrides. *)
-let () =
-  if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "414243"
-
 let () =
   Alcotest.run "symref"
     (Test_extfloat.suite @ Test_stats_grid.suite @ Test_poly.suite
