@@ -1305,18 +1305,6 @@ let bench_tests () =
               (Seq.length
                  (Symref_symbolic.Tree_terms.terms c
                     ~input:(Nodal.Vsrc_element "vin")))));
-    Test.make ~name:"extra/transient-biquad-2000steps"
-      (stage
-         (let c =
-            Symref_circuit.Biquad.cascade
-              [ { Symref_circuit.Biquad.f0_hz = 1e6; q = 1.3; gm = 40e-6 } ]
-          in
-          fun () ->
-            ignore
-              (Symref_mna.Transient.simulate c ~input:(Nodal.Vsrc_element "vin")
-                 ~output:(Nodal.Out_node "out")
-                 ~waveform:(Symref_mna.Transient.step ())
-                 ~t_stop:3e-6 ~steps:2000)));
   ]
 
 let run_timing () =

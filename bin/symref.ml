@@ -1,8 +1,9 @@
 (* symref: numerical reference generation for symbolic analysis of analog
    circuits (Garcia-Vargas et al., DATE 1997).
 
-   Subcommands: info, coeffs, bode, ac, sbg, poles, sensitivity, margins,
-   noise, mc, tables. *)
+   Subcommands: info, coeffs, doctor, bode, ac, sbg, simplify, poles,
+   sensitivity, margins, noise, mc, dot, tables, serve, submit, batch,
+   router, fleet. *)
 
 module N = Symref_circuit.Netlist
 module Nodal = Symref_mna.Nodal
@@ -145,7 +146,8 @@ let wrap ?file obs f =
       match file with
       | Some f -> fail "error: %s:%d: %s" f line message
       | None -> fail "error: line %d: %s" line message)
-  | Nodal.Unsupported m -> fail "error: %sunsupported circuit: %s" where m
+  | Nodal.Unsupported m | Ac.Unsupported m ->
+      fail "error: %sunsupported circuit: %s" where m
   | Pipeline.Symbolic_limit { dim; limit } ->
       fail
         "error: %spruned circuit dimension %d exceeds the symbolic limit %d \
@@ -680,58 +682,6 @@ let mc_cmd =
       const run $ netlist_arg $ input_arg $ output_arg $ from_arg $ to_arg
       $ per_decade_arg $ samples_arg $ seed_arg $ obs_term)
 
-(* --- transient --- *)
-
-let transient_cmd =
-  let tstop_arg =
-    Arg.(value & opt float 1e-6 & info [ "t-stop" ] ~docv:"S" ~doc:"Simulation length.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~doc:"Time steps.")
-  in
-  let sine_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "sine" ] ~docv:"HZ" ~doc:"Sine input at this frequency (default: unit step).")
-  in
-  let plot_arg = Arg.(value & flag & info [ "plot" ] ~doc:"ASCII waveform plot.") in
-  let run file input output tstop steps sine plot obs =
-    wrap ~file obs (fun () ->
-        let c = load_nodal file in
-        let input = parse_input c input and output = parse_output output in
-        let waveform =
-          match sine with
-          | None -> Symref_mna.Transient.step ()
-          | Some f -> Symref_mna.Transient.sine ~freq_hz:f ()
-        in
-        let r =
-          Symref_mna.Transient.simulate c ~input ~output ~waveform ~t_stop:tstop
-            ~steps
-        in
-        if plot then begin
-          (* Time axis is linear; reuse the log-x canvas by shifting time. *)
-          let n = Array.length r.Symref_mna.Transient.times in
-          let xs = Array.init n (fun i -> float_of_int (i + 1)) in
-          print_string
-            (Symref_core.Ascii_plot.render ~y_label:"output (V) vs step number"
-               [ { Symref_core.Ascii_plot.label = "v(out)"; xs;
-                   ys = r.Symref_mna.Transient.output } ])
-        end
-        else
-          Array.iteri
-            (fun i t ->
-              if i mod (Int.max 1 (steps / 40)) = 0 then
-                Printf.printf "%12.5g  %14.6g\n" t r.Symref_mna.Transient.output.(i))
-            r.Symref_mna.Transient.times)
-  in
-  Cmd.v
-    (Cmd.info "transient"
-       ~doc:"Time-domain response (trapezoidal integration) to a step or sine.")
-    Term.(
-      const run $ netlist_arg $ input_arg $ output_arg $ tstop_arg $ steps_arg
-      $ sine_arg $ plot_arg $ obs_term)
-
 (* --- dot --- *)
 
 let dot_cmd =
@@ -1088,7 +1038,9 @@ let router_cmd =
           $(b,--worker) daemons (same NDJSON protocol as $(b,serve)), with \
           per-worker circuit breakers fed by Hello health probes, hedged \
           requests against the tail, and automatic failover to the next \
-          worker on the ring.  Stats replies aggregate the whole fleet.  \
+          worker on the ring.  A stats reply lists each worker's own stats \
+          reply (under $(b,workers[].stats)) next to its breaker state; \
+          nothing is summed across workers.  \
           Runs in the foreground until a shutdown request arrives.")
     Term.(
       const run $ listen_arg $ worker_args $ replicas_arg $ health_arg
@@ -1180,9 +1132,10 @@ let fleet_cmd =
             ~slots:size ~spawn ()
         in
         let monitor = Serve.Supervisor.run sup in
-        (* Wait (bounded) for the first generation to answer Hello, so the
-           front opens with closed breakers instead of tripping them all on
-           the first probe round. *)
+        (* Wait (bounded, 10 s per worker) for the first generation to
+           answer Hello, so the front opens with closed breakers instead of
+           tripping them all on the first probe round.  A worker binds in a
+           few ms, so the poll step is 5 ms. *)
         let quick =
           { Serve.Client.default_backoff with Serve.Client.attempts = 1 }
         in
@@ -1196,9 +1149,9 @@ let fleet_cmd =
         for i = 0 to size - 1 do
           let addr = Serve.Transport.Unix_sock (sock i) in
           let tries = ref 0 in
-          while (not (answers addr)) && !tries < 100 do
+          while (not (answers addr)) && !tries < 2000 do
             incr tries;
-            sleepf 0.1
+            sleepf 0.005
           done
         done;
         let addrs =
@@ -1285,7 +1238,6 @@ let main =
       margins_cmd;
       noise_cmd;
       mc_cmd;
-      transient_cmd;
       dot_cmd;
       tables_cmd;
       serve_cmd;

@@ -34,10 +34,8 @@ let make circuit =
 
 let dimension t = t.dim
 
-type solution = { voltages : Complex.t array; currents : (string * Complex.t) list }
-
 (* Matrix rows/cols: node k (1-based) -> k-1; auxiliary rows as assigned. *)
-let solve_full t ~omega =
+let solve t ~omega =
   let s = { Complex.re = 0.; im = omega } in
   let b = Sparse.create t.dim in
   let rhs = Array.make t.dim Complex.zero in
@@ -123,13 +121,7 @@ let solve_full t ~omega =
           entry k k (Complex.neg (Complex.mul s { re = henries; im = 0. })))
     (Netlist.elements t.circuit);
   let x = Sparse.solve (Sparse.factor b) rhs in
-  let voltages =
-    Array.init (t.n_nodes + 1) (fun i -> if i = 0 then Complex.zero else x.(i - 1))
-  in
-  let currents = Hashtbl.fold (fun name k acc -> (name, x.(k)) :: acc) t.aux [] in
-  { voltages; currents }
-
-let solve t ~omega = (solve_full t ~omega).voltages
+  Array.init (t.n_nodes + 1) (fun i -> if i = 0 then Complex.zero else x.(i - 1))
 
 let node_id_exn circuit name =
   match Netlist.node_id circuit name with

@@ -24,18 +24,6 @@ val solve : t -> omega:float -> Complex.t array
     magnitudes.  @raise Symref_linalg.Sparse.Singular if the MNA matrix is
     singular at this frequency. *)
 
-type solution = {
-  voltages : Complex.t array;  (** per node id; entry [0] is ground *)
-  currents : (string * Complex.t) list;
-      (** branch currents of the elements that carry an auxiliary MNA row
-          (voltage sources, VCVS, CCVS, inductors), flowing from the [p]/[a]
-          terminal through the element *)
-}
-
-val solve_full : t -> omega:float -> solution
-(** {!solve} plus the auxiliary branch currents — current probing through
-    the classic 0 V source trick, port currents for two-port extraction. *)
-
 val transfer :
   Symref_circuit.Netlist.t -> out_p:string -> ?out_m:string -> float array -> Complex.t array
 (** [transfer c ~out_p ~out_m freqs] runs a sweep over [freqs] (in Hz) and

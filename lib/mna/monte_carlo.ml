@@ -47,16 +47,16 @@ let sample config g circuit =
 
 let responses ?(config = default_config) circuit ~input ~output ~freqs =
   let g = { state = (config.seed * 2654435761) land 0x3FFFFFFF } in
+  (* Raises [Nodal.Unsupported] outside the nodal class: the nominal
+     circuit reports it, a sample is skipped like a singular one. *)
   let h_of c =
-    match Nodal.make c ~input ~output with
-    | problem ->
-        let values =
-          Nodal.eval_batch problem
-            (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
-        in
-        if Array.exists (fun v -> v.Nodal.singular) values then None
-        else Some (Array.map (fun v -> v.Nodal.h) values)
-    | exception Nodal.Unsupported _ -> None
+    let values =
+      Nodal.eval_batch
+        (Nodal.make c ~input ~output)
+        (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
+    in
+    if Array.exists (fun v -> v.Nodal.singular) values then None
+    else Some (Array.map (fun v -> v.Nodal.h) values)
   in
   let nominal =
     match h_of circuit with
@@ -67,7 +67,7 @@ let responses ?(config = default_config) circuit ~input ~output ~freqs =
   for _ = 1 to config.samples do
     match h_of (sample config g circuit) with
     | Some h -> samples := h :: !samples
-    | None -> ()
+    | None | (exception Nodal.Unsupported _) -> ()
   done;
   (nominal, List.rev !samples)
 

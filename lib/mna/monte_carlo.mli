@@ -46,4 +46,4 @@ val yield_ :
   float
 (** Fraction of samples whose response (the array of [H(j w)] over [freqs])
     passes the acceptance test — a scripted yield study.  Singular samples
-    count as rejects. *)
+    count as rejects.  @raise Nodal.Unsupported outside the nodal class. *)

@@ -51,18 +51,17 @@ type outcome = {
   trials : int;
 }
 
-(* Frequency response through the nodal evaluator; None when the pruned
-   network is singular/unsupported at some point. *)
+(* Frequency response through the nodal evaluator; None when the network is
+   singular at some point.  Raises [Nodal.Unsupported] outside the nodal
+   class, so a bad input or output on the full circuit is reported as such. *)
 let response circuit ~input ~output freqs =
-  match Nodal.make circuit ~input ~output with
-  | exception Nodal.Unsupported _ -> None
-  | problem ->
-      let values =
-        Nodal.eval_batch problem
-          (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
-      in
-      if Array.exists (fun v -> v.Nodal.singular) values then None
-      else Some (Array.map (fun v -> v.Nodal.h) values)
+  let values =
+    Nodal.eval_batch
+      (Nodal.make circuit ~input ~output)
+      (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
+  in
+  if Array.exists (fun v -> v.Nodal.singular) values then None
+  else Some (Array.map (fun v -> v.Nodal.h) values)
 
 (* Build the candidate circuit for a move; None when the move is structurally
    impossible (element already gone, a short collapsing a constraint element
@@ -97,8 +96,10 @@ let prune ?(config = default_config) circuit ~input ~output ~freqs =
     match apply circuit move with
     | None -> infinity
     | Some candidate -> (
+        (* A candidate that leaves the nodal class is rejected like a
+           singular one. *)
         match response candidate ~input ~output freqs with
-        | None -> infinity
+        | None | (exception Nodal.Unsupported _) -> infinity
         | Some h ->
             let ddb, ddeg = Deviation.worst ~reference h in
             (ddb /. config.tolerance_db) +. (ddeg /. config.tolerance_deg))
@@ -120,7 +121,7 @@ let prune ?(config = default_config) circuit ~input ~output ~freqs =
         | None -> ()
         | Some candidate -> (
             match response candidate ~input ~output freqs with
-            | None -> ()
+            | None | (exception Nodal.Unsupported _) -> ()
             | Some h ->
                 let ddb, ddeg = Deviation.worst ~reference h in
                 if ddb <= config.tolerance_db && ddeg <= config.tolerance_deg

@@ -68,4 +68,6 @@ val prune :
     applied while the cumulative deviation from the {e original} response
     stays inside tolerance.  Moves that make the network singular,
     unsolvable, or that collapse the input/output nodes are kept.
-    @raise Invalid_argument when the full circuit itself is singular. *)
+    @raise Invalid_argument when the full circuit itself is singular.
+    @raise Symref_mna.Nodal.Unsupported when the full circuit is outside the
+    nodal class (an unknown output node, say). *)

@@ -14,17 +14,16 @@
     {2 Circuits}
     {!Element}, {!Netlist}, {!Devices}, {!Transform};
     workloads {!Rc_ladder}, {!Ota}, {!Ua741}, {!Gm_c}, {!Biquad},
-    {!Lc_ladder}, {!Two_stage_miller}, {!Random_net}; filter synthesis
-    {!Filter_design}; SPICE {!Units}, {!Parser}, {!Writer}.
+    {!Two_stage_miller}, {!Random_net}; SPICE {!Units}, {!Parser},
+    {!Writer}.
 
     {2 Analyses}
-    {!Nodal}, {!Ac}, {!Sensitivity}, {!Noise}, {!Monte_carlo}, {!Twoport},
-    {!Transient}.
+    {!Nodal}, {!Ac}, {!Sensitivity}, {!Noise}, {!Monte_carlo}.
 
     {2 The paper's algorithms}
     {!Evaluator}, {!Interp}, {!Band}, {!Scaling}, {!Naive}, {!Fixed_scale},
-    {!Adaptive}, {!Reference}, {!Poles}, {!Margins}, {!Rational}, {!Locus},
-    {!Fit}, {!Verify}, {!Report}, {!Ascii_plot}.
+    {!Adaptive}, {!Reference}, {!Poles}, {!Margins}, {!Verify}, {!Report},
+    {!Ascii_plot}.
 
     {2 Symbolic analysis}
     {!Sym}, {!Sdet}, {!Sdg}, {!Sbg}, {!Sag}, {!Tree_terms}, {!Nested}.
@@ -81,10 +80,8 @@ module Ota = Symref_circuit.Ota
 module Ua741 = Symref_circuit.Ua741
 module Gm_c = Symref_circuit.Gm_c
 module Biquad = Symref_circuit.Biquad
-module Lc_ladder = Symref_circuit.Lc_ladder
 module Random_net = Symref_circuit.Random_net
 module Two_stage_miller = Symref_circuit.Two_stage_miller
-module Filter_design = Symref_circuit.Filter_design
 
 (* SPICE *)
 module Units = Symref_spice.Units
@@ -98,8 +95,6 @@ module Ac = Symref_mna.Ac
 module Sensitivity = Symref_mna.Sensitivity
 module Noise = Symref_mna.Noise
 module Monte_carlo = Symref_mna.Monte_carlo
-module Twoport = Symref_mna.Twoport
-module Transient = Symref_mna.Transient
 
 (* the paper's algorithms *)
 module Evaluator = Symref_core.Evaluator
@@ -112,9 +107,6 @@ module Adaptive = Symref_core.Adaptive
 module Reference = Symref_core.Reference
 module Poles = Symref_core.Poles
 module Margins = Symref_core.Margins
-module Rational = Symref_core.Rational
-module Locus = Symref_core.Locus
-module Fit = Symref_core.Fit
 module Report = Symref_core.Report
 module Ascii_plot = Symref_core.Ascii_plot
 module Verify = Symref_core.Verify

@@ -99,6 +99,15 @@ let test_ladder_band_edges () =
     true
     (s.(1).Mc.std_db > (s.(0).Mc.std_db *. 5.))
 
+let test_unknown_output_node () =
+  (* The nominal circuit reports an unknown node as such, not as a
+     singular network. *)
+  Alcotest.check_raises "nominal unknown node"
+    (Nodal.Unsupported "unknown node nosuch") (fun () ->
+      ignore
+        (Mc.gain_spread (divider ()) ~input:(Nodal.Vsrc_element "vin")
+           ~output:(Nodal.Out_node "nosuch") ~freqs:[| 1e3 |]))
+
 let suite =
   [
     ( "monte-carlo",
@@ -108,5 +117,6 @@ let suite =
         Alcotest.test_case "exact elements" `Quick test_exact_elements_no_spread;
         Alcotest.test_case "yield" `Quick test_yield;
         Alcotest.test_case "spread grows at rolloff" `Quick test_ladder_band_edges;
+        Alcotest.test_case "unknown output node" `Quick test_unknown_output_node;
       ] );
   ]

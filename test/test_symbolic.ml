@@ -218,6 +218,16 @@ let test_sbg_ota () =
   Alcotest.(check bool) "load conductance kept" false
     (List.mem "gload" outcome.Sbg.removed)
 
+let test_sbg_unknown_output_node () =
+  (* The full circuit reports an unknown node as such, not as a singular
+     network. *)
+  let freqs = Symref_numeric.Grid.decades ~start:1e4 ~stop:1e9 ~per_decade:3 in
+  Alcotest.check_raises "full circuit unknown node"
+    (Nodal.Unsupported "unknown node nosuch") (fun () ->
+      ignore
+        (Sbg.prune (Ladder.circuit 3) ~input:(Nodal.Vsrc_element "vin")
+           ~output:(Nodal.Out_node "nosuch") ~freqs))
+
 let suite =
   [
     ( "sym",
@@ -247,5 +257,6 @@ let suite =
         Alcotest.test_case "tight tolerance keeps all" `Quick
           test_sbg_keeps_everything_when_tight;
         Alcotest.test_case "ota pruning" `Quick test_sbg_ota;
+        Alcotest.test_case "unknown output node" `Quick test_sbg_unknown_output_node;
       ] );
   ]
