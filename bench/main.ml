@@ -218,12 +218,10 @@ let x2 () =
        with the elimination program's instruction counts,
      - seed-style duplicated num/den adaptive runs vs the shared memoised
        evaluator, at equal coefficients,
-     - 1-domain vs N-domain interpolation fan-out (bit-identical results),
      - a Symref_obs counter snapshot of one pipeline run, and the measured
        overhead of enabling counters / tracing, median-of-5 per mode
-       (schema v9, documented in doc/pipeline.mld).  *)
+       (schema v10, documented in doc/pipeline.mld).  *)
 
-module Interp_m = Interp
 module Random_net = Symref_circuit.Random_net
 module Uc = Symref_dft.Unit_circle
 
@@ -652,7 +650,7 @@ let run_serve_load ~smoke =
    it dies mid-connection every Nth submit and is restarted on the same
    socket) and one worker tarpitted ([serve.slow_worker] sleeps before
    every submit).  The parent drives the library {!Symref_serve.Router}
-   with hedging enabled and tight worker admission (capacity 1, no queue)
+   with hedging enabled and tight worker admission (one worker, no queue)
    so overload shedding fires under the duplicate bursts.  The rung
    asserts the layer's whole contract at once: zero client-visible errors
    and byte-identical payloads against a healthy baseline, while the
@@ -808,7 +806,7 @@ let run_fleet_chaos ~smoke =
   let bump r = Mutex.lock lock; incr r; Mutex.unlock lock in
   let client _t =
     (* Every thread walks the same key sequence, so duplicate bursts hit
-       each owner concurrently: capacity 1 + queue 0 makes the excess shed
+       each owner concurrently: one worker + queue 0 makes the excess shed
        (typed Overloaded), which the client absorbs by honoring the
        retry_after hint — chaos must stay invisible to callers. *)
     for n = 0 to per_thread - 1 do
@@ -853,7 +851,7 @@ let run_fleet_chaos ~smoke =
   List.iter Thread.join kids;
   (* Deterministic shed probe: two cache-miss submits race through the
      tarpit's pre-admission sleep, which synchronises them onto the single
-     admission slot — one computes, the other is shed (capacity 1, queue
+     admission slot — one computes, the other is shed (one worker, queue
      0) regardless of scheduling noise in the main run. *)
   let slow_addr = List.nth addrs 2 in
   let probe i =
@@ -1006,8 +1004,8 @@ let run_json ~smoke =
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   section (if smoke then "SMOKE" else "JSON")
-    "pipeline benchmark: full-factor vs batched replay, shared num/den, domains";
-  out "{\n  \"schema\": \"symref/bench-interp/v9\",\n";
+    "pipeline benchmark: full-factor vs batched replay, shared num/den";
+  out "{\n  \"schema\": \"symref/bench-interp/v10\",\n";
   out "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full");
   out "  \"circuits\": [\n";
   let ncirc = List.length (json_circuits ~smoke) in
@@ -1102,32 +1100,6 @@ let run_json ~smoke =
     shared_target.jname calls
     (sh.Evaluator.factorizations ())
     (sh.Evaluator.hits ());
-  (* Domain fan-out on one first pass (results must be bit-identical). *)
-  let dp =
-    Nodal.make shared_target.jcircuit ~input:shared_target.jinput
-      ~output:shared_target.joutput
-  in
-  let dev = Evaluator.of_nodal dp ~num:false in
-  let dk = Nodal.order_bound dp + 1 in
-  let dscale = Scaling.initial dev in
-  let baseline = Interp_m.run dev ~scale:dscale ~k:dk in
-  let dlist = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  out "  \"domains\": { \"circuit\": \"%s\", \"points\": %d, \"runs\": [\n"
-    shared_target.jname dk;
-  let nd = List.length dlist in
-  List.iteri
-    (fun i d ->
-      let t =
-        time_wall reps (fun () -> Interp_m.run ~domains:d dev ~scale:dscale ~k:dk)
-      in
-      let r = Interp_m.run ~domains:d dev ~scale:dscale ~k:dk in
-      let identical = r.Interp_m.normalized = baseline.Interp_m.normalized in
-      Printf.printf "domains=%d: %.2f ms  bit-identical %b\n" d (t *. 1000.) identical;
-      out "    { \"domains\": %d, \"ms\": %.4f, \"bit_identical\": %b }%s\n" d
-        (t *. 1000.) identical
-        (if i = nd - 1 then "" else ","))
-    dlist;
-  out "  ] },\n";
   (* Counter snapshot of one full pipeline run on the shared target. *)
   let gen_target () =
     Reference.generate shared_target.jcircuit ~input:shared_target.jinput
@@ -1381,9 +1353,9 @@ let () =
         if Array.length Sys.argv > 2 then Sys.argv.(2) else "127.0.0.1:0"
       in
       let default = Symref_serve.Service.default_config in
-      let capacity =
+      let workers =
         if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3)
-        else default.Symref_serve.Service.capacity
+        else default.Symref_serve.Service.workers
       in
       let queue =
         if Array.length Sys.argv > 4 then int_of_string Sys.argv.(4)
@@ -1393,7 +1365,7 @@ let () =
       Symref_fault.Inject.arm_from_env ();
       let daemon =
         Symref_serve.Daemon.create
-          ~config:{ default with Symref_serve.Service.capacity; queue }
+          ~config:{ default with Symref_serve.Service.workers; queue }
           ~listen:[ Symref_serve.Transport.parse spec ]
           ()
       in

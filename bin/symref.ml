@@ -744,20 +744,27 @@ let tcp_extra_arg =
   Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
 
 let workers_arg =
-  let doc = "Worker domains for job execution (0 = cores - 1)." in
+  let doc =
+    "Worker domains, and so jobs running at once: 1 to 64 (0 = cores - 1). \
+     The excess waits in the admission queue."
+  in
   Arg.(value & opt int 0 & info [ "workers" ] ~doc)
 
-let capacity_arg =
-  let doc = "Jobs running at once; the excess waits in the admission queue." in
-  Arg.(value & opt int 64 & info [ "capacity" ] ~doc)
+(* Checked before anything starts: a fleet would otherwise hand the value
+   to every worker daemon it spawns. *)
+let check_workers workers =
+  match Serve.Scheduler.resolve_workers workers with
+  | _ -> ()
+  | exception Invalid_argument m ->
+      Printf.eprintf "error: --%s\n" m;
+      exit 2
 
 let queue_arg =
   let doc =
-    "Admission-queue bound behind $(b,--capacity); submissions above it are \
-     shed with a typed overloaded reply carrying a retry-after hint \
-     (negative = same as capacity)."
+    "Admission-queue bound behind the busy workers; submissions above it \
+     are shed with a typed overloaded reply carrying a retry-after hint."
   in
-  Arg.(value & opt int (-1) & info [ "queue" ] ~doc)
+  Arg.(value & opt int 64 & info [ "queue" ] ~doc)
 
 let cache_mb_arg =
   let doc = "Result-cache budget in MiB (0 disables caching)." in
@@ -794,12 +801,12 @@ let parse_socket_mode = function
           Printf.eprintf "error: --socket-mode: %s is not an octal mode\n" s;
           exit 2)
 
-let service_config ?disk_cache_dir ?(backlog = 16) ?socket_mode ?(queue = -1)
-    workers capacity cache_mb timeout_ms =
+let service_config ?disk_cache_dir ?(backlog = 16) ?socket_mode
+    ?(queue = Serve.Service.default_config.Serve.Service.queue) workers cache_mb
+    timeout_ms =
   {
     Serve.Service.workers;
-    capacity;
-    queue = (if queue < 0 then capacity else queue);
+    queue;
     cache_bytes = cache_mb * 1024 * 1024;
     default_timeout_ms = (if timeout_ms > 0 then Some timeout_ms else None);
     disk_cache_dir;
@@ -859,13 +866,14 @@ let job_term =
     $ budget_db_arg $ budget_deg_arg)
 
 let serve_cmd =
-  let run socket tcp_extra workers capacity queue cache_mb timeout_ms disk_cache
-      backlog socket_mode obs =
+  let run socket tcp_extra workers queue cache_mb timeout_ms disk_cache backlog
+      socket_mode obs =
+    check_workers workers;
     wrap obs (fun () ->
         let config =
           service_config ?disk_cache_dir:disk_cache ~backlog
-            ?socket_mode:(parse_socket_mode socket_mode) ~queue workers capacity
-            cache_mb timeout_ms
+            ?socket_mode:(parse_socket_mode socket_mode) ~queue workers cache_mb
+            timeout_ms
         in
         let listen =
           Serve.Transport.parse socket
@@ -882,13 +890,14 @@ let serve_cmd =
        ~doc:
          "Run the reference-generation daemon: newline-delimited JSON jobs \
           over a Unix domain socket or TCP (or both at once with $(b,--tcp)), \
-          scheduled on the worker pool and answered from a content-addressed \
-          result cache — optionally persisted on disk with $(b,--disk-cache). \
-          Runs in the foreground until a shutdown request arrives.")
+          run on $(b,--workers) worker domains and answered from a \
+          content-addressed result cache — optionally persisted on disk with \
+          $(b,--disk-cache). Runs in the foreground until a shutdown request \
+          arrives.")
     Term.(
-      const run $ socket_arg $ tcp_extra_arg $ workers_arg $ capacity_arg
-      $ queue_arg $ cache_mb_arg $ timeout_ms_arg $ disk_cache_arg
-      $ backlog_arg $ socket_mode_arg $ obs_term)
+      const run $ socket_arg $ tcp_extra_arg $ workers_arg $ queue_arg
+      $ cache_mb_arg $ timeout_ms_arg $ disk_cache_arg $ backlog_arg
+      $ socket_mode_arg $ obs_term)
 
 let submit_cmd =
   let netlist_opt_arg =
@@ -954,9 +963,10 @@ let batch_cmd =
     let doc = "Directory of netlists (.sp/.cir/.net/.spi/.ckt) to sweep." in
     Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR" ~doc)
   in
-  let run dir workers capacity cache_mb timeout_ms job obs =
+  let run dir workers cache_mb timeout_ms job obs =
+    check_workers workers;
     wrap obs (fun () ->
-        let config = service_config workers capacity cache_mb timeout_ms in
+        let config = service_config workers cache_mb timeout_ms in
         let report = Serve.Batch.run ~config ~template:job dir in
         print_endline (Json.to_string (Serve.Batch.report_to_json report));
         if report.Serve.Batch.failed > 0 then exit 1)
@@ -969,8 +979,8 @@ let batch_cmd =
           non-zero when any file fails; individual failures are reported \
           inside the document and never stop the sweep.")
     Term.(
-      const run $ dir_arg $ workers_arg $ capacity_arg $ cache_mb_arg
-      $ timeout_ms_arg $ job_term $ obs_term)
+      const run $ dir_arg $ workers_arg $ cache_mb_arg $ timeout_ms_arg
+      $ job_term $ obs_term)
 
 let listen_arg =
   let doc = "Front endpoint to listen on (socket path or $(b,HOST:PORT))." in
@@ -1077,8 +1087,9 @@ let fleet_cmd =
       & opt int Serve.Supervisor.default_config.Serve.Supervisor.crash_budget
       & info [ "crash-budget" ] ~doc)
   in
-  let run listen size dir workers capacity queue cache_mb timeout_ms disk_cache
-      replicas health_ms hedge_max_ms backlog grace_s crash_budget obs =
+  let run listen size dir workers queue cache_mb timeout_ms disk_cache replicas
+      health_ms hedge_max_ms backlog grace_s crash_budget obs =
+    check_workers workers;
     wrap obs (fun () ->
         if size < 1 then begin
           Printf.eprintf "error: --size must be >= 1\n";
@@ -1113,8 +1124,7 @@ let fleet_cmd =
               Sys.executable_name; "serve";
               "--socket=" ^ sock slot;
               "--workers=" ^ string_of_int workers;
-              "--capacity=" ^ string_of_int capacity;
-              "--queue=" ^ string_of_int (if queue < 0 then capacity else queue);
+              "--queue=" ^ string_of_int queue;
               "--cache-mb=" ^ string_of_int cache_mb;
               "--timeout-ms=" ^ string_of_int timeout_ms;
               "--disk-cache=" ^ cache_dir;
@@ -1216,8 +1226,8 @@ let fleet_cmd =
           gracefully: protocol shutdown to every worker, then SIGTERM, then \
           SIGKILL, each $(b,--grace-s) apart.")
     Term.(
-      const run $ listen_arg $ size_arg $ dir_arg $ workers_arg $ capacity_arg
-      $ queue_arg $ cache_mb_arg $ timeout_ms_arg $ disk_cache_arg
+      const run $ listen_arg $ size_arg $ dir_arg $ workers_arg $ queue_arg
+      $ cache_mb_arg $ timeout_ms_arg $ disk_cache_arg
       $ replicas_arg $ health_arg $ hedge_max_arg $ backlog_arg $ grace_arg
       $ crash_budget_arg $ obs_term)
 

@@ -11,7 +11,6 @@ type config = {
   max_passes : int;
   dry_passes : int;
   scaling_policy : [ `Split | `Frequency_only ];
-  domains : int;
 }
 
 let default_config =
@@ -23,7 +22,6 @@ let default_config =
     max_passes = 64;
     dry_passes = 2;
     scaling_policy = `Split;
-    domains = 1;
   }
 
 type band_report = {
@@ -188,8 +186,7 @@ let run ?(config = default_config) (ev : Evaluator.t) =
     in
     if known <> [] then Obs.incr Obs.deflated_passes;
     let p =
-      Interp.run ~conj_symmetry:config.conj_symmetry ~known ~base
-        ~domains:config.domains ev ~scale ~k
+      Interp.run ~conj_symmetry:config.conj_symmetry ~known ~base ev ~scale ~k
     in
     Obs.observe Obs.points_per_pass p.Interp.evaluations;
     singular_retries := !singular_retries + p.Interp.singular_retries;

@@ -28,10 +28,6 @@ type config = {
   scaling_policy : [ `Split | `Frequency_only ];
       (** eq. 13 simultaneous scaling ([`Split], default) vs the naive
           single-factor alternative (ablation; see {!Scaling.tilt}) *)
-  domains : int;
-      (** OCaml domains for each pass's point evaluations (default 1;
-          see {!Interp.run}).  Results are bit-identical whatever the
-          value. *)
 }
 
 val default_config : config

@@ -56,17 +56,16 @@ type shared = { snum : t; sden : t; factorizations : unit -> int; hits : unit ->
    Memoise the full nodal evaluation per (f, g, s): the numerator and
    denominator evaluators draw from one table, so every point the two runs
    share — all of the first pass, since the initial scale and point set
-   depend only on the problem — costs a single factorisation.  Mutex-guarded
-   so multi-domain interpolation can call it concurrently. *)
+   depend only on the problem — costs a single factorisation.  A memo
+   belongs to one job, evaluated on one domain. *)
 let of_nodal_shared problem =
   let table : (float * float * float * float, Nodal.value) Hashtbl.t =
     Hashtbl.create 256
   in
-  let lock = Mutex.create () in
-  let misses = Atomic.make 0 and hits = Atomic.make 0 in
-  (* Batched pass warm-up: compute every not-yet-memoised point of a chunk
+  let misses = ref 0 and hits = ref 0 in
+  (* Batched pass warm-up: compute every not-yet-memoised point of a batch
      through [Nodal.eval_batch] (one elimination-program decode for the
-     whole chunk) and seed the table, so the subsequent per-point [eval]
+     whole batch) and seed the table, so the subsequent per-point [eval]
      calls all hit.  Counter shape: each prefetched point is a memo miss —
      the same misses a per-point sweep would record, just ahead of the
      calls — and the later [eval] calls are hits.  Keys are the exact
@@ -81,50 +80,32 @@ let of_nodal_shared problem =
              if Hashtbl.mem seen key then false
              else begin
                Hashtbl.add seen key ();
-               Mutex.lock lock;
-               let cached = Hashtbl.mem table key in
-               Mutex.unlock lock;
-               not cached
+               not (Hashtbl.mem table key)
              end)
       |> Array.of_list
     in
     if Array.length missing > 0 then begin
-      (* Compute outside the lock, like the per-point miss path:
-         concurrent domains may duplicate a point's work, but identical
-         results make the race benign. *)
       let vals = Nodal.eval_batch ~f ~g problem missing in
-      Mutex.lock lock;
       Array.iteri
         (fun i (s : Complex.t) ->
-          Atomic.incr misses;
+          incr misses;
           Obs.incr Obs.memo_misses;
           Hashtbl.replace table (f, g, s.Complex.re, s.Complex.im) vals.(i))
-        missing;
-      Mutex.unlock lock
+        missing
     end
   in
   let shared_eval ~f ~g (s : Complex.t) =
     let key = (f, g, s.Complex.re, s.Complex.im) in
-    let cached =
-      Mutex.lock lock;
-      let c = Hashtbl.find_opt table key in
-      Mutex.unlock lock;
-      c
-    in
-    match cached with
+    match Hashtbl.find_opt table key with
     | Some v ->
-        Atomic.incr hits;
+        incr hits;
         Obs.incr Obs.memo_hits;
         v
     | None ->
-        (* Compute outside the lock: concurrent domains may duplicate a
-           point's work, but identical results make the race benign. *)
         let v = Nodal.eval ~f ~g problem s in
-        Atomic.incr misses;
+        incr misses;
         Obs.incr Obs.memo_misses;
-        Mutex.lock lock;
         Hashtbl.replace table key v;
-        Mutex.unlock lock;
         v
   in
   let mk ~num =
@@ -154,8 +135,8 @@ let of_nodal_shared problem =
   {
     snum = mk ~num:true;
     sden = mk ~num:false;
-    factorizations = (fun () -> Atomic.get misses);
-    hits = (fun () -> Atomic.get hits);
+    factorizations = (fun () -> !misses);
+    hits = (fun () -> !hits);
   }
 
 let of_epoly ?(name = "poly") ~gdeg ~f0 ~g0 p =

@@ -31,8 +31,7 @@ type t = {
   counter : int Atomic.t;
       (** Incremented on every [eval] call by the smart constructors below;
           each call is one LU decomposition when the evaluator comes from
-          {!of_nodal} — the paper's cost metric.  Atomic so multi-domain
-          interpolation ({!Interp.run}[ ~domains]) counts exactly. *)
+          {!of_nodal} — the paper's cost metric. *)
   guarded : bool;
       (** [true] when a zero value may mean a {e failed factorisation}
           (singular matrix at that point) rather than a true polynomial
@@ -60,12 +59,13 @@ val of_nodal_shared : Symref_mna.Nodal.t -> shared
     {!Symref_mna.Nodal.eval} per (f, g, s): one factorisation already yields
     both values (eqs. 8-10), so every interpolation point the two adaptive
     runs share — the whole first pass in particular — is factorised once
-    instead of twice.  Thread-safe; per-evaluator call counters keep the
-    paper's cost metric unchanged.
+    instead of twice.  Not thread-safe: the pair belongs to one job on one
+    domain.  Per-evaluator call counters keep the paper's cost metric
+    unchanged.
 
     The evaluators' [prefetch] hook runs {!Symref_mna.Nodal.eval_batch},
     so an interpolation pass that prefetches its point set replays the
-    elimination program once per chunk instead of once per point.
+    elimination program once per pass instead of once per point.
     Prefetched points are memo misses up front and the [eval] calls then
     hit; the miss count (= factorisations, the paper's cost metric) and
     every computed value are those of per-point evaluation. *)

@@ -84,17 +84,14 @@ let idft_extended_half ~k half =
   end
 
 let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
-    ?(base = 0) ?(domains = 1) (ev : Evaluator.t)
-    ~(scale : Scaling.pair) ~k =
+    ?(base = 0) (ev : Evaluator.t) ~(scale : Scaling.pair) ~k =
   if k < 1 then invalid_arg "Interp.run: k must be >= 1";
   if base < 0 then invalid_arg "Interp.run: base must be >= 0";
-  if domains < 1 then invalid_arg "Interp.run: domains must be >= 1";
   Tr.span ~cat:"interp"
     ~args:
       [
         ("k", string_of_int k);
         ("base", string_of_int base);
-        ("domains", string_of_int domains);
         ("evaluator", ev.Evaluator.name);
       ]
     "interp.batch"
@@ -113,10 +110,10 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
           known;
         Some (Epoly.of_coeffs arr)
   in
-  (* Guard counters for this pass (atomic: points fan out over domains). *)
-  let singular_retries = Atomic.make 0
-  and nonfinite_retries = Atomic.make 0
-  and retry_giveups = Atomic.make 0 in
+  (* Guard counters for this pass. *)
+  let singular_retries = ref 0
+  and nonfinite_retries = ref 0
+  and retry_giveups = ref 0 in
   (* A guarded evaluator's zero value may mean a failed factorisation
      (singular matrix at that point — possibly injected), and a non-finite
      one arithmetic contamination.  Either way the point itself carries no
@@ -127,8 +124,8 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
      weakest established coefficient's validity floor, where a one-sided
      perturbation would visibly shift band-edge coefficients.  The rotation
      widens tenfold per attempt in case the neighbourhood itself is
-     degenerate.  Deterministic (the rotation depends only on the attempt
-     index), so multi-domain runs stay bit-identical. *)
+     degenerate.  Deterministic: the rotation depends only on the attempt
+     index. *)
   let max_point_retries = 3 in
   let classify (raw : Ec.t) =
     if Ec.is_zero raw then `Singular
@@ -137,10 +134,6 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
       if Float.is_finite c.Complex.re && Float.is_finite c.Complex.im then `Ok
       else `Nonfinite
   in
-  (* Pure per-point evaluation: (collected value, pre-deflation magnitude).
-     Purity is what lets the points fan out across domains bit-identically —
-     every point computes the same value whichever domain runs it, and the
-     ceiling is an order-independent maximum. *)
   (* Warm the evaluator's memo for a set of points through one batched
      replay; the points must be exactly those evaluated next, since the
      memo key is the point's bits. *)
@@ -149,15 +142,16 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
     | None -> ()
     | Some pf -> pf ~f:scale.Scaling.f ~g:scale.Scaling.g points
   in
+  (* Per-point evaluation: (collected value, pre-deflation magnitude). *)
   let value_at j =
     let s0 = Uc.point k j in
     let eval_at s = ev.Evaluator.eval ~f:scale.Scaling.f ~g:scale.Scaling.g s in
     let count_retry = function
       | `Singular ->
-          Atomic.incr singular_retries;
+          incr singular_retries;
           Obs.incr Obs.guard_singular_retries
       | `Nonfinite ->
-          Atomic.incr nonfinite_retries;
+          incr nonfinite_retries;
           Obs.incr Obs.guard_nonfinite_retries
     in
     (* [last] is the best value seen so far: a one-sided perturbed value
@@ -165,7 +159,7 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
        returned — a give-up keeps it rather than inventing anything. *)
     let rec recover last attempt cls =
       if attempt >= max_point_retries then begin
-        Atomic.incr retry_giveups;
+        incr retry_giveups;
         Obs.incr Obs.guard_retry_giveups;
         last
       end
@@ -213,35 +207,13 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
     in
     (v, mag)
   in
-  (* The unit-circle points are embarrassingly parallel; [domains = 1]
-     (the default) stays on the calling domain.  Otherwise the persistent
-     {!Domain_pool} workers take [d] index-ordered chunks, so results are
-     bit-identical to the sequential path. *)
-  (* Warm the evaluator's memo for a contiguous index range through the
-     batched engine before the per-point loop: the exact [Uc.point] values
-     the loop evaluates, so the memo keys match bit-for-bit.  Guard-retry
-     points are perturbed off the circle; each retry pair is prefetched
-     on its own. *)
-  let prefetch_range lo hi = prefetch (Array.init (hi - lo) (fun i -> Uc.point k (lo + i))) in
+  (* Warm the evaluator's memo for the whole point set through the batched
+     engine before the per-point loop: the exact [Uc.point] values the loop
+     evaluates, so the memo keys match bit-for-bit.  Guard-retry points are
+     perturbed off the circle; each retry pair is prefetched on its own. *)
   let eval_many count =
-    if domains <= 1 || count <= 1 then begin
-      prefetch_range 0 count;
-      Array.init count value_at
-    end
-    else begin
-      let d = Int.min domains count in
-      let results = Array.make count (Ec.zero, Ef.zero) in
-      let chunk = (count + d - 1) / d in
-      let worker i () =
-        let lo = i * chunk in
-        prefetch_range lo (Int.min count (lo + chunk));
-        for j = lo to Int.min count (lo + chunk) - 1 do
-          results.(j) <- value_at j
-        done
-      in
-      Domain_pool.parallel (Array.init d worker);
-      results
-    end
+    prefetch (Array.init count (Uc.point k));
+    Array.init count value_at
   in
   let collect pairs =
     Array.fold_left
@@ -276,7 +248,7 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
     points = k;
     evaluations;
     ceiling;
-    singular_retries = Atomic.get singular_retries;
-    nonfinite_retries = Atomic.get nonfinite_retries;
-    retry_giveups = Atomic.get retry_giveups;
+    singular_retries = !singular_retries;
+    nonfinite_retries = !nonfinite_retries;
+    retry_giveups = !retry_giveups;
   }

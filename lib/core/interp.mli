@@ -41,7 +41,6 @@ val run :
   ?full_spectrum_idft:bool ->
   ?known:(int * Symref_numeric.Extfloat.t) list ->
   ?base:int ->
-  ?domains:int ->
   Evaluator.t ->
   scale:Scaling.pair ->
   k:int ->
@@ -59,12 +58,8 @@ val run :
     full transform of previous releases even under [conj_symmetry] — the
     approximate (rather than exact) cancellation of conjugate pairs leaves
     the imaginary round-off residue that {!Naive.garbage_fraction} reads as
-    its failure signature.  [domains] (default [1]) fans the
-    independent point evaluations out over that many OCaml domains; results,
-    ceiling and evaluation counts are bit-identical to the sequential run
-    (the evaluator must be thread-safe when [domains > 1], which all
-    {!Evaluator} constructors are); the persistent {!Domain_pool} workers
-    run the index-ordered chunks.  The IDFT stays sequential.
+    its failure signature.  The points are evaluated in index order on the
+    calling domain, after one batched prefetch of the whole set.
 
     {b Singular-point recovery.}  When a {e guarded} evaluator (see
     {!Evaluator.t.guarded}) returns an exactly-zero or non-finite value —
@@ -78,5 +73,5 @@ val run :
     pair keeps its one good (first-order accurate) value as the fallback.
     Retries are counted in the [guard.*] metrics and the result's
     [singular_retries]/[nonfinite_retries]/[retry_giveups] fields; the
-    policy is deterministic, so multi-domain runs stay bit-identical.
-    @raise Invalid_argument when [k < 1], [base < 0] or [domains < 1]. *)
+    policy is deterministic.
+    @raise Invalid_argument when [k < 1] or [base < 0]. *)

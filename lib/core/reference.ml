@@ -44,7 +44,7 @@ let generate ?(config = Adaptive.default_config) ?(share = true) ?(reuse = true)
      runs the caller's check, which may raise (e.g. a deadline exceeded).
      The evaluators are wrapped here rather than hooking Adaptive so the
      engines stay oblivious to scheduling concerns.  The prefetch hook is
-     wrapped too: a whole-chunk warm-up is many evaluations' worth of work,
+     wrapped too: a whole-pass warm-up is many evaluations' worth of work,
      so it must observe cancellation at least once. *)
   let ev_num, ev_den =
     match check with

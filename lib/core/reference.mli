@@ -33,7 +33,7 @@ val generate :
     split per scale pair (see {!Symref_mna.Nodal.make}).  Both are pure
     cost switches: the returned coefficients are identical either way.
     With [share], each interpolation pass is prefetched through the
-    batched engine — one elimination-program replay per chunk of points
+    batched engine — one elimination-program replay per pass
     ({!Symref_mna.Nodal.eval_batch}).
     [check] is a cooperative-cancellation hook run before {e every}
     evaluation (one LU decomposition each): raising from it aborts the

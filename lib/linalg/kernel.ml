@@ -25,8 +25,8 @@ type program = {
 }
 
 (* A small dense index per domain, assigned on first use: the key of the
-   per-domain batch pools below ([Domain_pool] workers touch theirs at
-   spawn so long-lived domains get the low indices). *)
+   per-domain batch pools below (the serve scheduler's worker domains touch
+   theirs at spawn so long-lived domains get the low indices). *)
 let next_index = Atomic.make 0
 let index_key = Domain.DLS.new_key (fun () -> Atomic.fetch_and_add next_index 1)
 let domain_index () = Domain.DLS.get index_key

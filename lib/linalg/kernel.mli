@@ -39,9 +39,9 @@ type program = {
 (** {1 Per-domain indexing} *)
 
 val domain_index : unit -> int
-(** A small dense index for the calling domain, assigned on first use
-    (re-exported as {!Symref_core.Domain_pool.worker_index}; pool workers
-    touch theirs at spawn so long-lived domains get the low indices). *)
+(** A small dense index for the calling domain, assigned on first use.
+    The serve scheduler's worker domains touch theirs at spawn, so
+    long-lived domains get the low indices. *)
 
 (** {1 The batched structure-of-arrays engine} *)
 

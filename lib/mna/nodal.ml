@@ -38,15 +38,14 @@ type stamp = {
 (* Reusable symbolic factorisation, keyed by the scale pair: all unit-circle
    points of one interpolation pass share the sparsity structure of
    [g G + f s C], so the Markowitz ordering is learned once per (f, g) — at
-   the canonical point [s = i], which is independent of evaluation order so
-   parallel interpolation stays bit-identical to sequential — and only the
-   numeric elimination is redone per point.  Every learned pattern is kept
-   for the life of the [t] (one job): the health probes revisit the scales
-   generation learned, and learning is a pure function of (t, f, g), so a
-   kept pattern is the one a re-learn would produce.  [None] payload: the
-   pattern could not be learned (singular at the canonical point); evaluate
-   from scratch.  The mutex makes concurrent [eval] calls from several
-   domains safe. *)
+   the canonical point [s = i], which is independent of evaluation order —
+   and only the numeric elimination is redone per point.  Every learned
+   pattern is kept for the life of the [t] (one job): the health probes
+   revisit the scales generation learned, and learning is a pure function
+   of (t, f, g), so a kept pattern is the one a re-learn would produce.
+   [None] payload: the pattern could not be learned (singular at the
+   canonical point); evaluate from scratch.  The mutex makes concurrent
+   [eval] calls from several domains safe. *)
 type payload = {
   pl_prog : Kernel.program;
   pl_slot : int array;

@@ -4,8 +4,8 @@
     Disabled by default.  While disabled every update is a single non-atomic
     boolean load and a branch — no allocation, no atomic traffic — so
     instrumentation can live on hot paths without measurable cost.  While
-    enabled, updates are [Atomic] operations and therefore exact under
-    multi-domain interpolation ({!Symref_core.Interp.run}[ ~domains]).
+    enabled, updates are [Atomic] operations and therefore exact when
+    several worker domains run jobs at once.
 
     The fixed catalogue at the bottom is the single source of truth for the
     pipeline's counter names; {!Snapshot} dumps exactly these, in

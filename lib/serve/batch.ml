@@ -36,7 +36,7 @@ let run ?config ?(template = Protocol.default_job) dir =
       match Service.submit service job with
       | `Ticket ticket -> ticket
       | `Rejected _ ->
-          Scheduler.wait_until_below sched (Scheduler.capacity sched);
+          Scheduler.wait_until_below sched (Scheduler.workers sched);
           admitted ()
     in
     (file, admitted ())

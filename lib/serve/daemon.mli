@@ -4,7 +4,7 @@
 
     One systhread per accepted connection.  Requests on
     a connection are answered strictly in order; concurrency comes from jobs
-    running on the {!Symref_core.Domain_pool} workers and from multiple
+    running on the scheduler's worker domains and from multiple
     connections.  The connection threads only do I/O and waiting — never
     numerics — so a slow job never blocks the accept loop.
 
@@ -26,7 +26,8 @@ val create :
     the process).  On partial bind failure the already-bound sockets are
     closed again before the exception escapes.
     @raise Unix.Unix_error when a socket cannot be bound,
-    [Invalid_argument] when [listen] is empty. *)
+    [Invalid_argument] when [listen] is empty or the config's [workers] is
+    outside [0..64] (checked before anything is bound). *)
 
 val service : t -> Service.t
 

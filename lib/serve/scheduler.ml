@@ -1,24 +1,25 @@
-(* Bounded scheduler: admission control, a shedding wait queue and
-   completion tracking on top of Domain_pool.async, with a private fallback
-   thread for single-core hosts.
+(* Bounded scheduler: admission control, a shedding wait queue, completion
+   tracking, and the worker domains that run the jobs.
 
-   Jobs run on up to [cap] pool workers at once.  Excess submissions wait
-   in a bounded FIFO queue; when the queue is full, or the EWMA-estimated
-   queue wait already exceeds the job's deadline, the submission is *shed*
-   with a [retry_after_ms] estimate instead of being queued to fail.  A
-   queued job whose deadline passes while it waits is evicted promptly —
-   the queue is swept at every submission and completion and by a lazy
-   background sweeper tick, so eviction never waits for a running slot to
-   free — its ticket resolves to [Error (Evicted _)] without ever running.
+   Jobs run on up to [workers] domains at once, spawned on demand and
+   joined by [shutdown].  A job counted as running is handed to an idle
+   worker under [t.lock], so [running <= workers] holds and every job that
+   waits sits in [queue].  Excess submissions wait in that bounded FIFO
+   queue; when the queue is full, or the EWMA-estimated queue wait already
+   exceeds the job's deadline, the submission is *shed* with a
+   [retry_after_ms] estimate instead of being queued to fail.  A queued job
+   whose deadline passes while it waits is evicted promptly — the queue is
+   swept at every submission and completion and by a lazy background
+   sweeper tick, so eviction never waits for a running slot to free — its
+   ticket resolves to [Error (Evicted _)] without ever running.
 
-   The pool's workers execute jobs in parallel (they are separate domains);
-   tickets, the queue and the running counter are the only shared state,
-   each behind its own mutex.  Mutex/Condition work across domains and
-   systhreads alike, so a connection thread awaiting a ticket wakes
-   correctly when a worker domain resolves it. *)
+   Tickets and the scheduler state are the only shared state, each behind
+   its own mutex.  Mutex/Condition work across domains and systhreads
+   alike, so a connection thread awaiting a ticket wakes correctly when a
+   worker domain resolves it. *)
 
 module Metrics = Symref_obs.Metrics
-module Domain_pool = Symref_core.Domain_pool
+module Kernel = Symref_linalg.Kernel
 
 type 'a ticket = {
   t_lock : Mutex.t;
@@ -30,16 +31,18 @@ exception Evicted of { retry_after_ms : float }
 
 type entry = {
   e_deadline : float option;
-  e_start : unit -> unit; (* run the job (caller dispatches off-lock) *)
+  e_run : unit -> unit; (* run the job, free its slot, resolve its ticket *)
   e_evict : float -> unit; (* resolve the ticket with [Evicted] *)
 }
 
 type t = {
   lock : Mutex.t;
   changed : Condition.t; (* running/queue shrank *)
-  cap : int;
+  work : Condition.t; (* a job was handed over, or the workers must exit *)
+  workers : int;
   queue_cap : int;
-  mutable running : int;
+  mutable running : int; (* jobs handed over and not finished *)
+  handed : (unit -> unit) Queue.t; (* running jobs no worker has taken yet *)
   queue : entry Queue.t;
   mutable accepting : bool;
   (* EWMA of job service time (ms): the admission estimator.  Seeded
@@ -50,12 +53,8 @@ type t = {
      first deadline-carrying job that queues. *)
   mutable sweeper : Thread.t option;
   mutable sweeper_stop : bool;
-  (* Fallback lane for machines where the domain pool has no workers. *)
-  fb_lock : Mutex.t;
-  fb_work : Condition.t;
-  fb_queue : (unit -> unit) Queue.t;
-  mutable fb_thread : Thread.t option;
-  mutable fb_stop : bool;
+  mutable domains : unit Domain.t list; (* one per job running at the peak *)
+  mutable closing : bool; (* idle workers exit *)
 }
 
 type 'a submission =
@@ -63,68 +62,73 @@ type 'a submission =
   | Shed of { retry_after_ms : float }
   | Stopped
 
-let create ?(capacity = 64) ?(queue = 64) ?(workers = 0) () =
-  let workers =
-    if workers > 0 then workers
-    else Int.max 1 (Domain.recommended_domain_count () - 1)
-  in
-  Domain_pool.ensure workers;
+(* 64 is also the slot cap of the per-domain batch workspaces
+   ([Kernel.Batch.Pool]), and keeps every scheduler far below the
+   runtime's domain limit. *)
+let max_workers = 64
+
+let resolve_workers n =
+  if n = 0 then
+    Int.min max_workers (Int.max 1 (Domain.recommended_domain_count () - 1))
+  else if n < 1 || n > max_workers then
+    invalid_arg
+      (Printf.sprintf "workers: %d is outside 1..%d (0 = auto)" n max_workers)
+  else n
+
+let create ?(queue = 64) ?(workers = 0) () =
   {
     lock = Mutex.create ();
     changed = Condition.create ();
-    cap = Int.max 1 capacity;
+    work = Condition.create ();
+    workers = resolve_workers workers;
     queue_cap = Int.max 0 queue;
     running = 0;
+    handed = Queue.create ();
     queue = Queue.create ();
     accepting = true;
     ewma_ms = 50.;
     sweeper = None;
     sweeper_stop = false;
-    fb_lock = Mutex.create ();
-    fb_work = Condition.create ();
-    fb_queue = Queue.create ();
-    fb_thread = None;
-    fb_stop = false;
+    domains = [];
+    closing = false;
   }
 
-let fallback_loop t () =
+(* A worker domain: take handed-over jobs until [shutdown].  Idle workers
+   block on [work]; they do not spin. *)
+let worker_loop t () =
+  (* Claim a workspace index up front: long-lived workers get the low,
+     densely pooled batch indices. *)
+  ignore (Kernel.domain_index () : int);
+  Mutex.lock t.lock;
   let rec next () =
-    Mutex.lock t.fb_lock;
-    let rec await () =
-      match Queue.take_opt t.fb_queue with
-      | Some j -> Some j
-      | None ->
-          if t.fb_stop then None
-          else begin
-            Condition.wait t.fb_work t.fb_lock;
-            await ()
-          end
-    in
-    let j = await () in
-    Mutex.unlock t.fb_lock;
-    match j with
-    | None -> ()
-    | Some j ->
-        j ();
+    match Queue.take_opt t.handed with
+    | Some run ->
+        Mutex.unlock t.lock;
+        run ();
+        Mutex.lock t.lock;
+        next ()
+    | None when t.closing -> Mutex.unlock t.lock
+    | None ->
+        Condition.wait t.work t.lock;
         next ()
   in
   next ()
 
-let run_on_fallback t job =
-  Mutex.lock t.fb_lock;
-  if t.fb_thread = None then t.fb_thread <- Some (Thread.create (fallback_loop t) ());
-  Queue.add job t.fb_queue;
-  Condition.signal t.fb_work;
-  Mutex.unlock t.fb_lock
-
-let dispatch t run = if not (Domain_pool.async run) then run_on_fallback t run
+(* [t.lock] held: count [run] as running and hand it to a worker, spawning
+   one when every worker alive already has a running job. *)
+let start_locked t run =
+  if List.length t.domains <= t.running then
+    t.domains <- Domain.spawn (worker_loop t) :: t.domains;
+  t.running <- t.running + 1;
+  Queue.add run t.handed;
+  Condition.signal t.work
 
 (* The estimated wait (ms) before a submission arriving *now* would start:
    everything already queued, plus itself, drained at one EWMA service time
-   per [cap] slots.  Also the [retry_after_ms] a shed job is told — by the
-   time it retries the backlog it saw has (in estimate) drained. *)
+   per worker.  Also the [retry_after_ms] a shed job is told — by the time
+   it retries the backlog it saw has (in estimate) drained. *)
 let estimate_locked t =
-  t.ewma_ms *. float_of_int (Queue.length t.queue + 1) /. float_of_int t.cap
+  t.ewma_ms *. float_of_int (Queue.length t.queue + 1) /. float_of_int t.workers
 
 let resolve ticket v =
   Mutex.lock ticket.t_lock;
@@ -180,60 +184,58 @@ let sweeper_loop t () =
   in
   loop ()
 
-(* Called with [t.lock] held after [running] shrank: start queued jobs while
-   slots are free, evicting the ones whose deadline already passed.  Returns
-   the thunks to dispatch once the lock is released. *)
-let promote_locked t =
-  ignore (evict_expired_locked t : int);
-  let starts = ref [] in
-  let rec pull () =
-    if t.running < t.cap then
-      match Queue.take_opt t.queue with
-      | None -> ()
-      | Some e ->
-          t.running <- t.running + 1;
-          starts := e.e_start :: !starts;
-          pull ()
-  in
-  pull ();
-  List.rev !starts
-
 let finish t dur_ms =
   Mutex.lock t.lock;
   t.running <- t.running - 1;
   (* alpha = 0.2: reactive enough to track a load shift within a few jobs,
      smooth enough that one outlier doesn't flap the admission estimate. *)
   t.ewma_ms <- (0.8 *. t.ewma_ms) +. (0.2 *. dur_ms);
-  let starts = promote_locked t in
+  (* Start queued jobs while slots are free, evicting the ones whose
+     deadline already passed. *)
+  ignore (evict_expired_locked t : int);
+  let rec promote () =
+    if t.running < t.workers then
+      match Queue.take_opt t.queue with
+      | None -> ()
+      | Some e ->
+          start_locked t e.e_run;
+          promote ()
+  in
+  promote ();
   Condition.broadcast t.changed;
-  Mutex.unlock t.lock;
-  List.iter (dispatch t) starts
+  Mutex.unlock t.lock
 
 let submit ?deadline t f =
   let ticket =
     { t_lock = Mutex.create (); t_done = Condition.create (); value = None }
   in
+  (* The slot is freed before the ticket resolves: a client that sends its
+     next job as soon as it reads this reply must find the slot free. *)
   let run () =
     let t0 = Unix.gettimeofday () in
     let v = try Ok (f ()) with e -> Error e in
-    resolve ticket v;
-    finish t ((Unix.gettimeofday () -. t0) *. 1000.)
+    finish t ((Unix.gettimeofday () -. t0) *. 1000.);
+    resolve ticket v
   in
   Mutex.lock t.lock;
   (* Each submission also sweeps the queue: with every slot pinned by a
      long job, expired entries must still resolve without waiting for a
-     completion to run [promote_locked]. *)
+     completion to promote the queue. *)
   if evict_expired_locked t > 0 then Condition.broadcast t.changed;
   if not t.accepting then begin
     Mutex.unlock t.lock;
     Metrics.incr Metrics.serve_jobs_rejected;
     Stopped
   end
-  else if t.running < t.cap then begin
-    t.running <- t.running + 1;
+  else if t.running < t.workers then begin
+    (* A failed spawn (the runtime's domain limit) changes nothing: release
+       the lock and let the caller see the exception. *)
+    (try start_locked t run
+     with e ->
+       Mutex.unlock t.lock;
+       raise e);
     Mutex.unlock t.lock;
     Metrics.incr Metrics.serve_jobs_submitted;
-    dispatch t run;
     Admitted ticket
   end
   else begin
@@ -254,7 +256,7 @@ let submit ?deadline t f =
       Queue.add
         {
           e_deadline = deadline;
-          e_start = run;
+          e_run = run;
           e_evict =
             (fun retry_after_ms ->
               resolve ticket (Error (Evicted { retry_after_ms })));
@@ -301,7 +303,7 @@ let queued t =
   Mutex.unlock t.lock;
   n
 
-let capacity t = t.cap
+let workers t = t.workers
 let queue_capacity t = t.queue_cap
 
 let retry_after_estimate t =
@@ -334,14 +336,11 @@ let shutdown t =
   drain t;
   Mutex.lock t.lock;
   t.sweeper_stop <- true;
-  let sweeper = t.sweeper in
+  t.closing <- true;
+  Condition.broadcast t.work;
+  let sweeper = t.sweeper and domains = t.domains in
   t.sweeper <- None;
+  t.domains <- [];
   Mutex.unlock t.lock;
   Option.iter Thread.join sweeper;
-  Mutex.lock t.fb_lock;
-  t.fb_stop <- true;
-  Condition.broadcast t.fb_work;
-  let th = t.fb_thread in
-  t.fb_thread <- None;
-  Mutex.unlock t.fb_lock;
-  Option.iter Thread.join th
+  List.iter Domain.join domains

@@ -1,26 +1,30 @@
-(** Bounded job scheduler with admission control and load shedding, over
-    {!Symref_core.Domain_pool}.
+(** Bounded job scheduler with admission control and load shedding, running
+    jobs on worker domains of its own.
 
-    Jobs are opaque thunks; up to [capacity] run at once, the next [queue]
-    submissions wait in FIFO order, and the excess is {e shed} — refused
-    with a [retry_after_ms] estimate so the caller can send a typed
-    [Overloaded] backpressure reply instead of letting the daemon's memory
-    grow without bound.  Admission is deadline-aware: a submission whose
-    estimated queue wait (an EWMA of recent service times, scaled by the
-    backlog) already exceeds its deadline is shed up front, and a queued job
-    whose deadline passes while it waits is evicted promptly — swept at
-    every submission, at every completion, and by a background sweeper
-    tick, so eviction never waits for a running slot to free — its
-    ticket resolves to [Error (Evicted _)] without the job ever running.
+    Jobs are opaque thunks; up to [workers] run at once, each on one worker
+    domain, the next [queue] submissions wait in FIFO order, and the excess
+    is {e shed} — refused with a [retry_after_ms] estimate so the caller can
+    send a typed [Overloaded] backpressure reply instead of letting the
+    daemon's memory grow without bound.  Admission is deadline-aware: a
+    submission whose estimated queue wait (an EWMA of recent service times,
+    scaled by the backlog) already exceeds its deadline is shed up front,
+    and a queued job whose deadline passes while it waits is evicted
+    promptly — swept at every submission, at every completion, and by a
+    background sweeper tick, so eviction never waits for a running slot to
+    free — its ticket resolves to [Error (Evicted _)] without the job ever
+    running.
 
-    Admitted jobs run on the persistent worker domains of
-    {!Symref_core.Domain_pool} ({!Symref_core.Domain_pool.async}); on a
-    single-core machine — where the pool has no workers — a private fallback
-    thread runs them instead, so the scheduler works everywhere.
+    Worker domains are spawned on demand, the first with the first job, so
+    a scheduler that is never submitted to starts none; idle workers block
+    on a condition variable; {!shutdown} joins them.  A job counted as
+    running has been handed to a worker, so every job that waits sits in
+    the one queue the sweeper evicts from.
 
     Completion is tracked per job through a {e ticket} the submitter can
     await, and globally through {!drain}, which is what makes graceful
     shutdown possible: stop admitting, drain, then tear the transport down.
+    A job's slot is freed before its ticket resolves, so a client that
+    submits again as soon as it reads a reply finds the slot free.
 
     A job thunk must not raise for expected failures — it should return a
     structured error value ({!Service} catches everything and builds error
@@ -44,12 +48,17 @@ type 'a submission =
           wait already exceeds the job's deadline — retry after the hint *)
   | Stopped  (** the scheduler is no longer accepting (shutdown) *)
 
-val create : ?capacity:int -> ?queue:int -> ?workers:int -> unit -> t
-(** [capacity] (default 64) bounds jobs running at once; [queue] (default
-    64, [0] disables queueing — full capacity sheds immediately) bounds the
-    submissions waiting behind them; [workers] (default
-    [Domain.recommended_domain_count () - 1], at least 1) pre-sizes the
-    domain pool so the first jobs do not pay spawn latency. *)
+val create : ?queue:int -> ?workers:int -> unit -> t
+(** [workers] (default [0]; see {!resolve_workers}) bounds the jobs running
+    at once and the worker domains that run them; [queue] (default 64, [0]
+    disables queueing — busy workers shed immediately) bounds the
+    submissions waiting behind them.  Spawns nothing yet.
+    @raise Invalid_argument when [workers] is outside [0..64]. *)
+
+val resolve_workers : int -> int
+(** The worker count {!create} uses for a [workers] argument: [0] means
+    [min 64 (max 1 (cores - 1))], [1..64] is taken as is.
+    @raise Invalid_argument for any other value. *)
 
 val submit : ?deadline:float -> t -> (unit -> 'a) -> 'a submission
 (** [deadline] (absolute [Unix.gettimeofday] seconds) enables the
@@ -72,7 +81,10 @@ val pending : t -> int
 val queued : t -> int
 (** Jobs waiting in the queue (admitted, not yet running). *)
 
-val capacity : t -> int
+val workers : t -> int
+(** Jobs running at once, at most: the worker domains this scheduler may
+    spawn. *)
+
 val queue_capacity : t -> int
 
 val retry_after_estimate : t -> float
@@ -91,7 +103,5 @@ val drain : t -> unit
 (** Block until every admitted job has finished (the queue included). *)
 
 val shutdown : t -> unit
-(** [stop] + [drain] + join the sweeper and fallback threads (those that
-    were spawned).
-    The domain pool itself is left alone — it is process-wide and other
-    subsystems ({!Symref_core.Interp}) share it. *)
+(** [stop] + [drain] + join the sweeper thread and the worker domains
+    (those that were spawned).  Must not be called from a job. *)

@@ -30,7 +30,6 @@ module Inject = Symref_fault.Inject
 
 type config = {
   workers : int;
-  capacity : int;
   queue : int;
   cache_bytes : int;
   default_timeout_ms : int option;
@@ -42,7 +41,6 @@ type config = {
 let default_config =
   {
     workers = 0;
-    capacity = 64;
     queue = 64;
     cache_bytes = 64 * 1024 * 1024;
     default_timeout_ms = None;
@@ -63,9 +61,7 @@ let create ?(config = default_config) () =
     cfg = config;
     cache = Cache.create ~max_bytes:config.cache_bytes ();
     disk = Option.map (fun dir -> Disk_cache.create ~dir) config.disk_cache_dir;
-    sched =
-      Scheduler.create ~capacity:config.capacity ~queue:config.queue
-        ~workers:config.workers ();
+    sched = Scheduler.create ~queue:config.queue ~workers:config.workers ();
   }
 
 exception Deadline_exceeded
@@ -528,7 +524,7 @@ let stats_json t =
           [
             ("pending", inum (Scheduler.pending t.sched));
             ("queued", inum (Scheduler.queued t.sched));
-            ("capacity", inum (Scheduler.capacity t.sched));
+            ("workers", inum (Scheduler.workers t.sched));
             ("queue_capacity", inum (Scheduler.queue_capacity t.sched));
             ("retry_after_ms", num (Scheduler.retry_after_estimate t.sched));
           ] );

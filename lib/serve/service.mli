@@ -8,8 +8,9 @@
     escapes a worker. *)
 
 type config = {
-  workers : int;  (** domain-pool size hint; [0] = cores - 1 *)
-  capacity : int;  (** jobs running at once (see {!Scheduler}) *)
+  workers : int;
+      (** worker domains, and so jobs running at once; [0] = cores - 1
+          (see {!Scheduler.resolve_workers}) *)
   queue : int;
       (** submissions waiting behind them; the excess is shed with a typed
           [Overloaded] reply carrying [retry_after_ms] *)
@@ -26,12 +27,15 @@ type config = {
 }
 
 val default_config : config
-(** 0 workers (auto), capacity 64, queue 64, 64 MiB cache, no default
+(** 0 workers (auto), queue 64, 64 MiB cache, no default
     timeout, no disk cache, backlog 16, default socket permissions. *)
 
 type t
 
 val create : ?config:config -> unit -> t
+(** Starts no domain and no thread: the scheduler spawns its workers with
+    the first submitted job.
+    @raise Invalid_argument when [workers] is outside [0..64]. *)
 
 val config : t -> config
 
@@ -99,4 +103,4 @@ val drain : t -> unit
 (** Wait for every admitted job to finish. *)
 
 val shutdown : t -> unit
-(** Stop admitting, drain, release the scheduler's fallback thread. *)
+(** Stop admitting, drain, join the scheduler's worker domains. *)

@@ -36,8 +36,7 @@
     grid-deviation statistics).
 
     {2 Observability}
-    {!Metrics}, {!Trace}, {!Snapshot}, {!Json}; the worker pool behind
-    [Interp.run ~domains] is {!Domain_pool}.
+    {!Metrics}, {!Trace}, {!Snapshot}, {!Json}.
 
     {2 Fault injection}
     {!Inject} — the deterministic chaos registry of {!page-robustness}.
@@ -111,7 +110,6 @@ module Report = Symref_core.Report
 module Ascii_plot = Symref_core.Ascii_plot
 module Verify = Symref_core.Verify
 module Deviation = Symref_core.Deviation
-module Domain_pool = Symref_core.Domain_pool
 
 (* symbolic analysis *)
 module Sym = Symref_symbolic.Sym

@@ -545,47 +545,6 @@ let test_ua741_reference () =
     true
     (gain_db > 80. && gain_db < 140.)
 
-let test_domains_bit_identical () =
-  (* Fanning the point evaluations of a pass over several domains must not
-     change a single bit: same normalized coefficients, ceiling and counts.
-     Exercised on the ua741 denominator, the paper's stress case. *)
-  let module Ua741 = Symref_circuit.Ua741 in
-  let problem =
-    Nodal.make Ua741.circuit
-      ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
-      ~output:(Nodal.Out_node Ua741.output)
-  in
-  let ev = Evaluator.of_nodal problem ~num:false in
-  let scale = Scaling.initial ev in
-  let k = Nodal.order_bound problem + 1 in
-  let base = Interp.run ev ~scale ~k in
-  List.iter
-    (fun d ->
-      let p = Interp.run ~domains:d ev ~scale ~k in
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%d normalized bit-identical" d)
-        true
-        (p.Interp.normalized = base.Interp.normalized);
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%d ceiling bit-identical" d)
-        true
-        (p.Interp.ceiling = base.Interp.ceiling);
-      Alcotest.(check int)
-        (Printf.sprintf "domains=%d same points" d)
-        base.Interp.points p.Interp.points;
-      Alcotest.(check int)
-        (Printf.sprintf "domains=%d same evaluations" d)
-        base.Interp.evaluations p.Interp.evaluations)
-    [ 2; 3; 4 ];
-  (* End to end: a full adaptive run with parallel passes. *)
-  let config = { Adaptive.default_config with Adaptive.domains = 4 } in
-  let seq = Adaptive.run (Evaluator.of_nodal problem ~num:false) in
-  let par = Adaptive.run ~config (Evaluator.of_nodal problem ~num:false) in
-  Alcotest.(check int) "same passes" seq.Adaptive.passes par.Adaptive.passes;
-  Alcotest.(check bool) "same coefficients, bit for bit" true
-    (seq.Adaptive.coeffs = par.Adaptive.coeffs
-    && seq.Adaptive.established = par.Adaptive.established)
-
 let test_share_reuse_invariance () =
   (* The pipeline switches are pure cost controls.  Sharing the num/den
      evaluation memoises identical computations, so coefficients match bit
@@ -670,8 +629,6 @@ let suite =
       ] );
     ( "pipeline",
       [
-        Alcotest.test_case "domains bit-identical (ua741 den)" `Quick
-          test_domains_bit_identical;
         Alcotest.test_case "share/reuse invariance" `Quick
           test_share_reuse_invariance;
       ] );

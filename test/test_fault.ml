@@ -289,7 +289,7 @@ let test_backoff_schedule () =
   Alcotest.(check bool) "different seed, different jitter" true
     (s1 <> different)
 
-(* A daemon on a capacity-1 queue whose single slot is held by a gated job:
+(* A daemon with one worker and no queue, its worker held by a gated job:
    submissions are deterministically Busy until the gate opens. *)
 let with_gated_daemon f =
   let dir = Filename.temp_dir "symref-fault" "" in
@@ -297,7 +297,7 @@ let with_gated_daemon f =
   let addr = Serve.Transport.Unix_sock socket_path in
   (* queue:0 — backpressure must surface as a reply, not as queueing. *)
   let config =
-    { Service.default_config with Service.capacity = 1; queue = 0; workers = 1 }
+    { Service.default_config with Service.workers = 1; queue = 0 }
   in
   let daemon = Serve.Daemon.create ~config ~listen:[ addr ] () in
   let daemon_thread = Thread.create Serve.Daemon.serve daemon in

@@ -1,4 +1,4 @@
-(* Symref_obs: counters, tracing, snapshots, and the domain pool.
+(* Symref_obs: counters, tracing and snapshots.
 
    The counter assertions pin the pipeline's cost model on the paper's
    uA741 workload: 87 evaluator calls backed by 63 factorisations.  With
@@ -13,10 +13,6 @@ module Json = Symref_obs.Json
 module Nodal = Symref_mna.Nodal
 module Ua741 = Symref_circuit.Ua741
 module Reference = Symref_core.Reference
-module Evaluator = Symref_core.Evaluator
-module Interp = Symref_core.Interp
-module Scaling = Symref_core.Scaling
-module Domain_pool = Symref_core.Domain_pool
 module Ef = Symref_numeric.Extfloat
 
 let generate_ua741 () =
@@ -178,39 +174,6 @@ let test_zero_snapshot_pinned () =
   Alcotest.(check string) "zero snapshot JSON" zero_snapshot_json
     (Snapshot.to_string (Snapshot.capture ()))
 
-(* The pooled fan-out returns bit-identical interpolation results and
-   survives a shutdown/restart cycle. *)
-let test_domain_pool () =
-  let p =
-    Nodal.make Ua741.circuit
-      ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
-      ~output:(Nodal.Out_node Ua741.output)
-  in
-  let ev = Evaluator.of_nodal p ~num:false in
-  let scale = Scaling.initial ev in
-  let k = Nodal.order_bound p + 1 in
-  let seq = Interp.run ev ~scale ~k in
-  List.iter
-    (fun d ->
-      let r = Interp.run ~domains:d ev ~scale ~k in
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%d bit-identical" d)
-        true
-        (r.Interp.normalized = seq.Interp.normalized))
-    [ 2; 4; 8 ];
-  Domain_pool.shutdown ();
-  Alcotest.(check int) "pool empty after shutdown" 0 (Domain_pool.size ());
-  let r = Interp.run ~domains:4 ev ~scale ~k in
-  Alcotest.(check bool) "pool restarts after shutdown" true
-    (r.Interp.normalized = seq.Interp.normalized);
-  (* Exceptions from pooled jobs surface at the call site. *)
-  match
-    Domain_pool.parallel
-      [| (fun () -> ()); (fun () -> failwith "boom"); (fun () -> ()) |]
-  with
-  | () -> Alcotest.fail "expected the job's exception"
-  | exception Failure m -> Alcotest.(check string) "job exception" "boom" m
-
 let suite =
   [
     ( "obs",
@@ -224,6 +187,5 @@ let suite =
           test_snapshot_roundtrip;
         Alcotest.test_case "zero snapshot JSON pinned" `Quick
           test_zero_snapshot_pinned;
-        Alcotest.test_case "domain pool" `Quick test_domain_pool;
       ] );
   ]

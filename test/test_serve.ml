@@ -77,8 +77,8 @@ let is_admitted = function Scheduler.Admitted _ -> true | _ -> false
 let is_shed = function Scheduler.Shed _ -> true | _ -> false
 
 let test_scheduler_backpressure () =
-  (* queue:0 = the pre-queue semantics — full capacity sheds immediately. *)
-  let s = Scheduler.create ~capacity:2 ~queue:0 () in
+  (* queue:0 = the pre-queue semantics — busy workers shed immediately. *)
+  let s = Scheduler.create ~workers:2 ~queue:0 () in
   let gate = Mutex.create () in
   let open_gate = Condition.create () in
   let released = ref false in
@@ -113,7 +113,7 @@ let test_scheduler_backpressure () =
     (Scheduler.submit s (fun () -> 7) = Scheduler.Stopped)
 
 let test_scheduler_queue_and_shed () =
-  let s = Scheduler.create ~capacity:1 ~queue:2 () in
+  let s = Scheduler.create ~workers:1 ~queue:2 () in
   let gate = Mutex.create () in
   let open_gate = Condition.create () in
   let released = ref false in
@@ -145,7 +145,7 @@ let test_scheduler_queue_and_shed () =
   Scheduler.shutdown s
 
 let test_scheduler_deadline_shed_and_evict () =
-  let s = Scheduler.create ~capacity:1 ~queue:4 () in
+  let s = Scheduler.create ~workers:1 ~queue:4 () in
   let gate = Mutex.create () in
   let open_gate = Condition.create () in
   let released = ref false in
@@ -190,14 +190,30 @@ let test_scheduler_deadline_shed_and_evict () =
   Scheduler.shutdown s
 
 let test_scheduler_exception_isolation () =
-  let s = Scheduler.create ~capacity:4 () in
+  let s = Scheduler.create ~workers:4 () in
   let t = Scheduler.submit s (fun () -> failwith "boom") in
   (match Scheduler.await (ticket_of t) with
   | Error (Failure m) -> Alcotest.(check string) "exn carried" "boom" m
   | _ -> Alcotest.fail "expected Error (Failure boom)");
   (* The worker survives the exception. *)
   let t = Scheduler.submit s (fun () -> 1 + 1) in
-  Alcotest.(check bool) "worker alive" true (Scheduler.await (ticket_of t) = Ok 2)
+  Alcotest.(check bool) "worker alive" true (Scheduler.await (ticket_of t) = Ok 2);
+  Scheduler.shutdown s
+
+let test_scheduler_workers_bound () =
+  (* 0 = auto; 1..64 as given; anything else is refused before a domain
+     is spawned. *)
+  let refused n =
+    match Scheduler.create ~workers:n () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "65 refused" true (refused 65);
+  Alcotest.(check bool) "-1 refused" true (refused (-1));
+  Alcotest.(check int) "64 kept" 64
+    (Scheduler.workers (Scheduler.create ~workers:64 ()));
+  let auto = Scheduler.workers (Scheduler.create ()) in
+  Alcotest.(check bool) "auto within 1..64" true (auto >= 1 && auto <= 64)
 
 (* --- service --- *)
 
@@ -263,6 +279,53 @@ let test_service_timeout_and_isolation () =
             (r.Protocol.status = Protocol.Ok)
       | Error _ -> Alcotest.fail "concurrent job must succeed")
   | _ -> Alcotest.fail "submissions refused");
+  Service.shutdown s
+
+let test_service_queued_deadline () =
+  (* One worker, every other setting at its default: a job queued behind
+     the busy worker is answered by its deadline — evicted with a retry
+     hint — not run to a [timeout] reply once the worker frees up. *)
+  let s = Service.create ~config:{ Service.default_config with workers = 1 } () in
+  let gate = Mutex.create () in
+  let open_gate = Condition.create () in
+  let released = ref false in
+  let holder =
+    ticket_of
+      (Scheduler.submit (Service.scheduler s) (fun () ->
+           Mutex.lock gate;
+           while not !released do
+             Condition.wait open_gate gate
+           done;
+           Mutex.unlock gate))
+  in
+  let opener =
+    Thread.create
+      (fun () ->
+        Unix.sleepf 1.;
+        Mutex.lock gate;
+        released := true;
+        Condition.broadcast open_gate;
+        Mutex.unlock gate)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Service.submit s (reference_job ~id:"queued" ~timeout_ms:100 (ua741_text ()))
+   with
+  | `Rejected _ -> Alcotest.fail "job must be admitted to the queue"
+  | `Ticket t -> (
+      match Scheduler.await t with
+      | Error (Scheduler.Evicted { retry_after_ms }) ->
+          let waited = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool) "eviction carries a positive retry hint" true
+            (retry_after_ms > 0.);
+          Alcotest.(check bool)
+            (Printf.sprintf "answered within 0.5 s (took %.3f s)" waited)
+            true (waited < 0.5)
+      | Ok _ -> Alcotest.fail "queued job ran past its deadline"
+      | Error e -> Alcotest.fail ("unexpected error: " ^ Printexc.to_string e)));
+  Thread.join opener;
+  ignore (Scheduler.await holder);
   Service.shutdown s
 
 let test_service_error_isolation () =
@@ -1108,7 +1171,7 @@ let test_scheduler_sweeper_eviction () =
      [serve.shed_jobs] stays the admission-shed path. *)
   Metrics.reset ();
   Metrics.enable ();
-  let s = Scheduler.create ~capacity:1 ~queue:4 () in
+  let s = Scheduler.create ~workers:1 ~queue:4 () in
   let gate = Mutex.create () in
   let open_gate = Condition.create () in
   let released = ref false in
@@ -1820,5 +1883,9 @@ let suite =
         Alcotest.test_case "router: abandoned half-open probe handed back"
           `Quick test_abandoned_probe_released;
         QCheck_alcotest.to_alcotest prop_race_rules;
+        Alcotest.test_case "service: queued job answered by its deadline"
+          `Quick test_service_queued_deadline;
+        Alcotest.test_case "scheduler: workers bounded to 1..64" `Quick
+          test_scheduler_workers_bound;
       ] );
   ]
