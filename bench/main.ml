@@ -797,7 +797,7 @@ let run_fleet_chaos ~smoke =
       ~breaker:
         { Srouter.threshold = 1; cooldown_ms = 100.; max_cooldown_ms = 10_000. }
       ~hedge:
-        (Some { Srouter.default_hedge with after_ms_min = 30.; after_ms_max = 30. })
+        (Some { Srouter.after_ms_min = 30.; after_ms_max = 30. })
       addrs
   in
   let lock = Mutex.create () in

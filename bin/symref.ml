@@ -1008,7 +1008,6 @@ let hedge_of_ms ms =
   else
     Some
       {
-        Serve.Router.default_hedge with
         Serve.Router.after_ms_max = float_of_int ms;
         after_ms_min =
           Float.min Serve.Router.default_hedge.Serve.Router.after_ms_min

@@ -3,10 +3,11 @@
    The contract mirrors [Symref_obs.Metrics]: while disabled (the default),
    [fire] is one non-atomic bool load and a branch — no allocation, no
    atomic traffic — so injection points can live on the hottest paths of
-   the pipeline.  While enabled, hit counting is [Atomic] so multi-domain
-   interpolation decides every firing exactly once, and every decision is a
-   pure function of (seed, point name, hit index): a chaos run replays
-   bit-identically under any interleaving of the hits. *)
+   the pipeline.  While enabled, hit counting is [Atomic] so jobs running
+   on the serve scheduler's worker domains decide every firing exactly
+   once, and every decision is a pure function of (seed, point name, hit
+   index): a chaos run replays bit-identically under any interleaving of
+   the hits. *)
 
 let enabled_flag = ref false
 let seed_cell = ref 0

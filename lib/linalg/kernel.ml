@@ -24,13 +24,6 @@ type program = {
   fill : int;
 }
 
-(* A small dense index per domain, assigned on first use: the key of the
-   per-domain batch pools below (the serve scheduler's worker domains touch
-   theirs at spawn so long-lived domains get the low indices). *)
-let next_index = Atomic.make 0
-let index_key = Domain.DLS.new_key (fun () -> Atomic.fetch_and_add next_index 1)
-let domain_index () = Domain.DLS.get index_key
-
 (* --- The batched structure-of-arrays engine -------------------------------
 
    Replaying the program point by point re-decodes every instruction's
@@ -121,7 +114,6 @@ module Batch = struct
     mutable cap : int;  (* allocated lane capacity (a stride, so 8-padded) *)
     mutable s_re : float array;  (* the batch's evaluation points *)
     mutable s_im : float array;
-    mutable b_busy : bool;
     raw : raw;
   }
 
@@ -168,7 +160,6 @@ module Batch = struct
       cap = 0;
       s_re = [||];
       s_im = [||];
-      b_busy = false;
       raw =
         {
           r_re = mkplane 0;
@@ -294,71 +285,4 @@ module Batch = struct
 
   let solution_re b = b.raw.r_x_re
   let solution_im b = b.raw.r_x_im
-
-  (* Per-domain batch pooling: one growable batch workspace per (pattern,
-     domain), indexed by [domain_index] in a copy-on-write table.  Only
-     the owning domain touches its slot, so the unlocked fast path is
-     race-free; growth serialises on a mutex and publishes a fresh array.
-     The busy flag guards same-domain reentrancy (systhreads running jobs
-     on one domain): a busy slot, or a domain index past the cap, gets a
-     fresh unpooled batch, which computes the same bits. *)
-  module Pool = struct
-    type batch = t
-
-    type t = {
-      p_prog : program;
-      slots : batch option array Atomic.t;
-      grow : Mutex.t;
-    }
-
-    (* Every domain ever created takes a fresh index, so indices can grow
-       without bound; past the cap a checkout gets an unpooled batch
-       instead of leaking workspaces. *)
-    let max_slots = 64
-    let fresh_batch = create
-
-    let create prog = { p_prog = prog; slots = Atomic.make [||]; grow = Mutex.create () }
-
-    let slot_batch pl idx =
-      let arr = Atomic.get pl.slots in
-      match if idx < Array.length arr then arr.(idx) else None with
-      | Some b -> b
-      | None ->
-          Mutex.lock pl.grow;
-          let arr = Atomic.get pl.slots in
-          let arr =
-            if idx < Array.length arr then arr
-            else begin
-              let bigger =
-                Array.make
-                  (Int.min max_slots (Int.max (idx + 1) ((2 * Array.length arr) + 1)))
-                  None
-              in
-              Array.blit arr 0 bigger 0 (Array.length arr);
-              Atomic.set pl.slots bigger;
-              bigger
-            end
-          in
-          let b =
-            match arr.(idx) with
-            | Some b -> b
-            | None ->
-                let b = fresh_batch pl.p_prog in
-                arr.(idx) <- Some b;
-                b
-          in
-          Mutex.unlock pl.grow;
-          b
-
-    let checkout pl =
-      let idx = domain_index () in
-      let b = if idx < max_slots then slot_batch pl idx else fresh_batch pl.p_prog in
-      if b.b_busy then fresh_batch pl.p_prog
-      else begin
-        b.b_busy <- true;
-        b
-      end
-
-    let release b = b.b_busy <- false
-  end
 end

@@ -36,13 +36,6 @@ type program = {
     factorisation, shared with {!Sparse.pattern}
     (see {!Sparse.pattern_program}). *)
 
-(** {1 Per-domain indexing} *)
-
-val domain_index : unit -> int
-(** A small dense index for the calling domain, assigned on first use.
-    The serve scheduler's worker domains touch theirs at spawn, so
-    long-lived domains get the low indices. *)
-
 (** {1 The batched structure-of-arrays engine} *)
 
 type plane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -76,7 +69,9 @@ module Batch : sig
   type t
   (** A growable batch workspace for one program: value/RHS/solution planes
       plus per-point scratch (pivot, row-max, multiplier, determinant
-      accumulator, eject marks). *)
+      accumulator, eject marks).  Not synchronised: one caller at a time
+      ({!Symref_mna.Nodal} keeps one per learned pattern and runs it under
+      the problem's lock). *)
 
   val create : program -> t
   (** Allocate an empty batch workspace (counted under
@@ -131,21 +126,4 @@ module Batch : sig
   val solution_im : t -> plane
   (** Solution planes, index [column * stride + point], valid until the
       next {!begin_batch}. *)
-
-  (** Per-domain batch pooling: each domain lazily gets its own batch
-      workspace for the program, indexed by {!domain_index}. *)
-  module Pool : sig
-    type batch = t
-    type t
-
-    val create : program -> t
-
-    val checkout : t -> batch
-    (** The calling domain's pooled batch, marked busy until {!release}.
-        When that batch is already checked out (a systhread re-entering
-        on the same domain) or the domain index is past the pool's cap,
-        a fresh unpooled batch — same program, same results. *)
-
-    val release : batch -> unit
-  end
 end

@@ -113,6 +113,6 @@ val pattern_stats : pattern -> int * int
 module Kernel = Kernel
 
 val pattern_program : pattern -> Kernel.program
-(** The pattern's elimination program, ready for {!Kernel.Batch.create} /
-    {!Kernel.Batch.Pool.create}.  Entry [e] of {!refactor}'s [values] order
-    scatters to slot [(pattern_program p).coo_slot.(e)]. *)
+(** The pattern's elimination program, ready for {!Kernel.Batch.create}.
+    Entry [e] of {!refactor}'s [values] order scatters to slot
+    [(pattern_program p).coo_slot.(e)]. *)

@@ -44,14 +44,15 @@ type stamp = {
    revisit the scales generation learned, and learning is a pure function
    of (t, f, g), so a kept pattern is the one a re-learn would produce.
    [None] payload: the pattern could not be learned (singular at the
-   canonical point); evaluate from scratch.  The mutex makes concurrent
-   [eval] calls from several domains safe. *)
+   canonical point); evaluate from scratch.  Each pattern owns one batch
+   workspace, and the mutex covers a whole [eval_batch] — lookup, scatter,
+   replay, fallbacks — so concurrent callers on one [t] take turns. *)
 type payload = {
   pl_prog : Kernel.program;
   pl_slot : int array;
       (* stamp coordinate -> program slot, -1 for entries identically zero
          over the pass *)
-  pl_pool : Kernel.Batch.Pool.t;  (* per-domain batch workspaces *)
+  pl_batch : Kernel.Batch.t;
 }
 
 type cache = {
@@ -316,23 +317,20 @@ let learn_pattern t ~f ~g =
             | Some p -> prog.Kernel.coo_slot.(p)
             | None -> -1 (* identically zero at every point of this pass *))
       in
-      Some { pl_prog = prog; pl_slot = slot; pl_pool = Kernel.Batch.Pool.create prog }
+      Some { pl_prog = prog; pl_slot = slot; pl_batch = Kernel.Batch.create prog }
 
+(* [t.cache.lock] held. *)
 let pattern_for t ~f ~g =
   let c = t.cache in
-  Mutex.lock c.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.lock)
-    (fun () ->
-      match List.find_opt (fun (pf, pg, _) -> pf = f && pg = g) c.pats with
-      | Some (_, _, payload) ->
-          Obs.incr Obs.pattern_hits;
-          payload
-      | None ->
-          Obs.incr Obs.pattern_misses;
-          let payload = learn_pattern t ~f ~g in
-          c.pats <- (f, g, payload) :: c.pats;
-          payload)
+  match List.find_opt (fun (pf, pg, _) -> pf = f && pg = g) c.pats with
+  | Some (_, _, payload) ->
+      Obs.incr Obs.pattern_hits;
+      payload
+  | None ->
+      Obs.incr Obs.pattern_misses;
+      let payload = learn_pattern t ~f ~g in
+      c.pats <- (f, g, payload) :: c.pats;
+      payload
 
 (* The per-point fallbacks of [eval_batch]: a full factorisation for
    ejected points (and every point when [reuse] is off or the pattern
@@ -419,7 +417,8 @@ let from_scratch_at t ~f ~g ~sre ~sim ~rhs =
    [kernel.batch_ejects] and goes to a full [Sparse.factor] (counted under
    [lu.factor]).  Threshold ejects additionally count
    [lu.refactor_fallback]; injected ones don't. *)
-let run_batch t ~f ~g pl b points =
+let run_batch t ~f ~g pl points =
+  let b = pl.pl_batch in
   let st = t.stamp in
   let m = Array.length st.m_rows in
   let cnt = Array.length points in
@@ -504,22 +503,23 @@ let run_batch t ~f ~g pl b points =
       end)
 
 let eval_batch ?(f = 1.) ?(g = 1.) t points =
-  let pattern = if t.reuse && Array.length points > 0 then pattern_for t ~f ~g else None in
-  match pattern with
-  | None ->
-      Array.map
-        (fun (s : Complex.t) ->
-          let sre = s.Complex.re and sim = s.Complex.im in
-          from_scratch_at t ~f ~g ~sre ~sim ~rhs:(rhs_lazy t ~f ~g ~sre ~sim))
-        points
-  | Some pl ->
-      let b = Kernel.Batch.Pool.checkout pl.pl_pool in
-      Fun.protect
-        ~finally:(fun () -> Kernel.Batch.Pool.release b)
-        (fun () -> run_batch t ~f ~g pl b points)
+  Mutex.protect t.cache.lock (fun () ->
+      let pattern =
+        if t.reuse && Array.length points > 0 then pattern_for t ~f ~g else None
+      in
+      match pattern with
+      | None ->
+          Array.map
+            (fun (s : Complex.t) ->
+              let sre = s.Complex.re and sim = s.Complex.im in
+              from_scratch_at t ~f ~g ~sre ~sim ~rhs:(rhs_lazy t ~f ~g ~sre ~sim))
+            points
+      | Some pl -> run_batch t ~f ~g pl points)
 
 let eval ?f ?g t s = (eval_batch ?f ?g t [| s |]).(0)
 
 let elimination_program ?(f = 1.) ?(g = 1.) t =
   if not t.reuse then None
-  else Option.map (fun pl -> pl.pl_prog) (pattern_for t ~f ~g)
+  else
+    Mutex.protect t.cache.lock (fun () ->
+        Option.map (fun pl -> pl.pl_prog) (pattern_for t ~f ~g))

@@ -58,7 +58,8 @@ val make :
     factorisation for any point whose reused pivot hits the
     threshold-pivoting floor.  [~reuse:false] restores the
     factor-from-scratch-per-point behaviour (benchmark baseline).
-    Evaluation is thread-safe either way. *)
+    Evaluation is thread-safe either way: concurrent calls on one problem
+    take turns. *)
 
 val dimension : t -> int
 (** Order of the reduced nodal matrix. *)

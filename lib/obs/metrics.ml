@@ -4,8 +4,8 @@
 
    - When disabled (the default), a counter update is one non-atomic bool
      load and a branch — no allocation, no atomic traffic, no lock.
-   - When enabled, updates are [Atomic] operations, so multi-domain
-     interpolation counts exactly.
+   - When enabled, updates are [Atomic] operations, so jobs running on the
+     serve scheduler's worker domains count exactly.
    - Counters are registered once, at module-initialisation time; the
      registry itself is only ever read afterwards. *)
 

@@ -73,8 +73,7 @@ val refactor_fallbacks : counter
 (** {2 The batched engine} *)
 
 val kernel_workspaces : counter
-(** Batch workspaces allocated — one per (pattern, domain) in the steady
-    state, plus one per checkout that found the domain's batch busy. *)
+(** Batch workspaces allocated — one per learned pattern. *)
 
 val kernel_batch_ejects : counter
 (** Points ejected from a batch to a full factorisation (threshold floor,

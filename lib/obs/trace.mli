@@ -5,8 +5,8 @@
     result loads directly into [chrome://tracing] or
     {{:https://ui.perfetto.dev} Perfetto}.  Spans are complete ([ph = "X"])
     events stamped with the monotonic clock and tagged with the OCaml
-    domain id as [tid], so multi-domain interpolation shows up as parallel
-    tracks.
+    domain id as [tid], so jobs running on the serve scheduler's worker
+    domains show up as parallel tracks.
 
     While no trace is active, {!span} runs its thunk directly — one boolean
     load and a branch of overhead — and {!instant} is a no-op.  The

@@ -55,13 +55,9 @@ let default_breaker =
 
 (* --- hedging --- *)
 
-type hedge_config = {
-  after_ms_min : float;
-  after_ms_max : float;
-  percentile : float;  (* of recent forward latencies, e.g. 0.99 *)
-}
+type hedge_config = { after_ms_min : float; after_ms_max : float }
 
-let default_hedge = { after_ms_min = 25.; after_ms_max = 500.; percentile = 0.99 }
+let default_hedge = { after_ms_min = 25.; after_ms_max = 500. }
 
 (* --- the race: which reply a forward relays --- *)
 
@@ -523,10 +519,10 @@ let record_latency t ms =
       t.lat_i <- (t.lat_i + 1) mod lat_window;
       if t.lat_n < lat_window then t.lat_n <- t.lat_n + 1)
 
-(* The hedge delay: the configured percentile of recent forward latencies,
-   clamped into [after_ms_min, after_ms_max].  With no samples yet the
-   delay is the max — hedging starts conservative and tightens as the
-   router learns the fleet's actual tail. *)
+(* The hedge delay: the p99 of recent forward latencies, clamped into
+   [after_ms_min, after_ms_max].  With no samples yet the delay is the
+   max — hedging starts conservative and tightens as the router learns
+   the fleet's actual tail. *)
 let hedge_delay_ms t =
   match t.hedge with
   | None -> infinity
@@ -536,9 +532,7 @@ let hedge_delay_ms t =
       if n = 0 then h.after_ms_max
       else begin
         Array.sort Float.compare sample;
-        let i =
-          Int.min (n - 1) (int_of_float (h.percentile *. float_of_int n))
-        in
+        let i = Int.min (n - 1) (int_of_float (0.99 *. float_of_int n)) in
         Float.max h.after_ms_min (Float.min h.after_ms_max sample.(i))
       end
 

@@ -20,14 +20,14 @@
     [router.breaker_half_open] / [router.breaker_close].
 
     {b Hedged requests.}  When the key's owner has not answered after a
-    delay derived from recent forward latencies (the configured
-    percentile, clamped into [[after_ms_min, after_ms_max]]), the job is
-    re-issued to the next ring candidate and the first real answer wins.
+    delay derived from recent forward latencies (their p99, clamped into
+    [[after_ms_min, after_ms_max]]), the job is re-issued to the next
+    ring candidate and the first real answer wins.
     The race runs on the forwarding thread itself: the primary goes out,
     the thread selects on its socket for the hedge delay, then on both
     sockets and any racer's retry timer.  The loser is abandoned — its
     connection closed — and its elapsed time still enters the latency
-    window, so the slow tail stays in the percentile.  Final backpressure
+    window, so the slow tail stays in the p99.  Final backpressure
     or a fatal error from the owner ends the race, and once the owner has
     answered backpressure at all — even with attempts left — the hedge
     timer sends nothing; backpressure from the hedge is only a fallback.  A transient failure of the owner fires the second
@@ -74,12 +74,11 @@ type hedge_config = {
   after_ms_max : float;
       (** Ceiling on the hedge delay; also the delay used before any
           latency samples exist. *)
-  percentile : float;
-      (** Which recent-latency percentile derives the delay (e.g. 0.99). *)
 }
+(** Bounds on the hedge delay, the p99 of recent forward latencies. *)
 
 val default_hedge : hedge_config
-(** [{after_ms_min = 25.; after_ms_max = 500.; percentile = 0.99}] *)
+(** [{after_ms_min = 25.; after_ms_max = 500.}] *)
 
 val create :
   ?replicas:int ->
@@ -128,9 +127,9 @@ val breaker_state : t -> int -> breaker_view
 (** The breaker of worker index [w] (as listed by {!workers}), now. *)
 
 val hedge_delay_ms : t -> float
-(** The delay {!forward} would hedge after right now: the configured
-    percentile of recent forward latencies, clamped — or [infinity] when
-    hedging is disabled. *)
+(** The delay {!forward} would hedge after right now: the p99 of recent
+    forward latencies, clamped — or [infinity] when hedging is
+    disabled. *)
 
 val health_check : t -> unit
 (** Probe every worker with Hello once, unconditionally.  The prober is

@@ -19,7 +19,6 @@
    worker domain resolves it. *)
 
 module Metrics = Symref_obs.Metrics
-module Kernel = Symref_linalg.Kernel
 
 type 'a ticket = {
   t_lock : Mutex.t;
@@ -62,9 +61,8 @@ type 'a submission =
   | Shed of { retry_after_ms : float }
   | Stopped
 
-(* 64 is also the slot cap of the per-domain batch workspaces
-   ([Kernel.Batch.Pool]), and keeps every scheduler far below the
-   runtime's domain limit. *)
+(* Keeps every scheduler far below OCaml 5.1's limit of 128 domains per
+   process. *)
 let max_workers = 64
 
 let resolve_workers n =
@@ -96,9 +94,6 @@ let create ?(queue = 64) ?(workers = 0) () =
 (* A worker domain: take handed-over jobs until [shutdown].  Idle workers
    block on [work]; they do not spin. *)
 let worker_loop t () =
-  (* Claim a workspace index up front: long-lived workers get the low,
-     densely pooled batch indices. *)
-  ignore (Kernel.domain_index () : int);
   Mutex.lock t.lock;
   let rec next () =
     match Queue.take_opt t.handed with

@@ -147,13 +147,13 @@ let step ?now t =
               end)
         t.slots)
 
-let run ?(poll_interval_ms = 50) t =
+let run t =
   start t;
   Thread.create
     (fun () ->
       while not (stopping t) do
         step t;
-        sleepf (float_of_int poll_interval_ms /. 1000.)
+        sleepf 0.05
       done)
     ()
 

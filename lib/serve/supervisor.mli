@@ -55,10 +55,10 @@ val step : ?now:float -> t -> unit
     backoff has passed.  Never blocks.  [now] (unix time) is injectable
     so tests can replay a schedule. *)
 
-val run : ?poll_interval_ms:int -> t -> Thread.t
-(** {!start}, then loop {!step} every [poll_interval_ms] (default 50) on
-    a fresh thread until {!stop}; returns that thread (join it after
-    [stop] for a clean wind-down). *)
+val run : t -> Thread.t
+(** {!start}, then loop {!step} every 50 ms on a fresh thread until
+    {!stop}; returns that thread (join it after [stop] for a clean
+    wind-down). *)
 
 val slots : t -> int
 

@@ -2,8 +2,9 @@
    per-point bit-identity against the boxed [Sparse.refactor] + [det] +
    [solve] chain, eject parity with its threshold bailout, determinant
    exponents across the full float range, allocation-freedom of the
-   steady-state batch, pool reuse and busy-slot checkouts, fault-injection
-   parity with the hook interleaved mid-batch, and the eject accounting.
+   steady-state batch, workspace reuse, one problem swept from two domains
+   at once, fault-injection parity with the hook interleaved mid-batch, and
+   the eject accounting.
 
    "Bit-identical" is literal: comparisons go through
    [Int64.bits_of_float], so even NaN payloads and [-0.] must match. *)
@@ -368,23 +369,24 @@ let test_chaos_batch_parity () =
             (value_bits_equal a vp.(j)))
         vb)
 
-(* --- pool reuse and busy-slot checkouts ------------------------------------ *)
+(* --- workspace reuse, and one problem on two domains ----------------------- *)
+
+let ua741_problem () =
+  Nodal.make Ua741.circuit
+    ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
+    ~output:(Nodal.Out_node Ua741.output)
 
 let test_workspace_reuse_invariance () =
-  (* The same pooled batch serves many points and passes: replaying a point
-     later — after the planes held other data — must reproduce the first
-     visit bit for bit. *)
-  let p =
-    Nodal.make Ua741.circuit
-      ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
-      ~output:(Nodal.Out_node Ua741.output)
-  in
+  (* A pattern's one batch workspace serves many points and passes:
+     replaying a point later — after the planes held other data — must
+     reproduce the first visit bit for bit. *)
+  let p = ua741_problem () in
   let f = 1. /. Nodal.mean_capacitance p and g = 1. /. Nodal.mean_conductance p in
   let k = Nodal.order_bound p + 1 in
   let first = Array.init k (fun j -> Nodal.eval ~f ~g p (Uc.point k j)) in
-  (* Interleave other work: a whole-circle batch at this scale (the pooled
-     batch grows), another scale (fresh pattern and pool), then revisit
-     every original point one at a time. *)
+  (* Interleave other work: a whole-circle batch at this scale (the
+     pattern's batch grows), another scale (fresh pattern and batch), then
+     revisit every original point one at a time. *)
   ignore (Nodal.eval_batch ~f ~g p (Array.init k (fun j -> Uc.point (2 * k) j)));
   for j = 0 to (k / 2) + 1 do
     ignore (Nodal.eval ~f:(3. *. f) ~g:(2. *. g) p (Uc.point k j))
@@ -397,47 +399,41 @@ let test_workspace_reuse_invariance () =
         (value_bits_equal v (Nodal.eval ~f ~g p (Uc.point k j))))
     first
 
-let test_busy_checkout () =
-  (* A checkout while the domain's pooled batch is out (a systhread
-     re-entering on the same domain) gets a separate batch; both compute
-     the same bits, and the pooled one comes back once released. *)
-  let rand = lcg 4242 in
-  let b, rhs = random_system rand 10 in
-  match Sparse.symbolic b with
-  | None -> Alcotest.fail "symbolic factorisation unexpectedly failed"
-  | Some (pat, _) ->
-      let prog = Sparse.pattern_program pat in
-      let vals = pattern_values b pat in
-      let pool = Batch.Pool.create prog in
-      let solve bt =
-        Batch.begin_batch bt 3;
-        for q = 0 to 2 do
-          scatter_point bt prog q vals rhs
-        done;
-        Batch.run bt
-      in
-      let pooled = Batch.Pool.checkout pool in
-      let other = Batch.Pool.checkout pool in
-      Alcotest.(check bool) "busy slot yields a separate batch" false (pooled == other);
-      solve pooled;
-      solve other;
-      let stride = Batch.stride pooled in
-      let plane_bits pl = Array.init (prog.Kernel.n * stride) (fun i -> bits (BA1.get pl i)) in
-      for q = 0 to 2 do
-        Alcotest.(check bool)
-          (Printf.sprintf "point %d det bit-identical" q)
-          true
-          (ec_bits_equal (Batch.det pooled q) (Batch.det other q))
-      done;
-      Alcotest.(check bool) "solutions bit-identical (re)" true
-        (plane_bits (Batch.solution_re pooled) = plane_bits (Batch.solution_re other));
-      Alcotest.(check bool) "solutions bit-identical (im)" true
-        (plane_bits (Batch.solution_im pooled) = plane_bits (Batch.solution_im other));
-      Batch.Pool.release other;
-      Batch.Pool.release pooled;
-      Alcotest.(check bool) "released slot is pooled again" true
-        (Batch.Pool.checkout pool == pooled);
-      Batch.Pool.release pooled
+let test_two_domains_one_problem () =
+  (* Two domains sweep one problem at once, so both replay through the
+     same batch workspace of each scale pair's pattern: the problem's lock
+     must keep every batch whole.  Every value must carry the bits of the
+     same sweep run on a fresh problem, one point after another. *)
+  let p = ua741_problem () in
+  let f = 1. /. Nodal.mean_capacitance p and g = 1. /. Nodal.mean_conductance p in
+  let scales =
+    Array.map
+      (fun (a, b) -> (a *. f, b *. g))
+      [| (1., 1.); (2., 1.); (1., 3.); (0.5, 2.); (10., 0.25); (0.1, 5.) |]
+  in
+  let k = Nodal.order_bound p + 1 in
+  let points = Array.init k (fun j -> Uc.point k j) in
+  let fresh = ua741_problem () in
+  let expected =
+    Array.map (fun (f, g) -> Array.map (fun s -> Nodal.eval ~f ~g fresh s) points) scales
+  in
+  let sweep () =
+    let mismatches = ref 0 in
+    let check want got = if not (value_bits_equal want got) then incr mismatches in
+    for _ = 1 to 5 do
+      Array.iteri
+        (fun i (f, g) ->
+          Array.iter2 check expected.(i) (Nodal.eval_batch ~f ~g p points);
+          Array.iteri (fun j s -> check expected.(i).(j) (Nodal.eval ~f ~g p s)) points)
+        scales
+    done;
+    !mismatches
+  in
+  let other = Domain.spawn sweep in
+  let here = sweep () in
+  let there = Domain.join other in
+  Alcotest.(check (pair int int)) "values differing from the sequential sweep" (0, 0)
+    (here, there)
 
 (* --- eject accounting ---------------------------------------------------- *)
 
@@ -500,8 +496,8 @@ let suite =
           test_zero_alloc_batch;
         Alcotest.test_case "workspace reuse invariance" `Quick
           test_workspace_reuse_invariance;
-        Alcotest.test_case "busy slot: separate batch, same bits" `Quick
-          test_busy_checkout;
+        Alcotest.test_case "one problem, two domains: same bits" `Quick
+          test_two_domains_one_problem;
         Alcotest.test_case "chaos: sparse.singular armed mid-batch" `Quick
           test_chaos_batch_parity;
         Alcotest.test_case "batch counters and eject accounting" `Quick

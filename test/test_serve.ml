@@ -350,29 +350,35 @@ let test_service_error_isolation () =
 (* --- batch --- *)
 
 let test_batch_examples_vs_single_shot () =
-  let report = Batch.run "../examples/netlists" in
-  Alcotest.(check bool) "all example files succeed" true
-    (report.Batch.failed = 0 && report.Batch.files >= 5);
-  (* Each batch payload must be bit-identical to a fresh single-shot run of
-     the same job. *)
-  let s = Service.create () in
+  (* At the default config, then with two workers computing distinct
+     reference jobs at once. *)
   List.iter
-    (fun (o : Batch.outcome) ->
-      let single =
-        Service.run_job s
-          {
-            Protocol.default_job with
-            Protocol.netlist = `Path o.Batch.file;
-            id = Some o.Batch.file;
-          }
-      in
-      Alcotest.(check string)
-        (o.Batch.file ^ " bit-identical to single shot")
-        (Json.to_string (Protocol.reply_to_json single))
-        (Json.to_string
-           (Protocol.reply_to_json { o.Batch.reply with Protocol.cached = false })))
-    report.Batch.outcomes;
-  Service.shutdown s
+    (fun config ->
+      let report = Batch.run ~config "../examples/netlists" in
+      Alcotest.(check bool) "all example files succeed" true
+        (report.Batch.failed = 0 && report.Batch.files >= 5);
+      (* Each batch payload must be bit-identical to a fresh single-shot
+         run of the same job. *)
+      let s = Service.create () in
+      List.iter
+        (fun (o : Batch.outcome) ->
+          let single =
+            Service.run_job s
+              {
+                Protocol.default_job with
+                Protocol.netlist = `Path o.Batch.file;
+                id = Some o.Batch.file;
+              }
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s bit-identical to single shot (workers = %d)"
+               o.Batch.file config.Service.workers)
+            (Json.to_string (Protocol.reply_to_json single))
+            (Json.to_string
+               (Protocol.reply_to_json { o.Batch.reply with Protocol.cached = false })))
+        report.Batch.outcomes;
+      Service.shutdown s)
+    [ Service.default_config; { Service.default_config with Service.workers = 2 } ]
 
 let test_batch_broken_netlist () =
   let dir = temp_dir "symref-batch-broken" in
@@ -903,8 +909,7 @@ let test_hedged_unhedged_identity () =
   let hedged =
     Serve.Router.create
       ~hedge:
-        (Some
-           { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. })
+        (Some { Serve.Router.after_ms_min = 0.; after_ms_max = 0. })
       addrs
   in
   let unhedged = Serve.Router.create ~hedge:None addrs in
@@ -1095,8 +1100,7 @@ let test_hedged_fatal_no_hang () =
   let router =
     Serve.Router.create
       ~hedge:
-        (Some
-           { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. })
+        (Some { Serve.Router.after_ms_min = 0.; after_ms_max = 0. })
       [ addr_of a; addr_of b ]
   in
   let reply =
@@ -1452,8 +1456,7 @@ let test_hedge_loser_not_pooled () =
   let router =
     Serve.Router.create
       ~hedge:
-        (Some
-           { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. })
+        (Some { Serve.Router.after_ms_min = 0.; after_ms_max = 0. })
       [ a.f_addr; b.f_addr ]
   in
   let first = job_owned_by router ~prefix:"slow" 0 in
@@ -1488,8 +1491,7 @@ let test_abandoned_probe_released () =
   let router =
     Serve.Router.create ~backoff ~breaker
       ~hedge:
-        (Some
-           { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. })
+        (Some { Serve.Router.after_ms_min = 0.; after_ms_max = 0. })
       [ a.f_addr; b_addr ]
   in
   (* Nothing listens on b yet: a job it owns opens its breaker and fails
@@ -1547,8 +1549,7 @@ let test_router_past_select_limit () =
       Serve.Router.close router)
     [
       None;
-      Some
-        { Serve.Router.default_hedge with after_ms_min = 0.; after_ms_max = 0. };
+      Some { Serve.Router.after_ms_min = 0.; after_ms_max = 0. };
     ];
   List.iter Unix.close !padding;
   List.iter
