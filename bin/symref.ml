@@ -184,6 +184,17 @@ let info_cmd =
 
 (* --- coeffs --- *)
 
+(* An option value the library refuses is a one-line error and exit 2,
+   checked before anything is loaded or started. *)
+let refuse_invalid check =
+  match check () with
+  | _ -> ()
+  | exception Invalid_argument m ->
+      Printf.eprintf "error: --%s\n" m;
+      exit 2
+
+let check_sigma sigma = refuse_invalid (fun () -> Adaptive.check_sigma sigma)
+
 let config_of sigma r no_reduce no_conj =
   {
     Adaptive.default_config with
@@ -195,6 +206,7 @@ let config_of sigma r no_reduce no_conj =
 
 let coeffs_cmd =
   let run file input output sigma r no_reduce no_conj obs =
+    check_sigma sigma;
     wrap ~file obs (fun () ->
         let c = load_nodal file in
         let input = parse_input c input and output = parse_output output in
@@ -241,6 +253,7 @@ let doctor_cmd =
   let run file input output sigma r no_reduce no_conj tolerance obs =
     (* The exit status is decided inside [wrap] but applied after it, so the
        --stats/--trace telemetry still flushes on an unhealthy verdict. *)
+    check_sigma sigma;
     let healthy = ref false in
     wrap ~file obs (fun () ->
         let c = load_nodal file in
@@ -437,6 +450,7 @@ let simplify_cmd =
   in
   let run file input output budget_db budget_deg from_ to_ per_decade sigma r
       max_attempts no_shorts json obs =
+    check_sigma sigma;
     wrap ~file obs (fun () ->
         if json then begin
           (* One in-process service run, so the CLI JSON is byte-compatible
@@ -753,11 +767,7 @@ let workers_arg =
 (* Checked before anything starts: a fleet would otherwise hand the value
    to every worker daemon it spawns. *)
 let check_workers workers =
-  match Serve.Scheduler.resolve_workers workers with
-  | _ -> ()
-  | exception Invalid_argument m ->
-      Printf.eprintf "error: --%s\n" m;
-      exit 2
+  refuse_invalid (fun () -> Serve.Scheduler.resolve_workers workers)
 
 let queue_arg =
   let doc =
@@ -840,6 +850,7 @@ let job_term =
   in
   let make analysis input output sigma r timeout_ms from_ to_ per_decade
       budget_db budget_deg =
+    check_sigma sigma;
     let analysis =
       match analysis with
       | `Reference -> Serve.Protocol.Reference

@@ -27,36 +27,6 @@ let () =
   let r = Reference.generate Ota.circuit ~input ~output in
   let references which = Array.map Ef.to_float which.Adaptive.coeffs in
 
-  (* --- True SDG on a passive network: terms generated largest-first by
-     spanning-tree enumeration, stopping per coefficient on eq. 3, without
-     ever building the full expression. *)
-  let module Tree_terms = Symref_symbolic.Tree_terms in
-  let module Ladder = Symref_circuit.Rc_ladder in
-  let ladder = Ladder.circuit ~spread:4. 6 in
-  let lref =
-    Reference.generate ladder ~input:(Nodal.Vsrc_element "vin")
-      ~output:(Nodal.Out_node Ladder.output_node)
-  in
-  let lrefs =
-    Array.map Symref_numeric.Extfloat.to_float lref.Reference.den.Adaptive.coeffs
-  in
-  let total = Seq.length (Tree_terms.terms ladder ~input:(Nodal.Vsrc_element "vin")) in
-  print_endline "true SDG (spanning-tree enumeration) on a graded RC ladder:";
-  List.iter
-    (fun epsilon ->
-      let s =
-        Tree_terms.generate_until ~epsilon ~references:lrefs ladder
-          ~input:(Nodal.Vsrc_element "vin")
-      in
-      Printf.printf
-        "  epsilon = %-5g: kept %3d of %d terms (%d trees enumerated, eq. 3 %s)\n"
-        epsilon
-        (List.length s.Tree_terms.kept)
-        total s.Tree_terms.generated
-        (if s.Tree_terms.satisfied then "satisfied" else "NOT satisfied"))
-    [ 0.01; 0.05; 0.25 ];
-  print_newline ();
-
   print_endline "SDG truncation of the full OTA expression (VCCS network):";
   List.iter
     (fun epsilon ->

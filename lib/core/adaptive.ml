@@ -80,7 +80,17 @@ type result = {
   diagnosis : diagnosis;
 }
 
+(* Eq. 12 keeps a coefficient that clears 10^(sigma + noise_exponent) of its
+   pass's largest; from sigma = -noise_exponent on, that threshold is the
+   largest coefficient itself, so no pass has headroom to establish
+   anything. *)
+let check_sigma sigma =
+  let top = -Band.noise_exponent - 1 in
+  if sigma < 1 || sigma > top then
+    invalid_arg (Printf.sprintf "sigma: %d is outside 1..%d" sigma top)
+
 let run ?(config = default_config) (ev : Evaluator.t) =
+  check_sigma config.sigma;
   let n = ev.Evaluator.order_bound in
   if n < 0 then invalid_arg "Adaptive.run: negative order bound";
   let gdeg = ev.Evaluator.gdeg in

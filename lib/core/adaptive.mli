@@ -98,8 +98,16 @@ type result = {
           the run converged *)
 }
 
+val check_sigma : int -> unit
+(** Refuses a [sigma] outside [1 .. -Band.noise_exponent - 1], that is
+    1..12: at [sigma = 13] eq. 12's threshold equals the pass's largest
+    coefficient, which leaves no headroom.  Callers that take [sigma] from
+    a user run it before any other work.
+    @raise Invalid_argument with ["sigma: N is outside 1..12"]. *)
+
 val run : ?config:config -> Evaluator.t -> result
-(** @raise Invalid_argument when the evaluator's order bound is negative. *)
+(** @raise Invalid_argument when [config.sigma] fails {!check_sigma} or the
+    evaluator's order bound is negative. *)
 
 val coefficient_ratios : result -> float array
 (** [|p_(i+1) / p_i|] in decades ([log10]) for established consecutive

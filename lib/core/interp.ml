@@ -134,86 +134,68 @@ let run ?(conj_symmetry = true) ?(full_spectrum_idft = false) ?(known = [])
       if Float.is_finite c.Complex.re && Float.is_finite c.Complex.im then `Ok
       else `Nonfinite
   in
-  (* Warm the evaluator's memo for a set of points through one batched
-     replay; the points must be exactly those evaluated next, since the
-     memo key is the point's bits. *)
-  let prefetch points =
-    match ev.Evaluator.prefetch with
-    | None -> ()
-    | Some pf -> pf ~f:scale.Scaling.f ~g:scale.Scaling.g points
+  let eval points = ev.Evaluator.eval ~f:scale.Scaling.f ~g:scale.Scaling.g points in
+  let count_retry = function
+    | `Singular ->
+        incr singular_retries;
+        Obs.incr Obs.guard_singular_retries
+    | `Nonfinite ->
+        incr nonfinite_retries;
+        Obs.incr Obs.guard_nonfinite_retries
   in
-  (* Per-point evaluation: (collected value, pre-deflation magnitude). *)
-  let value_at j =
-    let s0 = Uc.point k j in
-    let eval_at s = ev.Evaluator.eval ~f:scale.Scaling.f ~g:scale.Scaling.g s in
-    let count_retry = function
-      | `Singular ->
-          incr singular_retries;
-          Obs.incr Obs.guard_singular_retries
-      | `Nonfinite ->
-          incr nonfinite_retries;
-          Obs.incr Obs.guard_nonfinite_retries
-    in
-    (* [last] is the best value seen so far: a one-sided perturbed value
-       when only half a pair succeeded, else whatever the failed evaluation
-       returned — a give-up keeps it rather than inventing anything. *)
-    let rec recover last attempt cls =
-      if attempt >= max_point_retries then begin
-        incr retry_giveups;
-        Obs.incr Obs.guard_retry_giveups;
-        last
-      end
-      else begin
-        count_retry cls;
-        let delta = 1e-9 *. (10. ** float_of_int attempt) in
-        let rot = { Complex.re = Float.cos delta; im = Float.sin delta } in
-        let sp = Complex.mul s0 rot and sm = Complex.mul s0 (Complex.conj rot) in
-        (* Both rotated points in one replay; the hook still fires for [sp]
-           (and its fallback) before [sm], as two single evaluations would. *)
-        prefetch [| sp; sm |];
-        let vp = eval_at sp in
-        let vm = eval_at sm in
-        match (classify vp, classify vm) with
-        | `Ok, `Ok ->
-            Ec.mul_complex (Ec.add vp vm) { Complex.re = 0.5; im = 0. }
-        | `Ok, ((`Singular | `Nonfinite) as bad) -> recover vp (attempt + 1) bad
-        | ((`Singular | `Nonfinite) as bad), `Ok -> recover vm (attempt + 1) bad
-        | ((`Singular | `Nonfinite) as bad), _ -> recover last (attempt + 1) bad
-      end
-    in
-    let raw0 = eval_at s0 in
-    let raw =
-      match classify raw0 with
-      | `Ok -> raw0
-      | (`Singular | `Nonfinite) when not ev.Evaluator.guarded ->
-          (* A synthetic polynomial's zero is a true value, never a failed
-             factorisation: collect it as-is. *)
-          raw0
-      | (`Singular | `Nonfinite) as cls -> recover raw0 0 cls
-    in
-    let mag = Ec.norm raw in
-    let deflated =
-      match deflation with
-      | None -> raw
-      | Some poly -> Ec.sub raw (Epoly.eval poly (Ec.of_complex s0))
-    in
-    let v =
-      if base = 0 then deflated
-      else
-        (* Divide by s^base: multiply by the conjugate root w^(-j*base).
-           A recovered value approximates P at the nominal point, so the
-           nominal root is the right divisor. *)
-        Ec.mul_complex deflated (Uc.point k (-j * base))
-    in
-    (v, mag)
+  (* [last] is the best value seen so far: a one-sided perturbed value when
+     only half a pair succeeded, else whatever the failed evaluation
+     returned — a give-up keeps it rather than inventing anything. *)
+  let rec recover s0 last attempt cls =
+    if attempt >= max_point_retries then begin
+      incr retry_giveups;
+      Obs.incr Obs.guard_retry_giveups;
+      last
+    end
+    else begin
+      count_retry cls;
+      let delta = 1e-9 *. (10. ** float_of_int attempt) in
+      let rot = { Complex.re = Float.cos delta; im = Float.sin delta } in
+      let pair = eval [| Complex.mul s0 rot; Complex.mul s0 (Complex.conj rot) |] in
+      let vp = pair.(0) and vm = pair.(1) in
+      match (classify vp, classify vm) with
+      | `Ok, `Ok -> Ec.mul_complex (Ec.add vp vm) { Complex.re = 0.5; im = 0. }
+      | `Ok, ((`Singular | `Nonfinite) as bad) -> recover s0 vp (attempt + 1) bad
+      | ((`Singular | `Nonfinite) as bad), `Ok -> recover s0 vm (attempt + 1) bad
+      | ((`Singular | `Nonfinite) as bad), _ -> recover s0 last (attempt + 1) bad
+    end
   in
-  (* Warm the evaluator's memo for the whole point set through the batched
-     engine before the per-point loop: the exact [Uc.point] values the loop
-     evaluates, so the memo keys match bit-for-bit.  Guard-retry points are
-     perturbed off the circle; each retry pair is prefetched on its own. *)
+  (* One call for the whole point set, then the guard's retries in point
+     order: (collected value, pre-deflation magnitude) per point. *)
   let eval_many count =
-    prefetch (Array.init count (Uc.point k));
-    Array.init count value_at
+    let points = Array.init count (Uc.point k) in
+    Array.mapi
+      (fun j raw0 ->
+        let raw =
+          match classify raw0 with
+          | (`Singular | `Nonfinite) as cls when ev.Evaluator.guarded ->
+              recover points.(j) raw0 0 cls
+          | _ ->
+              (* A synthetic polynomial's zero is a true value, never a
+                 failed factorisation: collect it as-is. *)
+              raw0
+        in
+        let mag = Ec.norm raw in
+        let deflated =
+          match deflation with
+          | None -> raw
+          | Some poly -> Ec.sub raw (Epoly.eval poly (Ec.of_complex points.(j)))
+        in
+        let v =
+          if base = 0 then deflated
+          else
+            (* Divide by s^base: multiply by the conjugate root w^(-j*base).
+               A recovered value approximates P at the nominal point, so the
+               nominal root is the right divisor. *)
+            Ec.mul_complex deflated (Uc.point k (-j * base))
+        in
+        (v, mag))
+      (eval points)
   in
   let collect pairs =
     Array.fold_left

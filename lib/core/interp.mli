@@ -58,8 +58,8 @@ val run :
     full transform of previous releases even under [conj_symmetry] — the
     approximate (rather than exact) cancellation of conjugate pairs leaves
     the imaginary round-off residue that {!Naive.garbage_fraction} reads as
-    its failure signature.  The points are evaluated in index order on the
-    calling domain, after one batched prefetch of the whole set.
+    its failure signature.  The whole point set is one evaluator call on
+    the calling domain.
 
     {b Singular-point recovery.}  When a {e guarded} evaluator (see
     {!Evaluator.t.guarded}) returns an exactly-zero or non-finite value —
@@ -69,8 +69,10 @@ val run :
     the average of [P(s e^{+i delta})] and [P(s e^{-i delta})] cancels the
     rotation's first-order error, leaving an [O(delta^2)] bias far below
     the sigma-digit validity floor of even band-edge coefficients.  Up to
-    3 attempts with [delta = 1e-9 * 10^attempt] radians; a half-successful
-    pair keeps its one good (first-order accurate) value as the fallback.
+    3 attempts with [delta = 1e-9 * 10^attempt] radians, each pair one
+    evaluator call, made after the whole point set, in point order; a
+    half-successful pair keeps its one good (first-order accurate) value as
+    the fallback.
     Retries are counted in the [guard.*] metrics and the result's
     [singular_retries]/[nonfinite_retries]/[retry_giveups] fields; the
     policy is deterministic.

@@ -15,58 +15,32 @@ type t = {
 }
 
 (* The numerator and denominator runs draw from one memoised evaluation per
-   point ([share], default): every (f, g, s) the two adaptive schedules have
-   in common — the entire first pass, whose scale and point set depend only
-   on the problem — costs a single LU factorisation that yields both values.
-   [reuse] (default) additionally enables the symbolic/numeric factorisation
-   split inside {!Symref_mna.Nodal.make}.  Both switches change cost only,
-   never values. *)
-let generate ?(config = Adaptive.default_config) ?(share = true) ?(reuse = true)
-    ?check circuit ~input ~output =
+   point: every (f, g, s) the two adaptive schedules have in common — the
+   entire first pass, whose scale and point set depend only on the problem —
+   costs a single LU factorisation that yields both values.  [reuse]
+   (default) enables the symbolic/numeric factorisation split inside
+   {!Symref_mna.Nodal.make}; it changes cost only, never values. *)
+let generate ?(config = Adaptive.default_config) ?(reuse = true) ?check circuit
+    ~input ~output =
   let problem = Nodal.make ~reuse circuit ~input ~output in
   Tr.span ~cat:"reference"
     ~args:
       [
         ("dim", string_of_int (Nodal.dimension problem));
-        ("share", string_of_bool share);
         ("reuse", string_of_bool reuse);
       ]
     "reference.generate"
   @@ fun () ->
-  let ev_num, ev_den =
-    if share then
-      let s = Evaluator.of_nodal_shared problem in
-      (s.Evaluator.snum, s.Evaluator.sden)
-    else
-      (Evaluator.of_nodal problem ~num:true, Evaluator.of_nodal problem ~num:false)
+  let shared = Evaluator.of_nodal_shared problem in
+  (* Cooperative cancellation: every evaluator call — a pass, a retry pair
+     — first runs the caller's check, which may raise (e.g. a deadline
+     exceeded).  The evaluators are wrapped here rather than hooking
+     Adaptive so the engines stay oblivious to scheduling concerns. *)
+  let chk = Option.value check ~default:ignore in
+  let guard (ev : Evaluator.t) =
+    { ev with Evaluator.eval = (fun ~f ~g points -> chk (); ev.Evaluator.eval ~f ~g points) }
   in
-  (* Cooperative cancellation: every evaluation — the unit of cost — first
-     runs the caller's check, which may raise (e.g. a deadline exceeded).
-     The evaluators are wrapped here rather than hooking Adaptive so the
-     engines stay oblivious to scheduling concerns.  The prefetch hook is
-     wrapped too: a whole-pass warm-up is many evaluations' worth of work,
-     so it must observe cancellation at least once. *)
-  let ev_num, ev_den =
-    match check with
-    | None -> (ev_num, ev_den)
-    | Some chk ->
-        let wrap (ev : Evaluator.t) =
-          {
-            ev with
-            Evaluator.eval =
-              (fun ~f ~g s ->
-                chk ();
-                ev.Evaluator.eval ~f ~g s);
-            Evaluator.prefetch =
-              Option.map
-                (fun pf ~f ~g points ->
-                  chk ();
-                  pf ~f ~g points)
-                ev.Evaluator.prefetch;
-          }
-        in
-        (wrap ev_num, wrap ev_den)
-  in
+  let ev_num = guard shared.Evaluator.snum and ev_den = guard shared.Evaluator.sden in
   let num = Tr.span ~cat:"reference" "reference.num" (fun () -> Adaptive.run ~config ev_num) in
   let den = Tr.span ~cat:"reference" "reference.den" (fun () -> Adaptive.run ~config ev_den) in
   { num; den; input; output; config; problem }

@@ -19,27 +19,29 @@ type t = {
 
 val generate :
   ?config:Adaptive.config ->
-  ?share:bool ->
   ?reuse:bool ->
   ?check:(unit -> unit) ->
   Symref_circuit.Netlist.t ->
   input:Symref_mna.Nodal.input ->
   output:Symref_mna.Nodal.output ->
   t
-(** Runs the adaptive algorithm on the numerator and the denominator.
-    [share] (default [true]) lets the two runs draw from one memoised
-    evaluation per point — one factorisation yields both values (eq. 8-10);
-    [reuse] (default [true]) enables the symbolic/numeric factorisation
-    split per scale pair (see {!Symref_mna.Nodal.make}).  Both are pure
-    cost switches: the returned coefficients are identical either way.
-    With [share], each interpolation pass is prefetched through the
-    batched engine — one elimination-program replay per pass
+(** Runs the adaptive algorithm on the numerator and the denominator.  The
+    two runs draw from one {!Evaluator.of_nodal_shared} table — one
+    factorisation yields both values (eq. 8-10) — and each interpolation
+    pass is one batched elimination-program replay
     ({!Symref_mna.Nodal.eval_batch}).
+    [reuse] (default [true]) enables the symbolic/numeric factorisation
+    split per scale pair (see {!Symref_mna.Nodal.make}); it is a pure cost
+    switch: the returned coefficients agree to far more than [sigma]
+    digits either way.
     [check] is a cooperative-cancellation hook run before {e every}
-    evaluation (one LU decomposition each): raising from it aborts the
-    generation with that exception — {!Symref_serve} uses it to enforce
-    per-job wall-clock deadlines without killing the worker.  When [check]
-    never raises the result is unchanged.
+    evaluator call — an interpolation pass or a guard-retry pair, one LU
+    decomposition per point: raising from it aborts the generation with
+    that exception — {!Symref_serve} uses it to enforce per-job wall-clock
+    deadlines without killing the worker, which then stops within one
+    pass.  When [check] never raises the result is unchanged.
+    @raise Invalid_argument when [config.sigma] fails
+    {!Adaptive.check_sigma}.
     @raise Symref_mna.Nodal.Unsupported outside the nodal class. *)
 
 val numerator : t -> Symref_poly.Epoly.t

@@ -22,6 +22,6 @@ val check :
 (** [check ev result] probes each productive band of [result] at off-circle
     points with that band's scale factors.  [tolerance] defaults to [1e-4]
     (the residual bound for sigma = 6 coefficients with band-edge error).
-    The evaluator must be the same network the result came from.  When it
-    has a [prefetch] hook, each band's probe points are prefetched as one
-    batch before they are probed. *)
+    The evaluator must be the same network the result came from.  Each
+    band's probe set is one evaluator call.  A check that ran no probes
+    (no productive band) does not pass. *)

@@ -400,6 +400,9 @@ let run_job t ?deadline (job : Protocol.job) =
     Protocol.error ~id ~kind message
   in
   try
+    (* Before any work: a refused sigma reads no netlist and caches
+       nothing. *)
+    Adaptive.check_sigma job.Protocol.sigma;
     check ();
     let source =
       match job.Protocol.netlist with

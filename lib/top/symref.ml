@@ -26,7 +26,7 @@
     {!Ascii_plot}.
 
     {2 Symbolic analysis}
-    {!Sym}, {!Sdet}, {!Sdg}, {!Sbg}, {!Sag}, {!Tree_terms}, {!Nested}.
+    {!Sym}, {!Sdet}, {!Sdg}, {!Sbg}, {!Sag}, {!Nested}.
 
     {2 Simplification}
     {!Simplify_budget}, {!Simplify_certificate}, {!Simplify_pipeline} — the
@@ -117,7 +117,6 @@ module Sdet = Symref_symbolic.Sdet
 module Sdg = Symref_symbolic.Sdg
 module Sbg = Symref_symbolic.Sbg
 module Sag = Symref_symbolic.Sag
-module Tree_terms = Symref_symbolic.Tree_terms
 module Nested = Symref_symbolic.Nested
 
 (* simplification *)

@@ -198,9 +198,10 @@ let noisy_evaluator (ev : Evaluator.t) =
   {
     ev with
     Evaluator.eval =
-      (fun ~f ~g s ->
-        let v = ev.Evaluator.eval ~f ~g s in
-        Ec.mul_complex v { Complex.re = 1. +. noise (); im = noise () });
+      (fun ~f ~g points ->
+        Array.map
+          (fun v -> Ec.mul_complex v { Complex.re = 1. +. noise (); im = noise () })
+          (ev.Evaluator.eval ~f ~g points));
   }
 
 let test_adaptive_with_noise () =
@@ -546,30 +547,81 @@ let test_ua741_reference () =
     (gain_db > 80. && gain_db < 140.)
 
 let test_share_reuse_invariance () =
-  (* The pipeline switches are pure cost controls.  Sharing the num/den
-     evaluation memoises identical computations, so coefficients match bit
-     for bit; pattern reuse changes the pivot order round-off, so it matches
-     to far better than the sigma = 6 digits the algorithm certifies. *)
-  let gen ~share ~reuse =
-    Reference.generate ~share ~reuse Ota.circuit
+  (* Pattern reuse is a pure cost control: it changes the pivot order's
+     round-off, so the coefficients match the from-scratch path to far
+     better than the sigma = 6 digits the algorithm certifies. *)
+  let gen ~reuse =
+    Reference.generate ~reuse Ota.circuit
       ~input:(Nodal.V_diff (Ota.input_p, Ota.input_n))
       ~output:(Nodal.Out_node Ota.output)
   in
-  let base = gen ~share:false ~reuse:true in
-  let shared = gen ~share:true ~reuse:true in
-  Alcotest.(check bool) "share: num bit-identical" true
-    (base.Reference.num.Adaptive.coeffs = shared.Reference.num.Adaptive.coeffs);
-  Alcotest.(check bool) "share: den bit-identical" true
-    (base.Reference.den.Adaptive.coeffs = shared.Reference.den.Adaptive.coeffs);
-  let seed = gen ~share:false ~reuse:false in
+  let seed = gen ~reuse:false and pipeline = gen ~reuse:true in
   List.iter
     (fun (label, a, b) ->
       Alcotest.(check bool) (label ^ " matches seed path") true
         (Epoly.approx_equal ~rel:1e-5 a b))
     [
-      ("num", Reference.numerator seed, Reference.numerator shared);
-      ("den", Reference.denominator seed, Reference.denominator shared);
+      ("num", Reference.numerator seed, Reference.numerator pipeline);
+      ("den", Reference.denominator seed, Reference.denominator pipeline);
     ]
+
+(* The shared table hands back [Nodal.eval]'s value at every point, bit for
+   bit, whether the point was factorised in this call or an earlier one,
+   and a NaN-poisoned lane inside a larger batch never reaches the table. *)
+let test_shared_table_bits () =
+  let module Ua741 = Symref_circuit.Ua741 in
+  let module Uc = Symref_dft.Unit_circle in
+  let module Inject = Symref_fault.Inject in
+  let problem =
+    Nodal.make Ua741.circuit
+      ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
+      ~output:(Nodal.Out_node Ua741.output)
+  in
+  let bits (v : Ec.t) =
+    (v.Ec.e, Int64.bits_of_float v.Ec.c.Complex.re, Int64.bits_of_float v.Ec.c.Complex.im)
+  in
+  let sh = Evaluator.of_nodal_shared problem in
+  let { Scaling.f; g } = Scaling.initial sh.Evaluator.sden in
+  let k = sh.Evaluator.sden.Evaluator.order_bound + 1 in
+  let first = Array.init ((k / 2) + 1) (Uc.point k) in
+  let n = Array.length first in
+  let check ?(skip = -1) label (ev : Evaluator.t) points values =
+    Array.iteri
+      (fun i s ->
+        let v = Nodal.eval ~f ~g problem s in
+        let want = if ev.Evaluator.name = "num" then v.Nodal.num else v.Nodal.den in
+        if i <> skip then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: point %d carries Nodal.eval's bits" label i)
+            true
+            (bits values.(i) = bits want))
+      points
+  in
+  let call label (sh : Evaluator.shared) ev points ~misses =
+    check label ev points (ev.Evaluator.eval ~f ~g points);
+    Alcotest.(check int) (label ^ ": factorisations") misses
+      (sh.Evaluator.factorizations ())
+  in
+  call "first pass" sh sh.Evaluator.sden first ~misses:n;
+  call "same call, other side" sh sh.Evaluator.snum first ~misses:n;
+  (* Odd points of the 2k-circle lie between the first pass's points. *)
+  let fresh j = Uc.point (2 * k) ((2 * j) + 1) in
+  call "mixed call" sh sh.Evaluator.sden ~misses:(n + 4)
+    [| first.(0); fresh 0; first.(1); fresh 1; fresh 2; first.(2); fresh 3 |];
+  (* A NaN lane in a batch: the poisoned point comes back as a singular
+     zero, its neighbours keep their bits, and the table stays clean. *)
+  let sh = Evaluator.of_nodal_shared problem in
+  let poisoned =
+    Fun.protect ~finally:Inject.disable (fun () ->
+        Inject.enable ();
+        Inject.arm Inject.eval_nan (Inject.Times { skip = 3; count = 1 });
+        sh.Evaluator.sden.Evaluator.eval ~f ~g first)
+  in
+  Alcotest.(check bool) "poisoned point 3 is zero" true (Ec.is_zero poisoned.(3));
+  check ~skip:3 "armed call" sh.Evaluator.sden first poisoned;
+  call "unarmed repeat" sh sh.Evaluator.sden first ~misses:(n + 1);
+  Alcotest.(check int) "every point served from the table" (2 * n)
+    (sh.Evaluator.hits ())
 
 let suite =
   [
@@ -631,5 +683,7 @@ let suite =
       [
         Alcotest.test_case "share/reuse invariance" `Quick
           test_share_reuse_invariance;
+        Alcotest.test_case "shared table returns Nodal.eval's bits" `Quick
+          test_shared_table_bits;
       ] );
   ]

@@ -1,10 +1,10 @@
 (* Symref_obs: counters, tracing and snapshots.
 
    The counter assertions pin the pipeline's cost model on the paper's
-   uA741 workload: 87 evaluator calls backed by 63 factorisations.  With
-   batched prefetching (the default) every pass's points are factorised
-   up front — 63 memo misses recorded by the prefetch — so all 87 eval
-   calls are then served from the table. *)
+   uA741 workload: 87 evaluator calls backed by 63 factorisations.  Each
+   call factorises the points the shared table lacks in one batch — 63
+   memo misses in all — and then serves every point from the table, so
+   all 87 calls are memo hits. *)
 
 module Metrics = Symref_obs.Metrics
 module Trace = Symref_obs.Trace
@@ -51,9 +51,8 @@ let test_ua741_counters () =
   let v = Snapshot.value s in
   Alcotest.(check int) "evaluator calls" 87 (v Metrics.evaluator_calls);
   Alcotest.(check int) "factorisations (memo misses)" 63 (v Metrics.memo_misses);
-  (* Batched prefetch seeds the memo before the per-point loop, so every
-     eval call hits (per-point mode would record 24 hits + 63 miss-calls —
-     same 63 factorisations, same values, different split). *)
+  (* Every point is served from the table once its call's batch has
+     factorised the points the table lacked. *)
   Alcotest.(check int) "memo hits = calls" (v Metrics.evaluator_calls)
     (v Metrics.memo_hits);
   Alcotest.(check int) "replays + fallbacks = memo misses" (v Metrics.memo_misses)

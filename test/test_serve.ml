@@ -347,6 +347,26 @@ let test_service_error_isolation () =
     (ok.Protocol.status = Protocol.Ok);
   Service.shutdown s
 
+let test_service_sigma_refused () =
+  (* Eq. 12 supports sigma 1..12: outside it the job is refused before any
+     work, and a refusal is never cached. *)
+  let s = Service.create () in
+  let text = read_file (netlist "rc_filter.cir") in
+  List.iter
+    (fun sigma ->
+      let job = { (reference_job text) with Protocol.sigma } in
+      List.iter
+        (fun attempt ->
+          let r = Service.run_job s job in
+          let what = Printf.sprintf "sigma %d, %s" sigma attempt in
+          Alcotest.(check (option string)) (what ^ ": kind") (Some "invalid")
+            (Protocol.error_kind r);
+          Alcotest.(check bool) (what ^ ": not cached") false r.Protocol.cached)
+        [ "first"; "repeat" ])
+    [ 0; 16 ];
+  Alcotest.(check int) "nothing cached" 0 (Cache.entries (Service.cache s));
+  Service.shutdown s
+
 (* --- batch --- *)
 
 let test_batch_examples_vs_single_shot () =
@@ -1888,5 +1908,7 @@ let suite =
           `Quick test_service_queued_deadline;
         Alcotest.test_case "scheduler: workers bounded to 1..64" `Quick
           test_scheduler_workers_bound;
+        Alcotest.test_case "service: sigma outside 1..12 refused" `Quick
+          test_service_sigma_refused;
       ] );
   ]

@@ -88,6 +88,33 @@ let test_ua741_corruption_detected () =
        target report.Verify.max_relative_residual)
     false report.Verify.passed
 
+let test_no_probes_fail () =
+  (* A result with no productive band gives Verify nothing to probe: a
+     check that ran no probes has shown nothing and must not pass. *)
+  let ev =
+    den_evaluator (Ladder.circuit 4) (Nodal.Vsrc_element "vin")
+      (Nodal.Out_node Ladder.output_node)
+  in
+  let n = ev.Evaluator.order_bound in
+  let barren =
+    {
+      Adaptive.coeffs = Array.make (n + 1) Ef.zero;
+      established = Array.make (n + 1) false;
+      owners = Array.make (n + 1) 0;
+      gdeg = ev.Evaluator.gdeg;
+      effective_order = 0;
+      reports = [];
+      passes = 0;
+      evaluations = 0;
+      max_overlap_mismatch = 0.;
+      converged = true;
+      diagnosis = Adaptive.clean_diagnosis;
+    }
+  in
+  let report = Verify.check ev barren in
+  Alcotest.(check int) "no probes" 0 report.Verify.probes;
+  Alcotest.(check bool) "not passed" false report.Verify.passed
+
 let suite =
   [
     ( "verify",
@@ -97,5 +124,6 @@ let suite =
           test_corrupted_references_fail;
         Alcotest.test_case "ua741: one corrupted coefficient detected" `Quick
           test_ua741_corruption_detected;
+        Alcotest.test_case "no probes, no pass" `Quick test_no_probes_fail;
       ] );
   ]
