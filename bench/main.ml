@@ -220,7 +220,7 @@ let x2 () =
        evaluator, at equal coefficients,
      - a Symref_obs counter snapshot of one pipeline run, and the measured
        overhead of enabling counters / tracing, median-of-5 per mode
-       (schema v10, documented in doc/pipeline.mld).  *)
+       (schema v11, documented in doc/pipeline.mld).  *)
 
 module Random_net = Symref_circuit.Random_net
 module Uc = Symref_dft.Unit_circle
@@ -358,290 +358,6 @@ let run_serve ~smoke =
     report.Symref_serve.Batch.failed hits misses
     (float_of_int hits /. float_of_int jobs)
 
-(* --- serve-load benchmark: fleet of worker processes vs a single daemon ----
-
-   The multi-process answer to the systhread ceiling: every worker is a real
-   `serve-worker` child (a re-exec of this executable) with its own runtime,
-   listening on an ephemeral TCP port it announces on stdout.  Clients place
-   jobs with the consistent-hash ring (`Symref_serve.Router` as a library —
-   the same placement `symref router` computes) and speak raw prebuilt
-   NDJSON over persistent connections, so the generator stays cheap and the
-   worker daemons are the measured bottleneck.  The workload is a
-   duplicate-heavy zipf-skewed draw over K distinct netlists: after one
-   warm-up submission per key everything is answered from the workers'
-   result caches, which is the operating point the fleet exists for.
-   Reported as the "serve_load" section of BENCH_interp.json (schema v6) and
-   runnable standalone as `main.exe serve-load`. *)
-
-module Sproto = Symref_serve.Protocol
-module Stransport = Symref_serve.Transport
-module Srouter = Symref_serve.Router
-
-(* K distinct single-pole-per-section RC ladders: same topology and cost,
-   different element values, so every key is a distinct cache entry of equal
-   compute weight. *)
-let key_netlist i =
-  let sections = 8 in
-  let b = Buffer.create 256 in
-  Printf.bprintf b "loadkey%02d\n" i;
-  Printf.bprintf b "v1 in 0 ac 1\n";
-  for s = 1 to sections do
-    let prev = if s = 1 then "in" else Printf.sprintf "n%d" (s - 1) in
-    let node = if s = sections then "out" else Printf.sprintf "n%d" s in
-    Printf.bprintf b "r%d %s %s %.3fk\n" s prev node
-      (1. +. (0.01 *. float_of_int i));
-    Printf.bprintf b "c%d %s 0 1n\n" s node
-  done;
-  Buffer.add_string b ".end\n";
-  Buffer.contents b
-
-let spawn_worker () =
-  let r, w = Unix.pipe () in
-  let pid =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; "serve-worker"; "127.0.0.1:0" |]
-      Unix.stdin w Unix.stderr
-  in
-  Unix.close w;
-  let ic = Unix.in_channel_of_descr r in
-  let addr = Stransport.parse (input_line ic) in
-  close_in ic;
-  (pid, addr)
-
-let stop_worker (pid, addr) =
-  (try
-     let fd = Stransport.connect addr in
-     let ic = Unix.in_channel_of_descr fd
-     and oc = Unix.out_channel_of_descr fd in
-     ignore (input_line ic);
-     output_string oc
-       (Json.to_string (Sproto.request_to_json Sproto.Shutdown) ^ "\n");
-     flush oc;
-     (try ignore (input_line ic) with End_of_file -> ());
-     Unix.close fd
-   with Unix.Unix_error _ | Sys_error _ | End_of_file ->
-     (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()));
-  ignore (Unix.waitpid [] pid)
-
-(* Deterministic splitmix-style mixer: the load is reproducible, and every
-   client thread draws an independent stream from its own seed. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xff51afd7ed558ccdL in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
-  logxor z (shift_right_logical z 33)
-
-(* Zipf-ish skew: key i drawn with weight 1/(i+1) — a few hot keys, a long
-   warm tail, the shape a shared reference service actually sees. *)
-let skew_table k =
-  let w = Array.init k (fun i -> 1. /. float_of_int (i + 1)) in
-  let total = Array.fold_left ( +. ) 0. w in
-  let acc = ref 0. in
-  Array.map
-    (fun x ->
-      acc := !acc +. (x /. total);
-      !acc)
-    w
-
-let pick_key table u =
-  let n = Array.length table in
-  let rec go i = if i >= n - 1 || u < table.(i) then i else go (i + 1) in
-  go 0
-
-type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
-
-let open_conn addr =
-  let fd = Stransport.connect addr in
-  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-  ignore (input_line ic);
-  (* banner *)
-  { fd; ic; oc }
-
-let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let exchange c line =
-  output_string c.oc line;
-  flush c.oc;
-  input_line c.ic
-
-let reply_ok line =
-  let needle = "\"status\":\"ok\"" in
-  let n = String.length needle and l = String.length line in
-  let rec at i j = j = n || (line.[i + j] = needle.[j] && at i (j + 1)) in
-  let rec go i = i + n <= l && (at i 0 || go (i + 1)) in
-  go 0
-
-type load_result = {
-  lr_workers : int;
-  lr_jobs : int;
-  lr_errors : int;
-  lr_jobs_per_s : float;
-  lr_p50_ms : float;
-  lr_p99_ms : float;
-}
-
-(* The job set is rebuilt identically by the parent (for warm-up) and by
-   every client child (for load): same keys, same prebuilt request lines,
-   same ring placement. *)
-let load_jobs ~keys addrs =
-  let ring = Srouter.create addrs in
-  let jobs =
-    Array.init keys (fun i ->
-        {
-          Sproto.default_job with
-          Sproto.netlist = `Text (key_netlist i);
-          id = Some (Printf.sprintf "k%02d" i);
-        })
-  in
-  let lines =
-    Array.map
-      (fun j -> Json.to_string (Sproto.request_to_json (Sproto.Submit j)) ^ "\n")
-      jobs
-  in
-  let owner =
-    Array.map (fun j -> List.hd (Srouter.route ring (Srouter.job_key j))) jobs
-  in
-  (lines, owner)
-
-(* One load-generating child process (`serve-load-client`): a closed loop on
-   its own runtime, so N clients really offer N concurrent jobs instead of
-   serialising on a shared runtime lock.  Prints "njobs nerr" and then one
-   latency (ms) per line on stdout for the parent to aggregate. *)
-let run_load_client ~seed ~duration ~keys ~addrs =
-  let lines, owner = load_jobs ~keys addrs in
-  let table = skew_table keys in
-  let conns = Array.map open_conn (Array.of_list addrs) in
-  let lat = ref [] and njobs = ref 0 and nerr = ref 0 in
-  let counter = ref 0 in
-  let t_end = wall () +. duration in
-  (try
-     while wall () < t_end do
-       let h = mix64 (Int64.of_int (((seed + 1) * 1_000_003) + !counter)) in
-       incr counter;
-       let u = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53 in
-       let k = pick_key table u in
-       let t0 = wall () in
-       let reply = exchange conns.(owner.(k)) lines.(k) in
-       let t1 = wall () in
-       incr njobs;
-       if not (reply_ok reply) then incr nerr;
-       lat := (t1 -. t0) *. 1000. :: !lat
-     done
-   with End_of_file | Sys_error _ | Unix.Unix_error _ -> incr nerr);
-  Array.iter close_conn conns;
-  Printf.printf "%d %d\n" !njobs !nerr;
-  List.iter (fun l -> Printf.printf "%.5f\n" l) (List.rev !lat)
-
-let run_load ~workers:nworkers ~clients ~duration ~keys =
-  let fleet = Array.init nworkers (fun _ -> spawn_worker ()) in
-  let addrs = Array.to_list (Array.map snd fleet) in
-  let addr_spec = String.concat "," (List.map Stransport.to_string addrs) in
-  (* Warm-up: compute each key once on its owner so the timed window
-     measures the duplicate-heavy steady state, not the first touches. *)
-  let lines, owner = load_jobs ~keys addrs in
-  let warm = Array.map open_conn (Array.of_list addrs) in
-  Array.iteri (fun i line -> ignore (exchange warm.(owner.(i)) line)) lines;
-  Array.iter close_conn warm;
-  let spawn_client i =
-    let r, w = Unix.pipe () in
-    let pid =
-      Unix.create_process Sys.executable_name
-        [|
-          Sys.executable_name;
-          "serve-load-client";
-          string_of_int i;
-          Printf.sprintf "%.3f" duration;
-          string_of_int keys;
-          addr_spec;
-        |]
-        Unix.stdin w Unix.stderr
-    in
-    Unix.close w;
-    (pid, Unix.in_channel_of_descr r)
-  in
-  let kids = Array.init clients spawn_client in
-  let per =
-    Array.map
-      (fun (pid, ic) ->
-        let njobs, nerr =
-          match String.split_on_char ' ' (input_line ic) with
-          | [ a; b ] -> (int_of_string a, int_of_string b)
-          | _ -> failwith "serve-load-client: malformed summary line"
-        in
-        let lats = ref [] in
-        (try
-           while true do
-             lats := float_of_string (input_line ic) :: !lats
-           done
-         with End_of_file -> ());
-        close_in ic;
-        ignore (Unix.waitpid [] pid);
-        (njobs, nerr, Array.of_list !lats))
-      kids
-  in
-  Array.iter stop_worker fleet;
-  let total_jobs = Array.fold_left (fun a (j, _, _) -> a + j) 0 per in
-  let total_err = Array.fold_left (fun a (_, e, _) -> a + e) 0 per in
-  let lats =
-    Array.concat (Array.to_list (Array.map (fun (_, _, l) -> l) per))
-  in
-  Array.sort compare lats;
-  let pct p =
-    let n = Array.length lats in
-    if n = 0 then Float.nan
-    else lats.(Int.min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  {
-    lr_workers = nworkers;
-    lr_jobs = total_jobs;
-    lr_errors = total_err;
-    (* Each child measures its own [duration] window; the windows overlap,
-       so the fleet rate is the sum of the per-child rates. *)
-    lr_jobs_per_s = float_of_int total_jobs /. duration;
-    lr_p50_ms = pct 0.50;
-    lr_p99_ms = pct 0.99;
-  }
-
-let run_serve_load ~smoke =
-  section
-    (if smoke then "SERVE-LOAD-SMOKE" else "SERVE-LOAD")
-    "fleet load: worker processes + consistent-hash routing vs one daemon";
-  let clients = if smoke then 2 else 8 in
-  let duration = if smoke then 0.3 else 2.5 in
-  let keys = if smoke then 6 else 16 in
-  let fleet_n = if smoke then 2 else 4 in
-  let baseline = run_load ~workers:1 ~clients ~duration ~keys in
-  let fleet = run_load ~workers:fleet_n ~clients ~duration ~keys in
-  let speedup = fleet.lr_jobs_per_s /. baseline.lr_jobs_per_s in
-  (* Workers and clients are all real processes: the speedup is bounded by
-     the cores the machine actually has, so record them next to it. *)
-  let cores = Domain.recommended_domain_count () in
-  let show tag r =
-    Printf.printf
-      "%-8s %d workers: %6d jobs in %.1f s -> %8.0f jobs/s  p50 %6.2f ms  \
-       p99 %6.2f ms  errors %d\n"
-      tag r.lr_workers r.lr_jobs duration r.lr_jobs_per_s r.lr_p50_ms
-      r.lr_p99_ms r.lr_errors
-  in
-  show "baseline" baseline;
-  show "fleet" fleet;
-  Printf.printf "fleet speedup: %.2fx (on %d core%s)\n" speedup cores
-    (if cores = 1 then "" else "s");
-  let entry r =
-    Printf.sprintf
-      "{ \"workers\": %d, \"jobs\": %d, \"jobs_per_s\": %.1f, \"p50_ms\": \
-       %.3f, \"p99_ms\": %.3f, \"errors\": %d }"
-      r.lr_workers r.lr_jobs r.lr_jobs_per_s r.lr_p50_ms r.lr_p99_ms
-      r.lr_errors
-  in
-  Printf.sprintf
-    "  \"serve_load\": { \"clients\": %d, \"duration_s\": %.2f, \"keys\": %d, \
-     \"skew\": \"zipf\", \"cores\": %d,\n\
-    \    \"baseline\": %s,\n\
-    \    \"fleet\": %s,\n\
-    \    \"speedup\": %.3f },\n"
-    clients duration keys cores (entry baseline) (entry fleet) speedup
-
 (* --- fleet-chaos benchmark: resilience under crash-loop + tarpit ------------
 
    The acceptance rung for the resilience layer: a three-worker fleet on
@@ -659,38 +375,55 @@ let run_serve_load ~smoke =
    "fleet_chaos" section of BENCH_interp.json (schema v8) and runnable
    standalone as `main.exe fleet-chaos`. *)
 
+module Sproto = Symref_serve.Protocol
+module Stransport = Symref_serve.Transport
+module Srouter = Symref_serve.Router
+module Sclient = Symref_serve.Client
 module Ssup = Symref_serve.Supervisor
+
+(* Distinct eight-section RC ladders: same topology and cost, different
+   element values, so every key is a distinct cache entry of equal compute
+   weight. *)
+let key_netlist i =
+  let sections = 8 in
+  let b = Buffer.create 256 in
+  Printf.bprintf b "loadkey%02d\n" i;
+  Printf.bprintf b "v1 in 0 ac 1\n";
+  for s = 1 to sections do
+    let prev = if s = 1 then "in" else Printf.sprintf "n%d" (s - 1) in
+    let node = if s = sections then "out" else Printf.sprintf "n%d" s in
+    Printf.bprintf b "r%d %s %s %.3fk\n" s prev node
+      (1. +. (0.01 *. float_of_int i));
+    Printf.bprintf b "c%d %s 0 1n\n" s node
+  done;
+  Buffer.add_string b ".end\n";
+  Buffer.contents b
 
 let chaos_sleepf s =
   try Unix.sleepf s with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 (* Spawn one fleet worker on a fixed Unix socket with a small admission
-   window and an optional fault plan in its environment; stdout (the
-   address announce) goes to /dev/null — the socket path is already
-   known, and a restarted worker must not scribble on the bench output. *)
+   window and an optional fault plan in its environment. *)
 let spawn_chaos_worker ~sock ~fault =
   let keep s = not (String.length s >= 12 && String.sub s 0 12 = "SYMREF_FAULT") in
   let env =
     List.filter keep (Array.to_list (Unix.environment ()))
     @ (match fault with None -> [] | Some f -> [ "SYMREF_FAULT=" ^ f ])
   in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process_env Sys.executable_name
-      [| Sys.executable_name; "serve-worker"; sock; "1"; "0" |]
-      (Array.of_list env) Unix.stdin null Unix.stderr
-  in
-  Unix.close null;
-  pid
+  Unix.create_process_env Sys.executable_name
+    [| Sys.executable_name; "serve-worker"; sock; "1"; "0" |]
+    (Array.of_list env) Unix.stdin Unix.stdout Unix.stderr
 
+(* A worker is ready once a connection gets its banner. *)
 let chaos_wait_ready ?(timeout_s = 10.) addr =
   let deadline = wall () +. timeout_s in
   let rec go () =
-    match open_conn addr with
+    match Sclient.connect ~addr with
     | c ->
-        close_conn c;
+        Sclient.close c;
         true
-    | exception (Unix.Unix_error _ | Sys_error _ | End_of_file) ->
+    | exception
+        (Unix.Unix_error _ | Sys_error _ | Symref_serve.Errors.Error _) ->
         if wall () >= deadline then false
         else begin
           chaos_sleepf 0.02;
@@ -699,18 +432,13 @@ let chaos_wait_ready ?(timeout_s = 10.) addr =
   in
   go ()
 
-let chaos_exchange_reply addr request =
-  let c = open_conn addr in
-  let line =
-    exchange c (Json.to_string (Sproto.request_to_json request) ^ "\n")
-  in
-  close_conn c;
-  Sproto.reply_of_json (Json.parse line)
+let chaos_request addr request =
+  Sclient.with_connection ~addr (fun c -> Sclient.request c request)
 
 (* A worker-side counter, read back over the Stats op (the service embeds
    the full metrics snapshot in its stats body). *)
 let chaos_worker_counter addr name =
-  match chaos_exchange_reply addr Sproto.Stats with
+  match chaos_request addr Sproto.Stats with
   | reply -> (
       match Json.member "counters" reply.Sproto.body with
       | Some c -> (
@@ -754,19 +482,20 @@ let run_fleet_chaos ~smoke =
     grow base_keys
   in
   let jobs = Array.init keys job_of_key in
-  (* Healthy baseline payloads, from a pristine single worker. *)
+  (* Healthy baseline payloads, from a pristine in-process service: a
+     worker's payload crosses the wire byte for byte. *)
   let baseline =
-    let pid, addr = spawn_worker () in
+    let svc = Symref_serve.Service.create () in
     let payloads =
       Array.map
         (fun j ->
-          let reply = chaos_exchange_reply addr (Sproto.Submit j) in
+          let reply = Symref_serve.Service.run_job svc j in
           if reply.Sproto.status <> Sproto.Ok then
-            failwith "fleet-chaos: baseline worker failed a job";
+            failwith "fleet-chaos: baseline service failed a job";
           Json.to_string reply.Sproto.body)
         jobs
     in
-    stop_worker (pid, addr);
+    Symref_serve.Service.shutdown svc;
     payloads
   in
   (* The chaotic fleet: worker 0 healthy, worker 1 crash-looping, worker 2
@@ -862,8 +591,7 @@ let run_fleet_chaos ~smoke =
         id = Some (Printf.sprintf "shedprobe%d" i);
       }
     in
-    try ignore (chaos_exchange_reply slow_addr (Sproto.Submit job))
-    with _ -> ()
+    try ignore (chaos_request slow_addr (Sproto.Submit job)) with _ -> ()
   in
   let probes = List.init 2 (fun i -> Thread.create probe i) in
   List.iter Thread.join probes;
@@ -880,7 +608,7 @@ let run_fleet_chaos ~smoke =
   let counter = Snapshot.value (Snapshot.capture ()) in
   Ssup.stop ~grace_s:2.0
     ~notify:(fun ~slot ~pid:_ ->
-      try ignore (chaos_exchange_reply (Stransport.parse (sock slot)) Sproto.Shutdown)
+      try ignore (chaos_request (Stransport.parse (sock slot)) Sproto.Shutdown)
       with _ -> ())
     sup;
   Thread.join monitor;
@@ -1005,7 +733,7 @@ let run_json ~smoke =
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   section (if smoke then "SMOKE" else "JSON")
     "pipeline benchmark: full-factor vs batched replay, shared num/den";
-  out "{\n  \"schema\": \"symref/bench-interp/v10\",\n";
+  out "{\n  \"schema\": \"symref/bench-interp/v11\",\n";
   out "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full");
   out "  \"circuits\": [\n";
   let ncirc = List.length (json_circuits ~smoke) in
@@ -1174,7 +902,6 @@ let run_json ~smoke =
     shared_target.jname (t_off *. 1000.) (t_stats *. 1000.) (t_trace *. 1000.)
     (pct t_stats) (pct t_trace);
   out "%s" (run_simplify ~smoke);
-  out "%s" (run_serve_load ~smoke);
   out "%s" (run_fleet_chaos ~smoke);
   out "%s" (run_serve ~smoke);
   out "}\n";
@@ -1329,54 +1056,25 @@ let () =
   | "all" ->
       run_tables ();
       run_timing ()
-  | "serve-load" -> print_string (run_serve_load ~smoke:false)
-  | "serve-load-smoke" -> print_string (run_serve_load ~smoke:true)
   | "fleet-chaos" -> print_string (run_fleet_chaos ~smoke:false)
   | "fleet-chaos-smoke" -> print_string (run_fleet_chaos ~smoke:true)
-  | "serve-load-client" ->
-      let seed = int_of_string Sys.argv.(2) in
-      let duration = float_of_string Sys.argv.(3) in
-      let keys = int_of_string Sys.argv.(4) in
-      let addrs =
-        List.map Symref_serve.Transport.parse
-          (String.split_on_char ',' Sys.argv.(5))
-      in
-      run_load_client ~seed ~duration ~keys ~addrs
   | "serve-worker" ->
-      (* Fleet worker for the serve-load and fleet-chaos benches: bind
-         (ephemeral TCP by default), announce the resolved address on
-         stdout, then serve until a shutdown request.  Counters are live —
-         the chaos bench reads worker-side shed counts back over Stats —
-         and fault plans come from SYMREF_FAULT, so a supervisor restart
-         re-arms the same deterministic plan in the fresh process. *)
-      let spec =
-        if Array.length Sys.argv > 2 then Sys.argv.(2) else "127.0.0.1:0"
-      in
-      let default = Symref_serve.Service.default_config in
-      let workers =
-        if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3)
-        else default.Symref_serve.Service.workers
-      in
-      let queue =
-        if Array.length Sys.argv > 4 then int_of_string Sys.argv.(4)
-        else default.Symref_serve.Service.queue
-      in
+      (* `serve-worker SOCKET WORKERS QUEUE`: a fleet-chaos worker, serving
+         until a shutdown request.  Counters are live — the chaos bench
+         reads worker-side shed counts back over Stats — and fault plans
+         come from SYMREF_FAULT, so a supervisor restart re-arms the same
+         deterministic plan in the fresh process. *)
+      let workers = int_of_string Sys.argv.(3) in
+      let queue = int_of_string Sys.argv.(4) in
       Obs.enable ();
       Symref_fault.Inject.arm_from_env ();
-      let daemon =
-        Symref_serve.Daemon.create
-          ~config:{ default with Symref_serve.Service.workers; queue }
-          ~listen:[ Symref_serve.Transport.parse spec ]
-          ()
-      in
-      List.iter
-        (fun a -> print_endline (Symref_serve.Transport.to_string a))
-        (Symref_serve.Daemon.addresses daemon);
-      flush stdout;
-      Symref_serve.Daemon.serve daemon
+      Symref_serve.Daemon.run
+        ~config:{ Symref_serve.Service.default_config with workers; queue }
+        ~listen:[ Symref_serve.Transport.parse Sys.argv.(2) ]
+        ()
   | m ->
       Printf.eprintf
         "unknown mode %s (want \
-         tables|timing|all|json|smoke|serve-smoke|simplify-smoke|serve-load|fleet-chaos|serve-worker)\n"
+         tables|timing|all|json|smoke|serve-smoke|simplify-smoke|fleet-chaos|fleet-chaos-smoke)\n"
         m;
       exit 1

@@ -1185,34 +1185,17 @@ let fleet_cmd =
             ~listen:[ Serve.Transport.parse listen ]
             router
         in
-        (* Signals only flip a flag; the watchdog thread does the actual
-           stop, so no lock is ever taken from a signal handler. *)
-        let stop_flag = Atomic.make false in
-        let old_term =
-          Sys.signal Sys.sigterm
-            (Sys.Signal_handle (fun _ -> Atomic.set stop_flag true))
-        in
-        let old_int =
-          Sys.signal Sys.sigint
-            (Sys.Signal_handle (fun _ -> Atomic.set stop_flag true))
-        in
-        let watchdog =
-          Thread.create
-            (fun () ->
-              while not (Atomic.get stop_flag) do
-                sleepf 0.1
-              done;
-              Serve.Router.request_stop server)
-            ()
-        in
+        (* A stop request is one atomic store: the handlers make it
+           themselves and take no lock. *)
+        let stop = Sys.Signal_handle (fun _ -> Serve.Router.request_stop server) in
+        let old_term = Sys.signal Sys.sigterm stop in
+        let old_int = Sys.signal Sys.sigint stop in
         Printf.eprintf "symref %s fleet: %d workers under %s, front on %s\n%!"
           Serve.Version.version size dir
           (String.concat ", "
              (List.map Serve.Transport.to_string
                 (Serve.Router.server_addresses server)));
         Serve.Router.serve server;
-        Atomic.set stop_flag true;
-        Thread.join watchdog;
         let notify ~slot ~pid:_ =
           ignore
             (Serve.Client.retry_request ~backoff:quick

@@ -14,6 +14,17 @@ type t = {
   problem : Nodal.t;
 }
 
+(* Cooperative cancellation: every evaluator call — a pass, a retry pair, a
+   probe set — first runs the caller's check, which may raise (e.g. a
+   deadline exceeded).  The evaluators are wrapped here rather than hooking
+   Adaptive or Verify so the engines stay oblivious to scheduling
+   concerns. *)
+let guarded check (ev : Evaluator.t) =
+  match check with
+  | None -> ev
+  | Some chk ->
+      { ev with Evaluator.eval = (fun ~f ~g points -> chk (); ev.Evaluator.eval ~f ~g points) }
+
 (* The numerator and denominator runs draw from one memoised evaluation per
    point: every (f, g, s) the two adaptive schedules have in common — the
    entire first pass, whose scale and point set depend only on the problem —
@@ -32,15 +43,8 @@ let generate ?(config = Adaptive.default_config) ?(reuse = true) ?check circuit
     "reference.generate"
   @@ fun () ->
   let shared = Evaluator.of_nodal_shared problem in
-  (* Cooperative cancellation: every evaluator call — a pass, a retry pair
-     — first runs the caller's check, which may raise (e.g. a deadline
-     exceeded).  The evaluators are wrapped here rather than hooking
-     Adaptive so the engines stay oblivious to scheduling concerns. *)
-  let chk = Option.value check ~default:ignore in
-  let guard (ev : Evaluator.t) =
-    { ev with Evaluator.eval = (fun ~f ~g points -> chk (); ev.Evaluator.eval ~f ~g points) }
-  in
-  let ev_num = guard shared.Evaluator.snum and ev_den = guard shared.Evaluator.sden in
+  let ev_num = guarded check shared.Evaluator.snum
+  and ev_den = guarded check shared.Evaluator.sden in
   let num = Tr.span ~cat:"reference" "reference.num" (fun () -> Adaptive.run ~config ev_num) in
   let den = Tr.span ~cat:"reference" "reference.den" (fun () -> Adaptive.run ~config ev_den) in
   { num; den; input; output; config; problem }
@@ -113,13 +117,13 @@ type health = {
   healthy : bool;
 }
 
-let health ?tolerance t =
+let health ?tolerance ?check t =
   (* A fresh table: the verification probes must not draw from the one the
      generation populated.  Both sides share it, so a probe point the
      numerator and denominator bands have in common is factorised once. *)
   let fresh = Evaluator.of_nodal_shared t.problem in
-  let vn = Verify.check ?tolerance fresh.Evaluator.snum t.num in
-  let vd = Verify.check ?tolerance fresh.Evaluator.sden t.den in
+  let vn = Verify.check ?tolerance (guarded check fresh.Evaluator.snum) t.num in
+  let vd = Verify.check ?tolerance (guarded check fresh.Evaluator.sden) t.den in
   let dn = t.num.Adaptive.diagnosis and dd = t.den.Adaptive.diagnosis in
   let converged = t.num.Adaptive.converged && t.den.Adaptive.converged in
   let verified = vn.Verify.passed && vd.Verify.passed in

@@ -92,12 +92,16 @@ type health = {
           do {e not} make a result unhealthy, exhausted budgets do *)
 }
 
-val health : ?tolerance:float -> t -> health
+val health : ?tolerance:float -> ?check:(unit -> unit) -> t -> health
 (** Re-evaluates the circuit at {!Verify}'s off-circle probe points and
     combines the residuals with the generation's own diagnosis.  The probes
     run on a fresh {!Evaluator.of_nodal_shared} table that the numerator
     and denominator checks share — never the generation's table.
-    [tolerance] is {!Verify.check}'s (default [1e-4]). *)
+    [tolerance] is {!Verify.check}'s (default [1e-4]).  [check] is
+    {!generate}'s cancellation hook, run before every evaluator
+    call of the probes (one per band's probe set, one per moved probe):
+    {!Symref_serve} passes the same deadline check to both, so a job's
+    health probes count against its wall-clock budget. *)
 
 val health_to_strings : health -> (string * string) list
 (** Rendered key/value rows, in display order — shared by the [doctor]

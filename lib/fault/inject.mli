@@ -2,7 +2,7 @@
 
     A {!point} is a named failure site compiled into the pipeline —
     {!Symref_linalg.Sparse} factorisations, {!Symref_core.Evaluator}
-    evaluations, the serve daemon's socket writes.  The sites call {!fire}
+    evaluations, the serve front's socket writes.  The sites call {!fire}
     and act out the failure (singular pivot, poisoned value, raised
     exception, dropped connection) only when it returns [true].
 
@@ -95,12 +95,12 @@ val eval_delay : point
 (** [evaluator.delay] — the evaluation sleeps [payload] ms first. *)
 
 val serve_drop : point
-(** [serve.drop_connection] — the daemon shuts the socket down instead of
-    writing the reply. *)
+(** [serve.drop_connection] — the serve front (daemon or router) shuts the
+    socket down instead of writing a line: the banner or a reply. *)
 
 val serve_partial : point
-(** [serve.partial_write] — the daemon writes half the reply line, then
-    shuts the socket down. *)
+(** [serve.partial_write] — the serve front (daemon or router) writes
+    half a line, then shuts the socket down. *)
 
 val serve_slow : point
 (** [serve.slow_worker] — the daemon sleeps [payload] milliseconds before

@@ -48,6 +48,12 @@ let run ?config ?(template = Protocol.default_job) dir =
         let reply =
           match Scheduler.await ticket with
           | Ok reply -> reply
+          | Error (Scheduler.Evicted _) ->
+              (* Queue wait counts against the job's budget, so a job
+                 evicted at its deadline timed out: a sweep has nowhere
+                 else to retry it. *)
+              Protocol.error ~id:(Some file) ~status:Protocol.Timeout
+                ~kind:"timeout" "job exceeded its wall-clock budget in the queue"
           | Error e ->
               Protocol.error ~id:(Some file) ~kind:"internal"
                 (Printexc.to_string e)

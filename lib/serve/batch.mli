@@ -35,8 +35,10 @@ val run :
     (default {!Protocol.default_job}: reference analysis, auto input/output)
     with its [netlist] replaced by the file's path and its [id] by the same
     path.  Jobs flow through the bounded scheduler with backpressure —
-    submission waits for a slot instead of rejecting.  The service is
-    drained and shut down before the report is returned. *)
+    submission waits for a slot instead of rejecting.  A job whose
+    deadline passes while it is queued gets a [timeout] reply, counted in
+    [timed_out].  The service is drained and shut down before the report
+    is returned. *)
 
 val report_to_json : report -> Symref_obs.Json.t
 (** [{directory; files; succeeded; failed; timed_out; cached; cache;

@@ -1,6 +1,5 @@
-(** The live connections of an accept loop ({!Daemon}, the {!Router}
-    front): one handler thread per accepted socket, tracked only while it
-    runs. *)
+(** The live connections of {!Front}'s accept loop: one handler thread
+    per accepted socket, tracked only while it runs. *)
 
 type t
 

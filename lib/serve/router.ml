@@ -915,88 +915,15 @@ let stats_json t =
       ("workers", Json.Arr per_worker);
     ]
 
-(* --- the front-end server: same accept-loop shape as {!Daemon} --- *)
+(* --- the front-end server: the router behind a {!Front} --- *)
 
-type server = {
-  router : t;
-  listeners : (Transport.address * Unix.file_descr) list;
-  health_interval_ms : int;
-  lock : Mutex.t;
-  mutable stop : bool;
-  conns : Conns.t;
-}
+type server = { router : t; front : Front.t; health_interval_ms : int }
 
-let create_server ?(backlog = 16) ?(health_interval_ms = 1000) ~listen router =
-  if listen = [] then invalid_arg "Router.create_server: no listen addresses";
-  let listeners =
-    let rec bind_all acc = function
-      | [] -> List.rev acc
-      | addr :: rest -> (
-          match Transport.listen ~backlog addr with
-          | fd -> bind_all ((Transport.bound_address addr fd, fd) :: acc) rest
-          | exception e ->
-              List.iter (fun (a, fd) -> Transport.close_listener a fd) acc;
-              raise e)
-    in
-    bind_all [] listen
-  in
-  {
-    router;
-    listeners;
-    health_interval_ms;
-    lock = Mutex.create ();
-    stop = false;
-    conns = Conns.create ();
-  }
+let create_server ?backlog ?(health_interval_ms = 1000) ~listen router =
+  { router; front = Front.create ?backlog listen; health_interval_ms }
 
-let server_addresses s = List.map fst s.listeners
-
-let request_stop s =
-  Mutex.lock s.lock;
-  s.stop <- true;
-  Mutex.unlock s.lock
-
-let stopping s =
-  Mutex.lock s.lock;
-  let v = s.stop in
-  Mutex.unlock s.lock;
-  v
-
-let handle_request s = function
-  | Protocol.Hello -> Protocol.ok (Protocol.hello_banner ())
-  | Protocol.Stats -> Protocol.ok (stats_json s.router)
-  | Protocol.Shutdown ->
-      request_stop s;
-      Protocol.ok (Json.Obj [ ("shutting_down", Json.Bool true) ])
-  | Protocol.Submit job -> forward s.router job
-
-let handle_conn s fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let send json =
-    output_string oc (Json.to_string json);
-    output_char oc '\n';
-    flush oc
-  in
-  let serve_line line =
-    let reply =
-      match Protocol.request_of_json (Json.parse line) with
-      | exception Failure m -> Protocol.error ~kind:"protocol" m
-      | request -> handle_request s request
-    in
-    send (Protocol.reply_to_json reply)
-  in
-  try
-    send (Protocol.hello_banner ());
-    let rec loop () =
-      match input_line ic with
-      | exception End_of_file -> ()
-      | line ->
-          if String.trim line <> "" then serve_line line;
-          loop ()
-    in
-    loop ()
-  with Sys_error _ | Unix.Unix_error _ -> ()
+let server_addresses s = Front.addresses s.front
+let request_stop s = Front.request_stop s.front
 
 let serve s =
   (* Health probing on its own thread, so a slow worker never delays
@@ -1006,30 +933,15 @@ let serve s =
   let prober =
     Thread.create
       (fun () ->
-        while not (stopping s) do
+        while not (Front.stopping s.front) do
           probe_due ~interval_ms:s.health_interval_ms s.router;
           sleepf 0.2
         done)
       ()
   in
-  let socks = List.map snd s.listeners in
-  let rec accept_loop () =
-    if not (stopping s) then begin
-      (match Unix.select socks [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | ready, _, _ ->
-          List.iter
-            (fun sock ->
-              match Unix.accept sock with
-              | fd, _ -> Conns.spawn s.conns (handle_conn s) fd
-              | exception Unix.Unix_error _ -> ())
-            ready);
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  List.iter (fun (addr, fd) -> Transport.close_listener addr fd) s.listeners;
-  Conns.shutdown s.conns;
+  Front.serve s.front
+    ~stats:(fun () -> stats_json s.router)
+    ~submit:(forward s.router);
+  Front.close s.front;
   Thread.join prober;
   close s.router

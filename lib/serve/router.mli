@@ -216,8 +216,8 @@ end
 
 (** {1 Front-end server}
 
-    The accept loop that makes the router a drop-in daemon: same NDJSON
-    protocol, same banner, [Submit] forwarded to the fleet, [Stats]
+    The router behind a {!Front}, which makes it a drop-in daemon: same
+    NDJSON protocol, same banner, [Submit] forwarded to the fleet, [Stats]
     answered with {!stats_json}, [Shutdown] stopping the router (workers
     are administered separately). *)
 
@@ -229,8 +229,9 @@ val create_server :
   listen:Transport.address list ->
   t ->
   server
-(** Bind the front listeners (default backlog 16).  [health_interval_ms]
-    (default 1000) paces the background prober {!serve} runs.
+(** Bind the front listeners ({!Front.create}; default backlog 16).
+    [health_interval_ms] (default 1000) paces the background prober
+    {!serve} runs.
     @raise Unix.Unix_error when binding fails, [Invalid_argument] when
     [listen] is empty. *)
 
@@ -244,4 +245,5 @@ val serve : server -> unit
     returns. *)
 
 val request_stop : server -> unit
-(** Ask {!serve} to wind down; safe from any thread. *)
+(** Ask {!serve} to wind down; safe from any thread and from a signal
+    handler. *)

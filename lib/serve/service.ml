@@ -196,8 +196,10 @@ let str s = Json.Str s
 let num x = Json.Num x
 let inum i = Json.Num (float_of_int i)
 
-(* Coefficients travel as extended-float strings: the representation is
-   exact (no double rounding on the wire) and trivially bit-stable. *)
+(* Coefficients travel as extended-float strings ({!Ef.to_string}): a
+   [%.5f] mantissa and a decimal exponent.  That reaches past a double's
+   range and is bit-stable from run to run, but it keeps six significant
+   digits whatever sigma the job asked for: the wire rounds. *)
 let coeff_array (r : Adaptive.result) =
   Json.Arr (Array.to_list (Array.map (fun v -> str (Ef.to_string v)) r.Adaptive.coeffs))
 
@@ -211,9 +213,10 @@ let side_fields (r : Adaptive.result) =
 
 (* The per-job health verdict (see {!Reference.health}): convergence, an
    independent residual probe, and the recovery counters.  Costs a handful
-   of extra LU evaluations per computed (not cached) job. *)
-let health_json (t : Reference.t) =
-  let h = Reference.health t in
+   of extra LU evaluations per computed (not cached) job, under the job's
+   deadline [check] like the generation's. *)
+let health_json ~check (t : Reference.t) =
+  let h = Reference.health ~check t in
   Json.Obj
     [
       ("converged", Json.Bool h.Reference.converged);
@@ -248,13 +251,13 @@ let pass_reports (r : Adaptive.result) =
            ])
        r.Adaptive.reports)
 
-let payload (job : Protocol.job) ~input_desc ~output_desc (t : Reference.t) =
+let payload ~check (job : Protocol.job) ~input_desc ~output_desc (t : Reference.t) =
   let common =
     [
       ("analysis", str (Protocol.analysis_to_string job.Protocol.analysis));
       ("input", str input_desc);
       ("output", str output_desc);
-      ("health", health_json t);
+      ("health", health_json ~check t);
     ]
   in
   match job.Protocol.analysis with
@@ -307,7 +310,7 @@ let payload (job : Protocol.job) ~input_desc ~output_desc (t : Reference.t) =
    per-stage removal logs and the error certificate.  Rendered from the
    same deterministic printers as everything else, so the stored string
    replays bit-identically from either cache layer. *)
-let simplify_payload (job : Protocol.job) ~input_desc ~output_desc
+let simplify_payload ~check (job : Protocol.job) ~input_desc ~output_desc
     (r : Pipeline.result) =
   let removal (rm : Sbg.removal) =
     Json.Obj
@@ -334,7 +337,7 @@ let simplify_payload (job : Protocol.job) ~input_desc ~output_desc
       ("analysis", str (Protocol.analysis_to_string job.Protocol.analysis));
       ("input", str input_desc);
       ("output", str output_desc);
-      ("health", health_json r.Pipeline.reference);
+      ("health", health_json ~check r.Pipeline.reference);
       ( "elements",
         Json.Obj
           [
@@ -455,13 +458,13 @@ let run_job t ?deadline (job : Protocol.job) =
                     Pipeline.run ~config ~check circuit ~input ~output ~budget
                       ~freqs
                   in
-                  simplify_payload job ~input_desc ~output_desc result
+                  simplify_payload ~check job ~input_desc ~output_desc result
               | _ ->
                   let config =
                     { Adaptive.default_config with Adaptive.sigma = job.Protocol.sigma; r = job.Protocol.r }
                   in
                   let reference = Reference.generate ~config ~check circuit ~input ~output in
-                  payload job ~input_desc ~output_desc reference
+                  payload ~check job ~input_desc ~output_desc reference
             in
             let rendered = Json.to_string body in
             Cache.add t.cache ~key rendered;

@@ -45,7 +45,9 @@
     {!Serve_protocol}, {!Serve_service}, {!Serve_daemon}, {!Serve_client},
     {!Serve_batch} — the persistent reference-generation service of
     {!page-serve}; {!Serve_transport} names its endpoints (Unix socket or
-    TCP), {!Serve_disk_cache} is the persistent result-cache layer,
+    TCP), {!Serve_front} is where a request enters (the accept loop and
+    the NDJSON exchange the daemon and the router share),
+    {!Serve_disk_cache} is the persistent result-cache layer,
     {!Serve_router} the consistent-hash fleet front end;
     {!Serve_errors} is its typed failure taxonomy;
     {!Version} is the package version the daemon reports. *)
@@ -136,6 +138,7 @@ module Inject = Symref_fault.Inject
 (* the serve subsystem *)
 module Serve_protocol = Symref_serve.Protocol
 module Serve_service = Symref_serve.Service
+module Serve_front = Symref_serve.Front
 module Serve_daemon = Symref_serve.Daemon
 module Serve_client = Symref_serve.Client
 module Serve_errors = Symref_serve.Errors

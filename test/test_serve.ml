@@ -1579,6 +1579,140 @@ let test_router_past_select_limit () =
     [ a; b ];
   rm_rf dir
 
+(* --- deadlines over the whole job --- *)
+
+module Inject = Symref_fault.Inject
+
+let with_fault point ?payload plan f =
+  Fun.protect ~finally:Inject.disable (fun () ->
+      Inject.enable ();
+      Inject.arm ?payload point plan;
+      f ())
+
+let test_service_health_under_deadline () =
+  (* rc_filter's generation evaluates 12 points; the delay then falls on
+     the 6 health probes, 100 ms each.  The probes run under the job's
+     deadline, so the job times out near 300 ms instead of answering [ok]
+     after 600 ms of probes. *)
+  let s = Service.create () in
+  let job = reference_job ~id:"probes" (read_file (netlist "rc_filter.cir")) in
+  let r =
+    with_fault Inject.eval_delay ~payload:100.
+      (Inject.Times { skip = 12; count = 6 })
+      (fun () -> Service.run_job s ~deadline:(Unix.gettimeofday () +. 0.3) job)
+  in
+  Alcotest.(check bool) "timeout status" true (r.Protocol.status = Protocol.Timeout);
+  Alcotest.(check int) "nothing cached" 0 (Cache.entries (Service.cache s));
+  Service.shutdown s
+
+let test_batch_evicted_is_timeout () =
+  (* One worker, every evaluation 60 ms late, 300 ms per job: the first
+     job times out while it runs, the three behind it are evicted from the
+     queue at their deadlines.  All four are timeouts. *)
+  let dir = temp_dir "symref-batch-evict" in
+  let text = read_file (netlist "rc_filter.cir") in
+  for i = 1 to 4 do
+    let oc = open_out (Filename.concat dir (Printf.sprintf "rc_%d.cir" i)) in
+    output_string oc text;
+    close_out oc
+  done;
+  let config =
+    { Service.default_config with workers = 1; default_timeout_ms = Some 300 }
+  in
+  let report =
+    with_fault Inject.eval_delay ~payload:60. (Inject.Every 1) (fun () ->
+        Batch.run ~config dir)
+  in
+  rm_rf dir;
+  Alcotest.(check int) "four timed out" 4 report.Batch.timed_out;
+  List.iter
+    (fun (o : Batch.outcome) ->
+      Alcotest.(check (option string))
+        (Filename.basename o.Batch.file ^ " kind")
+        (Some "timeout")
+        (Protocol.error_kind o.Batch.reply))
+    report.Batch.outcomes
+
+(* --- the router's front, in process --- *)
+
+let test_router_front () =
+  let dir = temp_dir "symref-front" in
+  let mk name =
+    let addr = Serve.Transport.Unix_sock (Filename.concat dir name) in
+    let d = Serve.Daemon.create ~listen:[ addr ] () in
+    (addr, d, Thread.create Serve.Daemon.serve d)
+  in
+  let workers = [ mk "a.sock"; mk "b.sock" ] in
+  (* No hedge: the job must reach its owner only. *)
+  let router =
+    Serve.Router.create ~hedge:None (List.map (fun (a, _, _) -> a) workers)
+  in
+  let front_path = Filename.concat dir "front.sock" in
+  let server =
+    Serve.Router.create_server
+      ~listen:[ Serve.Transport.Unix_sock front_path ]
+      router
+  in
+  let front = List.hd (Serve.Router.server_addresses server) in
+  let server_thread = Thread.create Serve.Router.serve server in
+  Serve.Client.with_connection ~addr:front (fun c ->
+      (match Json.member "hello" (Serve.Client.banner c) with
+      | Some (Json.Str s) -> Alcotest.(check string) "banner" "symref" s
+      | _ -> Alcotest.fail "the front must greet with a hello banner");
+      let hello = Serve.Client.request c Protocol.Hello in
+      Alcotest.(check string) "hello returns the banner"
+        (Json.to_string (Serve.Client.banner c))
+        (Json.to_string hello.Protocol.body);
+      (* Through the front first, then straight to the job's owner, which
+         now answers from its cache. *)
+      let job = reference_job ~id:"fronted" (read_file (netlist "rc_filter.cir")) in
+      let fronted = Serve.Client.request c (Protocol.Submit job) in
+      let owner_addr = Serve.Router.owner router (Serve.Router.job_key job) in
+      let direct =
+        Serve.Client.with_connection ~addr:owner_addr (fun d ->
+            Serve.Client.request d (Protocol.Submit job))
+      in
+      Alcotest.(check bool) "fronted reply computed" false fronted.Protocol.cached;
+      Alcotest.(check bool) "owner computed it" true direct.Protocol.cached;
+      Alcotest.(check string) "front reply byte-identical to the owner's"
+        (Json.to_string
+           (Protocol.reply_to_json { direct with Protocol.cached = false }))
+        (Json.to_string (Protocol.reply_to_json fronted)));
+  (* A raw connection: a malformed line gets a protocol error, a blank line
+     is skipped, and the connection keeps answering. *)
+  let fd = Serve.Transport.connect front in
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  ignore (input_line ic);
+  let exchange line =
+    output_string oc line;
+    flush oc;
+    Protocol.reply_of_json (Json.parse (input_line ic))
+  in
+  let bad = exchange "{not json\n" in
+  Alcotest.(check (option string)) "malformed line" (Some "protocol")
+    (Protocol.error_kind bad);
+  let again =
+    exchange
+      ("\n" ^ Json.to_string (Protocol.request_to_json Protocol.Hello) ^ "\n")
+  in
+  Alcotest.(check bool) "connection still answers" true
+    (again.Protocol.status = Protocol.Ok);
+  Unix.close fd;
+  let bye =
+    Serve.Client.with_connection ~addr:front (fun c ->
+        Serve.Client.request c Protocol.Shutdown)
+  in
+  Alcotest.(check bool) "shutdown acknowledged" true
+    (bye.Protocol.status = Protocol.Ok);
+  Thread.join server_thread;
+  Alcotest.(check bool) "front socket unlinked" false (Sys.file_exists front_path);
+  List.iter
+    (fun (_, d, th) ->
+      Serve.Daemon.request_stop d;
+      Thread.join th)
+    workers;
+  rm_rf dir
+
 (* --- the race machine under random event orders --- *)
 
 let race_reply ?status racer =
@@ -1910,5 +2044,11 @@ let suite =
           test_scheduler_workers_bound;
         Alcotest.test_case "service: sigma outside 1..12 refused" `Quick
           test_service_sigma_refused;
+        Alcotest.test_case "service: health probes run under the deadline"
+          `Quick test_service_health_under_deadline;
+        Alcotest.test_case "batch: a job evicted from the queue timed out"
+          `Quick test_batch_evicted_is_timeout;
+        Alcotest.test_case "router: front answers like its workers" `Quick
+          test_router_front;
       ] );
   ]
