@@ -216,11 +216,12 @@ let x2 () =
      - full Markowitz factorisation per point vs one batch of one per
        point vs one batch per sweep (per-evaluation cost, three rungs),
        with the elimination program's instruction counts,
+     - the median time of one pattern learning,
      - seed-style duplicated num/den adaptive runs vs the shared memoised
        evaluator, at equal coefficients,
      - a Symref_obs counter snapshot of one pipeline run, and the measured
        overhead of enabling counters / tracing, median-of-5 per mode
-       (schema v11, documented in doc/pipeline.mld).  *)
+       (schema v12, documented in doc/pipeline.mld).  *)
 
 module Random_net = Symref_circuit.Random_net
 module Uc = Symref_dft.Unit_circle
@@ -733,7 +734,7 @@ let run_json ~smoke =
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   section (if smoke then "SMOKE" else "JSON")
     "pipeline benchmark: full-factor vs batched replay, shared num/den";
-  out "{\n  \"schema\": \"symref/bench-interp/v11\",\n";
+  out "{\n  \"schema\": \"symref/bench-interp/v12\",\n";
   out "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full");
   out "  \"circuits\": [\n";
   let ncirc = List.length (json_circuits ~smoke) in
@@ -793,7 +794,10 @@ let run_json ~smoke =
         (per_point t_full) (per_point t_single) (per_point t_batch)
         (t_full /. t_batch) (t_single /. t_batch);
       out "      \"batched_us_per_point\": %.3f,\n" (per_point t_batch);
-      (* The elimination program the batched engine replays. *)
+      (* The elimination program the batched engine replays, and what one
+         learning of it costs: [elimination_program] on a freshly made
+         problem (the stamping, the Markowitz analysis, the slot map and
+         the batch workspace), the make outside the clock. *)
       (match Nodal.elimination_program ~f ~g p with
       | None -> ()
       | Some prog ->
@@ -802,13 +806,25 @@ let run_json ~smoke =
             Array.fold_left (fun acc t -> acc + sum t) 0
               prog.Symref_linalg.Kernel.elim_upd
           in
+          let learnings = if smoke then 3 else 41 in
+          let learn =
+            Array.init learnings (fun _ ->
+                let fresh = Nodal.make jc.jcircuit ~input:jc.jinput ~output:jc.joutput in
+                let t0 = wall () in
+                ignore (Nodal.elimination_program ~f ~g fresh);
+                wall () -. t0)
+          in
+          Array.sort compare learn;
+          let learn_us = learn.(learnings / 2) *. 1e6 in
+          Printf.printf "%-16s learn %.1f us per pattern\n" jc.jname learn_us;
           out
             "      \"program\": { \"steps\": %d, \"slots\": %d, \"fill\": %d, \
-             \"lower_len\": %d, \"elim_rows\": %d, \"elim_updates\": %d },\n"
+             \"lower_len\": %d, \"elim_rows\": %d, \"elim_updates\": %d, \
+             \"learn_us\": %.1f },\n"
             prog.Symref_linalg.Kernel.n prog.Symref_linalg.Kernel.nslots
             prog.Symref_linalg.Kernel.fill prog.Symref_linalg.Kernel.lower_len
             (sum prog.Symref_linalg.Kernel.elim_row)
-            updates);
+            updates learn_us);
       out "      \"reference_ms\": { \"seed\": %.4f, \"pipeline\": %.4f, \"speedup\": %.3f, \"coeffs_match\": %b },\n"
         (t_seed *. 1000.) (t_pipeline *. 1000.) (t_seed /. t_pipeline) equal;
       out "      \"lu_evaluations\": { \"seed\": %d, \"pipeline\": %d }\n"

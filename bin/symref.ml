@@ -876,6 +876,18 @@ let job_term =
     $ r_arg $ timeout_ms_arg $ from_arg $ to_arg $ per_decade_arg
     $ budget_db_arg $ budget_deg_arg)
 
+(* Run [serve] with SIGTERM and SIGINT turned into [stop ()], the server's
+   own stop request: it is one atomic store, so the handler makes it itself
+   and takes no lock, and [serve] then drains and cleans up as after a
+   shutdown request (exit 0, socket files unlinked). *)
+let until_signalled ~stop serve =
+  let handler = Sys.Signal_handle (fun _ -> stop ()) in
+  let old_term = Sys.signal Sys.sigterm handler in
+  let old_int = Sys.signal Sys.sigint handler in
+  Fun.protect serve ~finally:(fun () ->
+      Sys.set_signal Sys.sigterm old_term;
+      Sys.set_signal Sys.sigint old_int)
+
 let serve_cmd =
   let run socket tcp_extra workers queue cache_mb timeout_ms disk_cache backlog
       socket_mode obs =
@@ -892,9 +904,12 @@ let serve_cmd =
              | Some spec -> [ Serve.Transport.parse spec ]
              | None -> [])
         in
+        let daemon = Serve.Daemon.create ~config ~listen () in
         Printf.eprintf "symref %s serving on %s\n%!" Serve.Version.version
           (String.concat ", " (List.map Serve.Transport.to_string listen));
-        Serve.Daemon.run ~config ~listen ())
+        until_signalled
+          ~stop:(fun () -> Serve.Daemon.request_stop daemon)
+          (fun () -> Serve.Daemon.serve daemon))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -903,8 +918,9 @@ let serve_cmd =
           over a Unix domain socket or TCP (or both at once with $(b,--tcp)), \
           run on $(b,--workers) worker domains and answered from a \
           content-addressed result cache — optionally persisted on disk with \
-          $(b,--disk-cache). Runs in the foreground until a shutdown request \
-          arrives.")
+          $(b,--disk-cache). Runs in the foreground until a shutdown request, \
+          SIGTERM or SIGINT arrives, then drains: in-flight jobs finish, \
+          their replies flush and the socket file is removed.")
     Term.(
       const run $ socket_arg $ tcp_extra_arg $ workers_arg $ queue_arg
       $ cache_mb_arg $ timeout_ms_arg $ disk_cache_arg $ backlog_arg
@@ -1049,7 +1065,9 @@ let router_cmd =
           (String.concat ", "
              (List.map Serve.Transport.to_string
                 (Serve.Router.server_addresses server)));
-        Serve.Router.serve server)
+        until_signalled
+          ~stop:(fun () -> Serve.Router.request_stop server)
+          (fun () -> Serve.Router.serve server))
   in
   Cmd.v
     (Cmd.info "router"
@@ -1061,7 +1079,8 @@ let router_cmd =
           worker on the ring.  A stats reply lists each worker's own stats \
           reply (under $(b,workers[].stats)) next to its breaker state; \
           nothing is summed across workers.  \
-          Runs in the foreground until a shutdown request arrives.")
+          Runs in the foreground until a shutdown request, SIGTERM or \
+          SIGINT arrives, then drains and removes its socket file.")
     Term.(
       const run $ listen_arg $ worker_args $ replicas_arg $ health_arg
       $ hedge_max_arg $ backlog_arg $ obs_term)
@@ -1185,27 +1204,23 @@ let fleet_cmd =
             ~listen:[ Serve.Transport.parse listen ]
             router
         in
-        (* A stop request is one atomic store: the handlers make it
-           themselves and take no lock. *)
-        let stop = Sys.Signal_handle (fun _ -> Serve.Router.request_stop server) in
-        let old_term = Sys.signal Sys.sigterm stop in
-        let old_int = Sys.signal Sys.sigint stop in
-        Printf.eprintf "symref %s fleet: %d workers under %s, front on %s\n%!"
-          Serve.Version.version size dir
-          (String.concat ", "
-             (List.map Serve.Transport.to_string
-                (Serve.Router.server_addresses server)));
-        Serve.Router.serve server;
-        let notify ~slot ~pid:_ =
-          ignore
-            (Serve.Client.retry_request ~backoff:quick
-               ~addr:(Serve.Transport.Unix_sock (sock slot))
-               Serve.Protocol.Shutdown)
-        in
-        Serve.Supervisor.stop ~grace_s ~notify sup;
-        Thread.join monitor;
-        Sys.set_signal Sys.sigterm old_term;
-        Sys.set_signal Sys.sigint old_int)
+        until_signalled
+          ~stop:(fun () -> Serve.Router.request_stop server)
+          (fun () ->
+            Printf.eprintf "symref %s fleet: %d workers under %s, front on %s\n%!"
+              Serve.Version.version size dir
+              (String.concat ", "
+                 (List.map Serve.Transport.to_string
+                    (Serve.Router.server_addresses server)));
+            Serve.Router.serve server;
+            let notify ~slot ~pid:_ =
+              ignore
+                (Serve.Client.retry_request ~backoff:quick
+                   ~addr:(Serve.Transport.Unix_sock (sock slot))
+                   Serve.Protocol.Shutdown)
+            in
+            Serve.Supervisor.stop ~grace_s ~notify sup;
+            Thread.join monitor))
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -141,20 +141,32 @@ module Batch = struct
 
   let iplane_of_array a =
     let p = mkiplane (Array.length a) in
-    Array.iteri (fun i v -> BA1.set p i (Int32.of_int v)) a;
+    Array.iteri (fun i v -> BA1.unsafe_set p i (Int32.of_int v)) a;
     p
 
-  let offsets_of len n =
-    let off = Array.make (n + 1) 0 in
-    for s = 0 to n - 1 do
-      off.(s + 1) <- off.(s) + len s
-    done;
-    off
+  (* Every step's rows, end to end. *)
+  let iplane_of_steps (a : int array array array) =
+    let count = Array.fold_left (fun acc r -> acc + Array.length r) in
+    let p = mkiplane (Array.fold_left count 0 a) in
+    let k = ref 0 in
+    Array.iter
+      (Array.iter
+         (Array.iter (fun v ->
+              BA1.unsafe_set p !k (Int32.of_int v);
+              incr k)))
+      a;
+    p
+
+  let iplane_of_rows a = iplane_of_steps [| a |]
+
+  let offsets_of (a : 'a array array) =
+    let off = Array.make (Array.length a + 1) 0 in
+    Array.iteri (fun s r -> off.(s + 1) <- off.(s) + Array.length r) a;
+    iplane_of_array off
 
   let create prog =
     Obs.incr Obs.kernel_workspaces;
     let n = prog.n in
-    let flat2 a = Array.concat (Array.to_list a) in
     {
       b_prog = prog;
       cap = 0;
@@ -184,18 +196,13 @@ module Batch = struct
           r_piv_slot = iplane_of_array prog.pivot_slot;
           r_piv_row = iplane_of_array prog.pivot_rows;
           r_piv_col = iplane_of_array prog.pivot_cols;
-          r_us_off =
-            iplane_of_array (offsets_of (fun s -> Array.length prog.u_slots.(s)) n);
-          r_us_slot = iplane_of_array (flat2 prog.u_slots);
-          r_u_col = iplane_of_array (flat2 prog.u_cols);
-          r_tgt_off =
-            iplane_of_array (offsets_of (fun s -> Array.length prog.elim_row.(s)) n);
-          r_tgt_row = iplane_of_array (flat2 prog.elim_row);
-          r_tgt_a = iplane_of_array (flat2 prog.elim_a_slot);
-          r_upd =
-            iplane_of_array
-              (Array.concat
-                 (List.concat_map Array.to_list (Array.to_list prog.elim_upd)));
+          r_us_off = offsets_of prog.u_slots;
+          r_us_slot = iplane_of_rows prog.u_slots;
+          r_u_col = iplane_of_rows prog.u_cols;
+          r_tgt_off = offsets_of prog.elim_row;
+          r_tgt_row = iplane_of_rows prog.elim_row;
+          r_tgt_a = iplane_of_rows prog.elim_a_slot;
+          r_upd = iplane_of_steps prog.elim_upd;
           r_threshold = prog.threshold;
           r_stride = 0;
           r_n = n;

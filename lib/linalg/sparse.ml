@@ -7,9 +7,13 @@ exception Singular
 
 type builder = { n : int; rows : (int, Complex.t) Hashtbl.t array }
 
+(* The elimination starts from each row's visit order, so the rows are
+   unseeded tables even when OCAMLRUNPARAM asks for randomized ones: with a
+   random seed, the pivot ties and U orders, and so the low bits of every
+   result, changed from run to run. *)
 let create n =
   if n < 0 then invalid_arg "Sparse.create: negative dimension";
-  { n; rows = Array.init n (fun _ -> Hashtbl.create 8) }
+  { n; rows = Array.init n (fun _ -> Hashtbl.create ~random:false 8) }
 
 let add b i j v =
   if i < 0 || i >= b.n || j < 0 || j >= b.n then
@@ -82,372 +86,510 @@ let injected_singular n =
     singular = true;
   }
 
-(* One step's pivot choice over the active submatrix: Markowitz search
-   restricted to a few sparsest candidate rows, the classical
-   circuit-simulator compromise between fill-in optimality and search cost
-   (a full scan would dominate the factorisation).  An entry is a
-   candidate when it passes the threshold test against its row's largest
-   active entry; the smallest Markowitz count [(r-1)(c-1)] wins, ties to
-   the larger magnitude.  [None] when no active entry is admissible.
-   [factor] and [symbolic] both pivot here, so a recorded pattern is the
-   pivot sequence a full factorisation would choose. *)
-let max_candidate_rows = 8
-
-let markowitz_pivot ~pivot_threshold rows ~row_active ~col_active ~row_count
-    ~col_count =
-  let n = Array.length rows in
-  let best = ref None in
-  let search_row i =
-    let row = rows.(i) in
-    let rmax = ref 0. in
-    Hashtbl.iter
-      (fun j v ->
-        if col_active.(j) then begin
-          let m = Complex.norm v in
-          if m > !rmax then rmax := m
-        end)
-      row;
-    if !rmax > 0. then
-      Hashtbl.iter
-        (fun j v ->
-          if col_active.(j) then begin
-            let m = Complex.norm v in
-            if m >= pivot_threshold *. !rmax then begin
-              let cost = (row_count.(i) - 1) * (col_count.(j) - 1) in
-              let better =
-                match !best with
-                | None -> true
-                | Some (_, _, _, bcost, bmag) -> cost < bcost || (cost = bcost && m > bmag)
-              in
-              if better then best := Some (i, j, v, cost, m)
-            end
-          end)
-        row
-  in
-  (* Examine only the sparsest active rows (counts within one of the
-     minimum), allocation-free. *)
-  let min_count = ref max_int in
-  for i = 0 to n - 1 do
-    if row_active.(i) && row_count.(i) > 0 && row_count.(i) < !min_count then
-      min_count := row_count.(i)
-  done;
-  if !min_count < max_int then begin
-    let examined = ref 0 in
-    let i = ref 0 in
-    while !examined < max_candidate_rows && !i < n do
-      if row_active.(!i) && row_count.(!i) > 0 && row_count.(!i) <= !min_count + 1 then begin
-        search_row !i;
-        incr examined
-      end;
-      incr i
-    done;
-    (* Threshold pivoting can reject every entry of the sparse candidate
-       rows; fall back to a full search before declaring singularity. *)
-    if !best = None then
-      for i = 0 to n - 1 do
-        if row_active.(i) && row_count.(i) > 0 then search_row i
-      done
-  end;
-  Option.map (fun (i, j, v, _, _) -> (i, j, v)) !best
-
-let factor ?(pivot_threshold = 0.1) (b : builder) =
-  Obs.incr Obs.lu_factor;
-  Tr.span ~cat:"lu" "lu.factor" @@ fun () ->
-  if Inject.fire Inject.sparse_singular then injected_singular b.n
-  else
-  let n = b.n in
-  let rows = Array.map Hashtbl.copy b.rows in
-  let row_active = Array.make n true and col_active = Array.make n true in
-  (* Row/column occupancy counts over the active submatrix, incremental. *)
-  let col_count = Array.make n 0 in
-  let row_count = Array.make n 0 in
-  Array.iteri
-    (fun i row ->
-      row_count.(i) <- Hashtbl.length row;
-      Hashtbl.iter (fun j _ -> col_count.(j) <- col_count.(j) + 1) row)
-    rows;
-  let pivot_rows = Array.make n (-1)
-  and pivot_cols = Array.make n (-1)
-  and pivots = Array.make n Complex.zero in
-  let lower = ref [] and upper = Array.make n [||] in
-  let det_mag = ref Ec.one in
-  let fill = ref 0 in
-  let singular = ref false in
-  (try
-     for k = 0 to n - 1 do
-       match
-         markowitz_pivot ~pivot_threshold rows ~row_active ~col_active ~row_count ~col_count
-       with
-       | None ->
-           singular := true;
-           raise Exit
-       | Some (pi, pj, pv) ->
-           pivot_rows.(k) <- pi;
-           pivot_cols.(k) <- pj;
-           pivots.(k) <- pv;
-           det_mag := Ec.mul !det_mag (Ec.of_complex pv);
-           row_active.(pi) <- false;
-           col_active.(pj) <- false;
-           Hashtbl.iter (fun j _ -> col_count.(j) <- col_count.(j) - 1) rows.(pi);
-           (* Snapshot the U row (active columns other than the pivot). *)
-           let u = ref [] in
-           Hashtbl.iter
-             (fun j v -> if j <> pj && col_active.(j) then u := (j, v) :: !u)
-             rows.(pi);
-           upper.(k) <- Array.of_list !u;
-           (* Eliminate the pivot column from the remaining active rows. *)
-           for i = 0 to n - 1 do
-             if row_active.(i) then
-               match Hashtbl.find_opt rows.(i) pj with
-               | None -> ()
-               | Some v ->
-                   Hashtbl.remove rows.(i) pj;
-                   col_count.(pj) <- col_count.(pj) - 1;
-                   row_count.(i) <- row_count.(i) - 1;
-                   let m = Complex.div v pv in
-                   lower := (i, k, m) :: !lower;
-                   Array.iter
-                     (fun (j, u) ->
-                       let upd = Complex.neg (Complex.mul m u) in
-                       match Hashtbl.find_opt rows.(i) j with
-                       | None ->
-                           (* Innermost loop: component tests instead of a
-                              polymorphic-compare call, same semantics. *)
-                           if upd.Complex.re <> 0. || upd.Complex.im <> 0.
-                           then begin
-                             Hashtbl.replace rows.(i) j upd;
-                             col_count.(j) <- col_count.(j) + 1;
-                             row_count.(i) <- row_count.(i) + 1;
-                             incr fill
-                           end
-                       | Some w ->
-                           let nv = Complex.add w upd in
-                           if nv.Complex.re = 0. && nv.Complex.im = 0. then begin
-                             (* Exact cancellation: keeping a stored zero
-                                would inflate the Markowitz row/column
-                                counts and skew later pivot choices. *)
-                             Hashtbl.remove rows.(i) j;
-                             col_count.(j) <- col_count.(j) - 1;
-                             row_count.(i) <- row_count.(i) - 1
-                           end
-                           else Hashtbl.replace rows.(i) j nv)
-                     upper.(k)
-           done
-     done
-   with Exit -> ());
-  let det =
-    if !singular then Ec.zero
-    else
-      let sr = permutation_sign pivot_rows and sc = permutation_sign pivot_cols in
-      if sr * sc < 0 then Ec.neg !det_mag else !det_mag
-  in
-  {
-    n;
-    pivot_rows;
-    pivot_cols;
-    pivots;
-    lower = Array.of_list (List.rev !lower);
-    upper;
-    det;
-    fill_in = !fill;
-    singular = !singular;
-  }
-
-let det f = f.det
-let fill_in f = f.fill_in
-
 (* --- Symbolic / numeric split ---------------------------------------------
 
    A [pattern] is the value-independent half of one factorisation: the pivot
    order, the slot layout (one flat-array slot per matrix position that is
    ever touched, fill-ins included) and the elimination program as index
    arrays.  [refactor] replays the program on fresh numeric values with no
-   hashtable traffic at all: the inner loop is pure unboxed float-array
-   arithmetic.  The classic SPICE/KLU trick — the sparsity structure of
-   [G + sC] is the same at every interpolation point, so the ordering work
-   is paid once per scale pair instead of once per point. *)
+   search and no workspace bookkeeping: the inner loop is pure unboxed
+   float-array arithmetic.  The classic SPICE/KLU trick — the sparsity
+   structure of [G + sC] is the same at every interpolation point, so the
+   ordering work is paid once per scale pair instead of once per point. *)
 
 module Kernel = Kernel
 
 (* The slot layout and elimination program live in {!Kernel.program} — the
    batched engine replays them without this module — while the pattern
-   keeps the coordinate list that defines {!refactor}'s [values] order. *)
+   keeps the coordinates that define {!refactor}'s [values] order: row by
+   row, so a row's entries are one run of [coo_cols]. *)
 type pattern = {
   prog : Kernel.program;
-  coo_rows : int array;  (* values index -> original row *)
+  coo_start : int array;  (* row -> first values index of its run; n + 1 *)
   coo_cols : int array;  (* values index -> original column *)
 }
 
 let pattern_program p = p.prog
 let pattern_dimension p = p.prog.Kernel.n
-let pattern_nnz p = Array.length p.coo_rows
-let pattern_coords p = Array.init (Array.length p.coo_rows) (fun e -> (p.coo_rows.(e), p.coo_cols.(e)))
+let pattern_nnz p = Array.length p.coo_cols
+
+let pattern_coords p =
+  let coords = Array.make (pattern_nnz p) (0, 0) in
+  for i = 0 to pattern_dimension p - 1 do
+    for e = p.coo_start.(i) to p.coo_start.(i + 1) - 1 do
+      coords.(e) <- (i, p.coo_cols.(e))
+    done
+  done;
+  coords
+
+let pattern_slot p i j =
+  let stop = p.coo_start.(i + 1) in
+  let rec find e =
+    if e = stop then -1
+    else if p.coo_cols.(e) = j then p.prog.Kernel.coo_slot.(e)
+    else find (e + 1)
+  in
+  find p.coo_start.(i)
+
 let pattern_stats p = (p.prog.Kernel.nslots, p.prog.Kernel.fill)
 
-(* Symbolic analysis: one full Markowitz factorisation that additionally
-   records the slot layout and elimination program.  Unlike {!factor}, exact
-   numeric cancellations keep their (zero-valued) entry: the pattern must
-   stay structurally valid at evaluation points where the cancellation does
-   not happen.  Returns [None] when the matrix is singular at the analysed
-   point (no complete pivot sequence exists to record). *)
-let symbolic ?(pivot_threshold = 0.1) (b : builder) =
-  Obs.incr Obs.lu_symbolic;
-  Tr.span ~cat:"lu" "lu.symbolic" @@ fun () ->
+(* --- The elimination workspace --------------------------------------------
+
+   [factor] and [symbolic] run one right-looking Markowitz elimination over
+   this workspace.  A row keeps its entries as parallel arrays (column,
+   value, cached magnitude, insertion stamp, slot) in no particular order,
+   and a column the active rows that hold it, so a step finds its targets
+   without scanning every row and updates a target through a dense
+   column -> entry map: no hash table, and nothing boxed per update.
+
+   Tie order.  The pivot sequence, and the order of each U row that back
+   substitution sums, were first defined by per-row [Hashtbl] workspaces,
+   and every recorded output holds the bits of that order.  So a row is
+   visited in the order [Hashtbl.iter] had: buckets
+   [Hashtbl.hash j land (buckets - 1)] ascending, and within a bucket the
+   most recently inserted column first.  A row starts with its builder
+   row's visit order and bucket count (16, doubled whenever an insertion
+   leaves more than twice as many entries as buckets, never shrunk); a
+   value update keeps its entry's place, and a column removed by an exact
+   cancellation and filled again later counts as new.  The stamp carries
+   the insertion order: builder entries get 0, -1, -2, ... in visit order,
+   fills 1, 2, 3, ... as they happen. *)
+type ws = {
+  hash : int array;  (* column -> [Hashtbl.hash] of it *)
+  len : int array;  (* row -> entries *)
+  buckets : int array;  (* row -> bucket count of its visit order *)
+  cols : int array array;  (* row -> entry -> column *)
+  re : float array array;
+  im : float array array;
+  mag : float array array;  (* [Float.hypot re im], i.e. [Complex.norm] *)
+  stamp : int array array;  (* larger = inserted later *)
+  slot : int array array;  (* program slot *)
+  col_rows : int array array;  (* column -> active rows holding it *)
+  col_len : int array;
+  pos : int array;  (* column -> entry in the target being updated, or -1 *)
+  order : int array;  (* scratch: the pivot row's U entries *)
+  mutable clock : int;
+  (* The pivot search's best candidate; one float cell, since a float
+     field of this record would box on every store. *)
+  mutable best_row : int;
+  mutable best_pos : int;
+  mutable best_cost : int;
+  best_mag : float array;
+}
+
+(* Room for [need] entries in row [i]. *)
+let reserve w i need =
+  let cap = Array.length w.cols.(i) in
+  if need > cap then begin
+    let cap = Int.max need (2 * cap) and l = w.len.(i) in
+    let ints a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 l;
+      b
+    and floats a =
+      let b = Array.make cap 0. in
+      Array.blit a 0 b 0 l;
+      b
+    in
+    w.cols.(i) <- ints w.cols.(i);
+    w.stamp.(i) <- ints w.stamp.(i);
+    w.slot.(i) <- ints w.slot.(i);
+    w.re.(i) <- floats w.re.(i);
+    w.im.(i) <- floats w.im.(i);
+    w.mag.(i) <- floats w.mag.(i)
+  end
+
+let col_push w j i =
+  let l = w.col_len.(j) in
+  if l = Array.length w.col_rows.(j) then begin
+    let rows = Array.make ((2 * l) + 4) 0 in
+    Array.blit w.col_rows.(j) 0 rows 0 l;
+    w.col_rows.(j) <- rows
+  end;
+  w.col_rows.(j).(l) <- i;
+  w.col_len.(j) <- l + 1
+
+let col_drop w j i =
+  let rows = w.col_rows.(j) and l = w.col_len.(j) - 1 in
+  let k = ref 0 in
+  while rows.(!k) <> i do
+    incr k
+  done;
+  rows.(!k) <- rows.(l);
+  w.col_len.(j) <- l
+
+(* Append column [j] to row [i] (room reserved by the caller) and return
+   its entry; the bucket count doubles as [Hashtbl.replace]'s resize
+   would. *)
+let push w i j vre vim ~stamp ~slot =
+  let p = w.len.(i) in
+  w.cols.(i).(p) <- j;
+  w.re.(i).(p) <- vre;
+  w.im.(i).(p) <- vim;
+  w.mag.(i).(p) <- Float.hypot vre vim;
+  w.stamp.(i).(p) <- stamp;
+  w.slot.(i).(p) <- slot;
+  w.len.(i) <- p + 1;
+  if p + 1 > 2 * w.buckets.(i) then w.buckets.(i) <- 2 * w.buckets.(i);
+  col_push w j i;
+  p
+
+(* Remove entry [p] of row [i]: the last entry takes its place, and [pos]
+   follows it when the row is the one being updated. *)
+let remove w i p =
+  let l = w.len.(i) - 1 and cs = w.cols.(i) in
+  w.pos.(cs.(p)) <- -1;
+  if p < l then begin
+    let j = cs.(l) in
+    cs.(p) <- j;
+    w.re.(i).(p) <- w.re.(i).(l);
+    w.im.(i).(p) <- w.im.(i).(l);
+    w.mag.(i).(p) <- w.mag.(i).(l);
+    w.stamp.(i).(p) <- w.stamp.(i).(l);
+    w.slot.(i).(p) <- w.slot.(i).(l);
+    if w.pos.(j) >= 0 then w.pos.(j) <- p
+  end;
+  w.len.(i) <- l
+
+let find_col w i j =
+  let cs = w.cols.(i) in
+  let p = ref 0 in
+  while cs.(!p) <> j do
+    incr p
+  done;
+  !p
+
+(* Whether [Hashtbl.iter] would have visited entry [p] of row [i] before
+   entry [q]. *)
+let visits_before w i p q =
+  let mask = w.buckets.(i) - 1 and cs = w.cols.(i) in
+  let bp = w.hash.(cs.(p)) land mask and bq = w.hash.(cs.(q)) land mask in
+  bp < bq || (bp = bq && w.stamp.(i).(p) > w.stamp.(i).(q))
+
+(* The builder's rows, read in their visit order.  Slots number the
+   entries in that order, row by row: the pattern's [values] order. *)
+let workspace (b : builder) =
   let n = b.n in
-  (* Per-row value and slot maps for the elimination workspace. *)
-  let rows = Array.map Hashtbl.copy b.rows in
-  let slots = Array.init n (fun _ -> Hashtbl.create 8) in
-  let next_slot = ref 0 in
-  let coo_rows = ref [] and coo_cols = ref [] and coo_slot = ref [] in
+  let room i = Hashtbl.length b.rows.(i) + 4 in
+  let w =
+    {
+      hash = Array.init n Hashtbl.hash;
+      len = Array.make n 0;
+      buckets = Array.make n 16;
+      cols = Array.init n (fun i -> Array.make (room i) 0);
+      re = Array.init n (fun i -> Array.make (room i) 0.);
+      im = Array.init n (fun i -> Array.make (room i) 0.);
+      mag = Array.init n (fun i -> Array.make (room i) 0.);
+      stamp = Array.init n (fun i -> Array.make (room i) 0);
+      slot = Array.init n (fun i -> Array.make (room i) 0);
+      col_rows = Array.make n [||];
+      col_len = Array.make n 0;
+      pos = Array.make n (-1);
+      order = Array.make n 0;
+      clock = 1;
+      best_row = -1;
+      best_pos = 0;
+      best_cost = 0;
+      best_mag = [| 0. |];
+    }
+  in
+  let slot = ref 0 in
   Array.iteri
     (fun i row ->
+      let visit = ref 0 in
       Hashtbl.iter
-        (fun j _ ->
-          Hashtbl.replace slots.(i) j !next_slot;
-          coo_rows := i :: !coo_rows;
-          coo_cols := j :: !coo_cols;
-          coo_slot := !next_slot :: !coo_slot;
-          incr next_slot)
+        (fun j (v : Complex.t) ->
+          ignore (push w i j v.Complex.re v.Complex.im ~stamp:!visit ~slot:!slot);
+          decr visit;
+          incr slot)
         row)
     b.rows;
-  let row_active = Array.make n true and col_active = Array.make n true in
-  let col_count = Array.make n 0 in
-  let row_count = Array.make n 0 in
-  Array.iteri
-    (fun i row ->
-      row_count.(i) <- Hashtbl.length row;
-      Hashtbl.iter (fun j _ -> col_count.(j) <- col_count.(j) + 1) row)
-    rows;
+  w
+
+(* One step's pivot choice over the active submatrix: Markowitz search
+   restricted to a few sparsest candidate rows, the classical
+   circuit-simulator compromise between fill-in optimality and search cost
+   (a full scan would dominate the factorisation).  An entry is a
+   candidate when it passes the threshold test against its row's largest
+   entry (an active row holds active columns only); the smallest Markowitz
+   count [(r-1)(c-1)] wins, then the larger magnitude, then the first
+   candidate met: rows ascending, a row's entries in visit order.  [false]
+   when no active entry is admissible.  [factor] and [symbolic] both pivot
+   here, so a recorded pattern is the pivot sequence a full factorisation
+   would choose. *)
+let max_candidate_rows = 8
+
+let search_row w ~pivot_threshold i =
+  let l = w.len.(i) and mg = w.mag.(i) and cs = w.cols.(i) in
+  let rmax = ref 0. in
+  for p = 0 to l - 1 do
+    if mg.(p) > !rmax then rmax := mg.(p)
+  done;
+  if !rmax > 0. then
+    for p = 0 to l - 1 do
+      let m = mg.(p) in
+      if m >= pivot_threshold *. !rmax then begin
+        let cost = (l - 1) * (w.col_len.(cs.(p)) - 1) in
+        let bmag = w.best_mag.(0) in
+        if
+          w.best_row < 0 || cost < w.best_cost
+          || cost = w.best_cost
+             && (m > bmag
+                || (m = bmag && w.best_row = i && visits_before w i p w.best_pos))
+        then begin
+          w.best_row <- i;
+          w.best_pos <- p;
+          w.best_cost <- cost;
+          w.best_mag.(0) <- m
+        end
+      end
+    done
+
+let markowitz_pivot w ~pivot_threshold ~row_active =
+  let n = Array.length row_active in
+  w.best_row <- -1;
+  (* Examine only the sparsest active rows (counts within one of the
+     minimum), allocation-free. *)
+  let min_count = ref max_int in
+  for i = 0 to n - 1 do
+    if row_active.(i) && w.len.(i) > 0 && w.len.(i) < !min_count then
+      min_count := w.len.(i)
+  done;
+  if !min_count < max_int then begin
+    let examined = ref 0 in
+    let i = ref 0 in
+    while !examined < max_candidate_rows && !i < n do
+      if row_active.(!i) && w.len.(!i) > 0 && w.len.(!i) <= !min_count + 1 then begin
+        search_row w ~pivot_threshold !i;
+        incr examined
+      end;
+      incr i
+    done;
+    (* Threshold pivoting can reject every entry of the sparse candidate
+       rows; fall back to a full search before declaring singularity. *)
+    if w.best_row < 0 then
+      for i = 0 to n - 1 do
+        if row_active.(i) && w.len.(i) > 0 then search_row w ~pivot_threshold i
+      done
+  end;
+  w.best_row >= 0
+
+(* The pivot row's entries other than entry [pp], into [w.order] in
+   reverse visit order: the U row, in the order back substitution sums it.
+   Returns their count. *)
+let u_order w i pp =
+  let order = w.order in
+  let k = ref 0 in
+  for p = 0 to w.len.(i) - 1 do
+    if p <> pp then begin
+      let s = ref !k in
+      while !s > 0 && visits_before w i order.(!s - 1) p do
+        order.(!s) <- order.(!s - 1);
+        decr s
+      done;
+      order.(!s) <- p;
+      incr k
+    end
+  done;
+  !k
+
+let sort_ints a =
+  for s = 1 to Array.length a - 1 do
+    let v = a.(s) in
+    let t = ref s in
+    while !t > 0 && a.(!t - 1) > v do
+      a.(!t) <- a.(!t - 1);
+      decr t
+    done;
+    a.(!t) <- v
+  done
+
+(* The one elimination.  [record] is [symbolic]: exact cancellations keep
+   their (zero-valued) entry and every fill is materialised, because the
+   pattern must stay structurally valid at points where the cancellation
+   does not happen; and the slot layout and elimination program are
+   recorded.  Without it ([factor]) an update that cancels exactly removes
+   its entry, and a fill that is exactly zero is never made: a stored zero
+   would inflate the Markowitz counts and skew later pivot choices. *)
+let eliminate ~record ~pivot_threshold (b : builder) =
+  let n = b.n in
+  let w = workspace b in
+  let nnz = Array.fold_left ( + ) 0 w.len in
+  let coo_start = Array.make (n + 1) 0 and coo_cols = Array.make nnz 0 in
+  for i = 0 to n - 1 do
+    coo_start.(i + 1) <- coo_start.(i) + w.len.(i);
+    Array.blit w.cols.(i) 0 coo_cols coo_start.(i) w.len.(i)
+  done;
+  let row_active = Array.make n true in
   let pivot_rows = Array.make n (-1)
   and pivot_cols = Array.make n (-1)
   and pivots = Array.make n Complex.zero
-  and pivot_slot = Array.make n (-1) in
-  let u_cols = Array.make n [||]
+  and upper = Array.make n [||] in
+  let pivot_slot = Array.make n (-1)
+  and u_cols = Array.make n [||]
   and u_slots = Array.make n [||]
   and elim_row = Array.make n [||]
   and elim_a_slot = Array.make n [||]
   and elim_upd = Array.make n [||] in
-  let lower = ref [] and upper = Array.make n [||] in
-  let lower_len = ref 0 in
+  let lower = ref [] and lower_len = ref 0 in
   let det_mag = ref Ec.one in
-  let fill = ref 0 in
-  let singular = ref false in
-  (try
-     for k = 0 to n - 1 do
-       match
-         markowitz_pivot ~pivot_threshold rows ~row_active ~col_active ~row_count ~col_count
-       with
-       | None ->
-           singular := true;
-           raise Exit
-       | Some (pi, pj, pv) ->
-           pivot_rows.(k) <- pi;
-           pivot_cols.(k) <- pj;
-           pivots.(k) <- pv;
-           pivot_slot.(k) <- Hashtbl.find slots.(pi) pj;
-           det_mag := Ec.mul !det_mag (Ec.of_complex pv);
-           row_active.(pi) <- false;
-           col_active.(pj) <- false;
-           Hashtbl.iter (fun j _ -> col_count.(j) <- col_count.(j) - 1) rows.(pi);
-           let u = ref [] in
-           Hashtbl.iter
-             (fun j v ->
-               if j <> pj && col_active.(j) then
-                 u := (j, v, Hashtbl.find slots.(pi) j) :: !u)
-             rows.(pi);
-           let u = Array.of_list !u in
-           upper.(k) <- Array.map (fun (j, v, _) -> (j, v)) u;
-           u_cols.(k) <- Array.map (fun (j, _, _) -> j) u;
-           u_slots.(k) <- Array.map (fun (_, _, s) -> s) u;
-           let e_row = ref [] and e_a = ref [] and e_upd = ref [] in
-           for i = 0 to n - 1 do
-             if row_active.(i) then
-               match Hashtbl.find_opt rows.(i) pj with
-               | None -> ()
-               | Some v ->
-                   Hashtbl.remove rows.(i) pj;
-                   col_count.(pj) <- col_count.(pj) - 1;
-                   row_count.(i) <- row_count.(i) - 1;
-                   let m = Complex.div v pv in
-                   lower := (i, k, m) :: !lower;
-                   incr lower_len;
-                   e_row := i :: !e_row;
-                   e_a := Hashtbl.find slots.(i) pj :: !e_a;
-                   let upd_slots =
-                     Array.map
-                       (fun (j, u, _) ->
-                         let upd = Complex.neg (Complex.mul m u) in
-                         match Hashtbl.find_opt rows.(i) j with
-                         | None ->
-                             (* Structural fill-in: always materialise the
-                                slot, even when the numeric update happens
-                                to vanish at this point. *)
-                             Hashtbl.replace rows.(i) j upd;
-                             let s = !next_slot in
-                             incr next_slot;
-                             Hashtbl.replace slots.(i) j s;
-                             col_count.(j) <- col_count.(j) + 1;
-                             row_count.(i) <- row_count.(i) + 1;
-                             incr fill;
-                             s
-                         | Some w ->
-                             Hashtbl.replace rows.(i) j (Complex.add w upd);
-                             Hashtbl.find slots.(i) j)
-                       u
-                   in
-                   e_upd := upd_slots :: !e_upd
-           done;
-           elim_row.(k) <- Array.of_list (List.rev !e_row);
-           elim_a_slot.(k) <- Array.of_list (List.rev !e_a);
-           elim_upd.(k) <- Array.of_list (List.rev !e_upd)
-     done
-   with Exit -> ());
-  if !singular then None
-  else begin
-    let sr = permutation_sign pivot_rows and sc = permutation_sign pivot_cols in
-    let sign = sr * sc in
-    let det = if sign < 0 then Ec.neg !det_mag else !det_mag in
-    let fct =
-      {
-        n;
-        pivot_rows;
-        pivot_cols;
-        pivots;
-        lower = Array.of_list (List.rev !lower);
-        upper;
-        det;
-        fill_in = !fill;
-        singular = false;
-      }
-    in
-    let prog =
-      {
-        Kernel.n;
-        nslots = !next_slot;
-        sign;
-        threshold = pivot_threshold;
-        coo_slot = Array.of_list (List.rev !coo_slot);
-        pivot_rows;
-        pivot_cols;
-        pivot_slot;
-        u_cols;
-        u_slots;
-        elim_row;
-        elim_a_slot;
-        elim_upd;
-        lower_len = !lower_len;
-        fill = !fill;
-      }
-    in
-    let pat =
-      {
-        prog;
-        coo_rows = Array.of_list (List.rev !coo_rows);
-        coo_cols = Array.of_list (List.rev !coo_cols);
-      }
-    in
-    Some (pat, fct)
-  end
+  let fill = ref 0 and next_slot = ref nnz in
+  let k = ref 0 in
+  while !k < n && markowitz_pivot w ~pivot_threshold ~row_active do
+    let step = !k in
+    let pi = w.best_row and pp = w.best_pos in
+    let pcols = w.cols.(pi) and pre = w.re.(pi) and pim = w.im.(pi) in
+    let pslot = w.slot.(pi) in
+    let pj = pcols.(pp) in
+    let pv = { Complex.re = pre.(pp); im = pim.(pp) } in
+    pivot_rows.(step) <- pi;
+    pivot_cols.(step) <- pj;
+    pivots.(step) <- pv;
+    pivot_slot.(step) <- pslot.(pp);
+    det_mag := Ec.mul !det_mag (Ec.of_complex pv);
+    row_active.(pi) <- false;
+    for p = 0 to w.len.(pi) - 1 do
+      col_drop w pcols.(p) pi
+    done;
+    (* The U row: the pivot row is inactive from here on, so its arrays
+       stay as they are while the targets read them. *)
+    let nu = u_order w pi pp in
+    let order = w.order in
+    upper.(step) <-
+      Array.init nu (fun u ->
+          let p = order.(u) in
+          (pcols.(p), { Complex.re = pre.(p); im = pim.(p) }));
+    if record then begin
+      u_cols.(step) <- Array.init nu (fun u -> pcols.(order.(u)));
+      u_slots.(step) <- Array.init nu (fun u -> pslot.(order.(u)))
+    end;
+    (* Eliminate the pivot column from the remaining active rows, in
+       ascending row order. *)
+    let nt = w.col_len.(pj) in
+    let targets = Array.sub w.col_rows.(pj) 0 nt in
+    sort_ints targets;
+    w.col_len.(pj) <- 0;
+    let a_slots = Array.make (if record then nt else 0) 0
+    and upds = Array.make (if record then nt else 0) [||] in
+    for t = 0 to nt - 1 do
+      let i = targets.(t) in
+      let a = find_col w i pj in
+      let v = { Complex.re = w.re.(i).(a); im = w.im.(i).(a) } in
+      if record then a_slots.(t) <- w.slot.(i).(a);
+      remove w i a;
+      let m = Complex.div v pv in
+      lower := (i, step, m) :: !lower;
+      incr lower_len;
+      let mr = m.Complex.re and mi = m.Complex.im in
+      reserve w i (w.len.(i) + nu);
+      let cs = w.cols.(i) and re = w.re.(i) and im = w.im.(i) in
+      let mg = w.mag.(i) and sl = w.slot.(i) in
+      for p = 0 to w.len.(i) - 1 do
+        w.pos.(cs.(p)) <- p
+      done;
+      let dst = Array.make (if record then nu else 0) 0 in
+      for u = 0 to nu - 1 do
+        let up = order.(u) in
+        let j = pcols.(up) and ur = pre.(up) and ui = pim.(up) in
+        (* [Complex.neg (Complex.mul m u)], unboxed. *)
+        let dre = -.((mr *. ur) -. (mi *. ui)) and dim = -.((mr *. ui) +. (mi *. ur)) in
+        let p = w.pos.(j) in
+        if p < 0 then begin
+          if record || dre <> 0. || dim <> 0. then begin
+            let s = !next_slot in
+            w.pos.(j) <- push w i j dre dim ~stamp:w.clock ~slot:s;
+            w.clock <- w.clock + 1;
+            incr next_slot;
+            incr fill;
+            if record then dst.(u) <- s
+          end
+        end
+        else begin
+          let nre = re.(p) +. dre and nim = im.(p) +. dim in
+          if (not record) && nre = 0. && nim = 0. then begin
+            remove w i p;
+            col_drop w j i
+          end
+          else begin
+            re.(p) <- nre;
+            im.(p) <- nim;
+            mg.(p) <- Float.hypot nre nim;
+            if record then dst.(u) <- sl.(p)
+          end
+        end
+      done;
+      for p = 0 to w.len.(i) - 1 do
+        w.pos.(cs.(p)) <- -1
+      done;
+      if record then upds.(t) <- dst
+    done;
+    if record then begin
+      elim_row.(step) <- targets;
+      elim_a_slot.(step) <- a_slots;
+      elim_upd.(step) <- upds
+    end;
+    incr k
+  done;
+  let singular = !k < n in
+  let sign =
+    if singular then 0 else permutation_sign pivot_rows * permutation_sign pivot_cols
+  in
+  let fct =
+    {
+      n;
+      pivot_rows;
+      pivot_cols;
+      pivots;
+      lower = Array.of_list (List.rev !lower);
+      upper;
+      det = (if singular then Ec.zero else if sign < 0 then Ec.neg !det_mag else !det_mag);
+      fill_in = !fill;
+      singular;
+    }
+  in
+  let pattern () =
+    {
+      prog =
+        {
+          Kernel.n;
+          nslots = !next_slot;
+          sign;
+          threshold = pivot_threshold;
+          coo_slot = Array.init nnz Fun.id;
+          pivot_rows;
+          pivot_cols;
+          pivot_slot;
+          u_cols;
+          u_slots;
+          elim_row;
+          elim_a_slot;
+          elim_upd;
+          lower_len = !lower_len;
+          fill = !fill;
+        };
+      coo_start;
+      coo_cols;
+    }
+  in
+  (fct, pattern)
+
+let factor ?(pivot_threshold = 0.1) (b : builder) =
+  Obs.incr Obs.lu_factor;
+  Tr.span ~cat:"lu" "lu.factor" @@ fun () ->
+  if Inject.fire Inject.sparse_singular then injected_singular b.n
+  else fst (eliminate ~record:false ~pivot_threshold b)
+
+let det f = f.det
+let fill_in f = f.fill_in
+
+(* Symbolic analysis: the same elimination, recording the slot layout and
+   the program.  [None] when the matrix is singular at the analysed point
+   (no complete pivot sequence exists to record). *)
+let symbolic ?(pivot_threshold = 0.1) (b : builder) =
+  Obs.incr Obs.lu_symbolic;
+  Tr.span ~cat:"lu" "lu.symbolic" @@ fun () ->
+  let fct, pattern = eliminate ~record:true ~pivot_threshold b in
+  if fct.singular then None else Some (pattern (), fct)
 
 (* Numeric refactorisation: replay the recorded elimination program on new
    values.  Returns [None] — caller falls back to a full Markowitz

@@ -40,8 +40,20 @@ val factor : ?pivot_threshold:float -> builder -> factor
 (** LU-factorisation.  [pivot_threshold] (default [0.1]) is the threshold
     partial pivoting parameter [tau]: a pivot candidate must satisfy
     [|a| >= tau * max_row |a|]; among candidates the one minimising the
-    Markowitz count [(r-1)(c-1)] is chosen (ties broken by magnitude).
-    Singular matrices factor with determinant zero. *)
+    Markowitz count [(r-1)(c-1)] is chosen, then the one of larger
+    magnitude.  The search examines up to eight of the sparsest active rows
+    (counts within one of the minimum), or every active row when none of
+    those has a candidate.  Exact ties go to the first candidate met: rows
+    in ascending index, and within a row the order a [Hashtbl] keyed on the
+    column would visit — buckets [Hashtbl.hash j land (buckets - 1)]
+    ascending (16 buckets, doubled whenever an insertion leaves more than
+    twice as many entries as buckets), the most recently inserted column
+    first within a bucket, a value update keeping its place and a column
+    removed and filled again counting as new.  Each step's U row lists the
+    pivot row's other entries in the reverse of that order, which is the
+    order {!solve} sums them in.  Entries that cancel exactly during
+    elimination are dropped.  Singular matrices factor with determinant
+    zero. *)
 
 val det : factor -> Symref_numeric.Extcomplex.t
 val fill_in : factor -> int
@@ -60,7 +72,7 @@ val solve_transpose : factor -> Complex.t array -> Complex.t array
 
     When the same sparsity structure is factorised at many numeric points
     (every interpolation point of one scale pair shares the structure of
-    [G + sC]), the pivot search and the hashtable-based elimination workspace
+    [G + sC]), the pivot search and the elimination workspace's bookkeeping
     are pure overhead after the first point.  {!symbolic} runs one full
     Markowitz factorisation and records its {e pattern} — pivot order, slot
     layout (fill-ins included) and the elimination program as flat index
@@ -96,6 +108,11 @@ val refactor : pattern -> Complex.t array -> factor option
 val pattern_coords : pattern -> (int * int) array
 (** [(row, col)] of each structural entry, in the order {!refactor} expects
     its [values] argument. *)
+
+val pattern_slot : pattern -> int -> int -> int
+(** [pattern_slot p i j] is the program slot that entry [(i, j)] of the
+    analysed builder scatters to, or [-1] when the builder held no entry
+    there. *)
 
 val pattern_dimension : pattern -> int
 

@@ -306,17 +306,14 @@ let learn_pattern t ~f ~g =
   match Sparse.symbolic b with
   | None -> None
   | Some (pat, _) ->
-      (* Map our coordinate order onto the pattern's values order, then
-         onto program slots, so the hot-path scatter is one indirection. *)
-      let index = Hashtbl.create 64 in
-      Array.iteri (fun p rc -> Hashtbl.replace index rc p) (Sparse.pattern_coords pat);
-      let prog = Sparse.pattern_program pat in
+      (* Each stamp coordinate's program slot, so the hot-path scatter is
+         one indirection; -1 where the coordinate is identically zero at
+         every point of this pass. *)
       let slot =
         Array.init (Array.length st.m_rows) (fun e ->
-            match Hashtbl.find_opt index (st.m_rows.(e), st.m_cols.(e)) with
-            | Some p -> prog.Kernel.coo_slot.(p)
-            | None -> -1 (* identically zero at every point of this pass *))
+            Sparse.pattern_slot pat st.m_rows.(e) st.m_cols.(e))
       in
+      let prog = Sparse.pattern_program pat in
       Some { pl_prog = prog; pl_slot = slot; pl_batch = Kernel.Batch.create prog }
 
 (* [t.cache.lock] held. *)
