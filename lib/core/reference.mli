@@ -31,7 +31,8 @@ val generate :
     pass is one batched elimination-program replay
     ({!Symref_mna.Nodal.eval_batch}).
     [reuse] (default [true]) enables the symbolic/numeric factorisation
-    split per scale pair (see {!Symref_mna.Nodal.make}); it is a pure cost
+    split, one elimination program per circuit (see
+    {!Symref_mna.Nodal.make}); it is a pure cost
     switch: the returned coefficients agree to far more than [sigma]
     digits either way.
     [check] is a cooperative-cancellation hook run before {e every}

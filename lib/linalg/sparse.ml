@@ -94,8 +94,10 @@ let injected_singular n =
    arrays.  [refactor] replays the program on fresh numeric values with no
    search and no workspace bookkeeping: the inner loop is pure unboxed
    float-array arithmetic.  The classic SPICE/KLU trick — the sparsity
-   structure of [G + sC] is the same at every interpolation point, so the
-   ordering work is paid once per scale pair instead of once per point. *)
+   structure of [G + sC] is the same at every interpolation point of every
+   pass, so the ordering work is paid once per circuit (and once more per
+   scale pair whose values trip the circuit program's threshold floor)
+   instead of once per point. *)
 
 module Kernel = Kernel
 

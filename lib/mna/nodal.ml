@@ -35,18 +35,25 @@ type stamp = {
   rhs_k : float array;  (* constant current injections *)
 }
 
-(* Reusable symbolic factorisation, keyed by the scale pair: all unit-circle
-   points of one interpolation pass share the sparsity structure of
-   [g G + f s C], so the Markowitz ordering is learned once per (f, g) — at
-   the canonical point [s = i], which is independent of evaluation order —
-   and only the numeric elimination is redone per point.  Every learned
-   pattern is kept for the life of the [t] (one job): the health probes
-   revisit the scales generation learned, and learning is a pure function
-   of (t, f, g), so a kept pattern is the one a re-learn would produce.
+(* Reusable symbolic factorisation.  All unit-circle points of one
+   interpolation pass share the sparsity structure of [g G + f s C], and so
+   do the passes of one problem: a problem learns its Markowitz ordering
+   once, at its initial scale pair (1/mean C, 1/mean G) — the first pass's
+   scale, whatever order the calls come in — and at the canonical point
+   [s = i], which is independent of evaluation order.  Every other (f, g)
+   first replays that circuit program once at [s = i] with the pair's
+   values; when no pivot trips the threshold floor and the determinant is
+   non-zero, the pair is served by the circuit program, otherwise it learns
+   its own, exactly as the initial pair did.  The choice is a pure function
+   of (t, f, g), so a problem swept in any order gives the same bits.
+   Every pair's choice is kept for the life of the [t] (one job): the
+   health probes revisit the scales generation used.  A problem with no
+   capacitor or no conductance has no initial pair and learns per pair.
    [None] payload: the pattern could not be learned (singular at the
-   canonical point); evaluate from scratch.  Each pattern owns one batch
-   workspace, and the mutex covers a whole [eval_batch] — lookup, scatter,
-   replay, fallbacks — so concurrent callers on one [t] take turns. *)
+   canonical point); evaluate from scratch.  Each learned pattern owns one
+   batch workspace, shared by the pairs it serves, and the mutex covers a
+   whole [eval_batch] — lookup, replay check, scatter, replay, fallbacks —
+   so concurrent callers on one [t] take turns. *)
 type payload = {
   pl_prog : Kernel.program;
   pl_slot : int array;
@@ -72,6 +79,8 @@ type t = {
   order_bound : int;
   stamp : stamp;
   reuse : bool;
+  initial : (float * float) option;
+      (* (1/mean C, 1/mean G): where the circuit program is learned *)
   cache : cache;
 }
 
@@ -250,6 +259,11 @@ let make ?(reuse = true) circuit ~input ~output =
       injections_nodes
   in
   let num_gdeg = match input with I_single _ -> dim - 1 | _ -> dim in
+  let initial =
+    match (Netlist.mean_capacitance circuit, Netlist.mean_conductance circuit) with
+    | c, g -> Some (1. /. c, 1. /. g)
+    | exception Invalid_argument _ -> None
+  in
   {
     circuit;
     roles;
@@ -262,6 +276,7 @@ let make ?(reuse = true) circuit ~input ~output =
     order_bound = Int.min (Netlist.capacitor_count circuit) dim;
     stamp = build_stamp circuit roles dim injections;
     reuse;
+    initial;
     cache = { pats = []; lock = Mutex.create () };
   }
 
@@ -315,19 +330,6 @@ let learn_pattern t ~f ~g =
       in
       let prog = Sparse.pattern_program pat in
       Some { pl_prog = prog; pl_slot = slot; pl_batch = Kernel.Batch.create prog }
-
-(* [t.cache.lock] held. *)
-let pattern_for t ~f ~g =
-  let c = t.cache in
-  match List.find_opt (fun (pf, pg, _) -> pf = f && pg = g) c.pats with
-  | Some (_, _, payload) ->
-      Obs.incr Obs.pattern_hits;
-      payload
-  | None ->
-      Obs.incr Obs.pattern_misses;
-      let payload = learn_pattern t ~f ~g in
-      c.pats <- (f, g, payload) :: c.pats;
-      payload
 
 (* The per-point fallbacks of [eval_batch]: a full factorisation for
    ejected points (and every point when [reuse] is off or the pattern
@@ -396,25 +398,11 @@ let from_scratch_at t ~f ~g ~sre ~sim ~rhs =
   finish_at t ~f ~g ~sre ~sim ~rhs
     (Sparse.factor (build_at t ~f ~g ~sre ~sim ~rhs ()))
 
-(* Every point through the batched structure-of-arrays engine: scatter
-   every point's matrix and RHS into slot-major planes, run the elimination
-   program once (inner loops over the contiguous points of each
-   instruction), then walk the points {e in order} to fire the
-   [sparse.singular] hook and dispatch per-point fallbacks.
-
-   Fire ordering is the reason the walk is sequential and ordered: the
-   batched engine itself consumes no [Inject] hits and touches no counters,
-   so point [q]'s fire — and any [Sparse.factor] fires its fallback
-   performs — lands strictly between point [q-1]'s and [q+1]'s.  An armed
-   fault plan therefore sees the same fire sequence whether the points
-   come as one batch or one at a time.
-
-   Counter contract: a batch-served point counts [lu.refactor]; an ejected
-   point (threshold floor, non-finite pivot, or injected singular) counts
-   [kernel.batch_ejects] and goes to a full [Sparse.factor] (counted under
-   [lu.factor]).  Threshold ejects additionally count
-   [lu.refactor_fallback]; injected ones don't. *)
-let run_batch t ~f ~g pl points =
+(* Scatter every point's matrix and RHS into [pl]'s slot-major planes and
+   run the elimination program once: the inner loops run over the
+   contiguous points of each instruction.  Fires no hook and counts
+   nothing. *)
+let replay t ~f ~g pl points =
   let b = pl.pl_batch in
   let st = t.stamp in
   let m = Array.length st.m_rows in
@@ -454,9 +442,30 @@ let run_batch t ~f ~g pl points =
       BA1.unsafe_set yim (base + q) (Array.unsafe_get pim q *. cf)
     done
   done;
-  Kernel.Batch.run b;
+  Kernel.Batch.run b
+
+(* Every point through the batched structure-of-arrays engine: [replay]
+   them all, then walk the points {e in order} to fire the
+   [sparse.singular] hook and dispatch per-point fallbacks.
+
+   Fire ordering is the reason the walk is sequential and ordered: the
+   batched engine itself consumes no [Inject] hits and touches no counters,
+   so point [q]'s fire — and any [Sparse.factor] fires its fallback
+   performs — lands strictly between point [q-1]'s and [q+1]'s.  An armed
+   fault plan therefore sees the same fire sequence whether the points
+   come as one batch or one at a time.
+
+   Counter contract: a batch-served point counts [lu.refactor]; an ejected
+   point (threshold floor, non-finite pivot, or injected singular) counts
+   [kernel.batch_ejects] and goes to a full [Sparse.factor] (counted under
+   [lu.factor]).  Threshold ejects additionally count
+   [lu.refactor_fallback]; injected ones don't. *)
+let run_batch t ~f ~g pl points =
+  replay t ~f ~g pl points;
+  let b = pl.pl_batch in
+  let stride = Kernel.Batch.stride b in
   let xr = Kernel.Batch.solution_re b and xi = Kernel.Batch.solution_im b in
-  Array.init cnt (fun q ->
+  Array.init (Array.length points) (fun q ->
       let s = points.(q) in
       let sre = s.Complex.re and sim = s.Complex.im in
       let rhs = rhs_lazy t ~f ~g ~sre ~sim in
@@ -498,6 +507,56 @@ let run_batch t ~f ~g pl points =
           { den; num; h; singular = false }
         end
       end)
+
+(* Whether the circuit program [pl] serves the scale pair (f, g): one
+   replay at the canonical point [s = i] with the pair's values, under the
+   same threshold floor as every pass point.  A coordinate the program has
+   no slot for (zero at its own pair) must be zero here too.  Fires no
+   [Inject] hook and counts no [lu.refactor], so an armed fault plan and
+   the counters see only the pass's own points. *)
+let serves t pl ~f ~g =
+  let st = t.stamp in
+  let covered = ref true in
+  Array.iteri
+    (fun e sl ->
+      if sl < 0 && (st.m_g.(e) *. g <> 0. || st.m_c.(e) *. f <> 0.) then covered := false)
+    pl.pl_slot;
+  !covered
+  &&
+  let b = pl.pl_batch in
+  replay t ~f ~g pl [| Complex.i |];
+  not (Kernel.Batch.ejected b 0 || Kernel.Batch.det_is_zero b 0)
+
+(* [t.cache.lock] held.  A learning counts [nodal.pattern_miss]; a pair
+   served by a kept entry, or by the circuit program after a passing
+   replay, counts [nodal.pattern_hit]. *)
+let pattern_for t ~f ~g =
+  let c = t.cache in
+  let kept ~f ~g =
+    List.find_map (fun (pf, pg, pl) -> if pf = f && pg = g then Some pl else None) c.pats
+  in
+  let keep ~f ~g payload = c.pats <- (f, g, payload) :: c.pats in
+  let learn ~f ~g =
+    Obs.incr Obs.pattern_misses;
+    let payload = learn_pattern t ~f ~g in
+    keep ~f ~g payload;
+    payload
+  in
+  match kept ~f ~g with
+  | Some payload ->
+      Obs.incr Obs.pattern_hits;
+      payload
+  | None -> (
+      match t.initial with
+      | Some (f0, g0) when not (f = f0 && g = g0) -> (
+          let home = match kept ~f:f0 ~g:g0 with Some p -> p | None -> learn ~f:f0 ~g:g0 in
+          match home with
+          | Some pl when serves t pl ~f ~g ->
+              Obs.incr Obs.pattern_hits;
+              keep ~f ~g home;
+              home
+          | _ -> learn ~f ~g)
+      | _ -> learn ~f ~g)
 
 let eval_batch ?(f = 1.) ?(g = 1.) t points =
   Mutex.protect t.cache.lock (fun () ->

@@ -52,11 +52,17 @@ val make :
   t
 (** [reuse] (default [true]) enables the symbolic/numeric factorisation
     split: the Markowitz ordering of the reduced matrix is learned once per
-    scale pair (at the canonical point [s = i]) and every evaluation replays
-    only the numeric elimination through the batched engine
+    circuit, at the initial scale pair [(1/mean C, 1/mean G)] and the
+    canonical point [s = i], and every evaluation replays only the numeric
+    elimination through the batched engine
     ({!Symref_linalg.Kernel.Batch}), falling back to a full from-scratch
     factorisation for any point whose reused pivot hits the
-    threshold-pivoting floor.  [~reuse:false] restores the
+    threshold-pivoting floor.  Another scale pair keeps that circuit
+    program when one replay at [s = i] with the pair's values clears the
+    threshold floor with a non-zero determinant, and learns its own
+    otherwise; a circuit with no capacitor or no conductance learns one
+    per scale pair.  The choice depends only on the problem and the pair,
+    so the values never depend on the order of the calls.  [~reuse:false] restores the
     factor-from-scratch-per-point behaviour (benchmark baseline).
     Evaluation is thread-safe either way: concurrent calls on one problem
     take turns. *)
@@ -106,10 +112,12 @@ val eval_batch : ?f:float -> ?g:float -> t -> Complex.t array -> value array
 
 val elimination_program :
   ?f:float -> ?g:float -> t -> Symref_linalg.Kernel.program option
-(** The recorded elimination program for a scale pair — [None] when [reuse]
-    is off or the canonical point is singular.  Exposed for the benchmark's
-    program-shape statistics (steps, slots, fill, update counts); learning
-    or reusing the pattern counts under the pattern.* counters as usual. *)
+(** The recorded elimination program that serves a scale pair (see
+    {!make}: the circuit's own program, or the pair's when the circuit's
+    fails its replay) — [None] when [reuse] is off or the canonical point
+    is singular.  Exposed for the benchmark's program-shape statistics
+    (steps, slots, fill, update counts); learning or reusing the pattern
+    counts under the [nodal.pattern_*] counters as usual. *)
 
 val mean_conductance : t -> float
 val mean_capacitance : t -> float

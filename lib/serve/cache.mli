@@ -2,8 +2,9 @@
     payload, LRU-evicted under a byte budget.
 
     Keys come from {!Service.cache_key}: the MD5 of the {e canonicalised}
-    netlist (parse → {!Symref_spice.Writer.to_string}, so formatting,
-    comment and case differences hash alike) concatenated with the
+    netlist (parse → {!Symref_spice.Writer.canonical}, so formatting,
+    comment and case differences hash alike, and every value is printed
+    exactly) concatenated with the
     canonical analysis-parameter string.  Values are the compact JSON
     payload text, stored and replayed verbatim — a hit is bit-identical to
     the reply that populated it.

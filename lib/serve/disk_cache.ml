@@ -4,7 +4,7 @@
    key (already an MD5 hex digest, so filename-safe by construction).  The
    format is a one-line checksum header followed by the raw payload:
 
-     symref-cache 1 <md5-hex-of-payload> <payload-byte-length>\n
+     symref-cache 2 <md5-hex-of-payload> <payload-byte-length>\n
      <payload bytes>
 
    Writers stage into a dot-prefixed temp file and [Unix.rename] it into
@@ -18,7 +18,10 @@
 module Metrics = Symref_obs.Metrics
 
 let magic = "symref-cache"
-let format_version = 1
+(* Version 2: keys hash the exact canonical netlist.  An entry written
+   under version 1's six-digit keys may answer for a different circuit,
+   so it reads as a miss. *)
+let format_version = 2
 
 type t = { dir : string }
 

@@ -4,7 +4,7 @@
     restart.
 
     Entry format (see [doc/serve.mld]): a checksum header line
-    [symref-cache 1 <md5-hex-of-payload> <length>] followed by the raw
+    [symref-cache 2 <md5-hex-of-payload> <length>] followed by the raw
     payload bytes.  Writes stage into a temp file and [rename] into place
     (atomic within the directory), reads verify magic, length and digest
     and report any mismatch as a miss — so N daemon processes can share

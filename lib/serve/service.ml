@@ -417,7 +417,7 @@ let run_job t ?deadline (job : Protocol.job) =
     let circuit, input, output, input_desc, output_desc =
       resolve_io circuit ~input:job.Protocol.input ~output:job.Protocol.output
     in
-    let canonical = Writer.to_string circuit in
+    let canonical = Writer.canonical circuit in
     let key = cache_key ~canonical job ~input_desc ~output_desc in
     match Cache.find t.cache ~key with
     | Some stored ->

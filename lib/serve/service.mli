@@ -72,8 +72,11 @@ val resolve_io :
 (** {1 Jobs} *)
 
 val cache_key : canonical:string -> Protocol.job -> input_desc:string -> output_desc:string -> string
-(** MD5 hex over the canonicalised netlist text and every
-    value-relevant parameter (analysis, resolved input/output, sigma, r).
+(** MD5 hex over the canonicalised netlist text
+    ({!Symref_spice.Writer.canonical}: every value printed exactly, so
+    netlists that differ past a value's sixth digit get two keys) and
+    every value-relevant parameter (analysis, resolved input/output,
+    sigma, r).
     Timeouts and ids are excluded: they do not change the answer. *)
 
 val run_job : t -> ?deadline:float -> Protocol.job -> Protocol.reply

@@ -3,8 +3,9 @@
    [solve] chain, eject parity with its threshold bailout, determinant
    exponents across the full float range, allocation-freedom of the
    steady-state batch, workspace reuse, one problem swept from two domains
-   at once, fault-injection parity with the hook interleaved mid-batch, and
-   the eject accounting.
+   at once, fault-injection parity with the hook interleaved mid-batch, the
+   eject accounting, and the choice of one elimination program per
+   circuit.
 
    "Bit-identical" is literal: comparisons go through
    [Int64.bits_of_float], so even NaN payloads and [-0.] must match. *)
@@ -16,6 +17,14 @@ module Ec = Symref_numeric.Extcomplex
 module Nodal = Symref_mna.Nodal
 module Random_net = Symref_circuit.Random_net
 module Ua741 = Symref_circuit.Ua741
+module Ladder = Symref_circuit.Rc_ladder
+module Biquad = Symref_circuit.Biquad
+module Parser = Symref_spice.Parser
+module Reference = Symref_core.Reference
+module Adaptive = Symref_core.Adaptive
+module Scaling = Symref_core.Scaling
+module Obs = Symref_obs.Metrics
+module Snapshot = Symref_obs.Snapshot
 module Uc = Symref_dft.Unit_circle
 module Inject = Symref_fault.Inject
 module BA1 = Bigarray.Array1
@@ -483,6 +492,149 @@ let test_batch_counters () =
             true
             (v Obs.lu_factor >= v Obs.kernel_batch_ejects)))
 
+(* --- one elimination program per circuit ---------------------------------- *)
+
+(* A 32-section ladder, and a five-section gm-C cascade whose pole
+   frequencies span four decades. *)
+let ladder_circuit = Ladder.circuit ~spread:1.05 32
+
+let biquad_circuit =
+  Biquad.cascade
+    (List.init 5 (fun i ->
+         { Biquad.f0_hz = 1e5 *. (10. ** float_of_int i); q = 0.6 +. float_of_int i; gm = 50e-6 }))
+
+let vin_problem c =
+  Nodal.make c ~input:(Nodal.Vsrc_element "vin") ~output:(Nodal.Out_node "out")
+
+(* The distinct scale pairs a reference generation visits, in first-visit
+   order: the initial pair comes first. *)
+let scale_pairs (r : Reference.t) =
+  List.fold_left
+    (fun acc (b : Adaptive.band_report) ->
+      let pair = (b.Adaptive.scale.Scaling.f, b.Adaptive.scale.Scaling.g) in
+      if List.mem pair acc then acc else acc @ [ pair ])
+    []
+    (r.Reference.num.Adaptive.reports @ r.Reference.den.Adaptive.reports)
+
+let vin_pairs c =
+  scale_pairs
+    (Reference.generate c ~input:(Nodal.Vsrc_element "vin") ~output:(Nodal.Out_node "out"))
+
+let with_counters f =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let x = f () in
+      (x, Snapshot.capture ()))
+
+let test_program_choice_order_free () =
+  (* Which program serves a scale pair is a function of the problem and
+     the pair alone: sweeping the pairs with a tilted one first, or the
+     initial one first, gives the same bits and the same learnings. *)
+  List.iter
+    (fun (name, make, pairs) ->
+      let sweep order =
+        let p = make () in
+        let k = Int.max 4 (Nodal.order_bound p + 1) in
+        let points = Array.init k (fun j -> Uc.point k j) in
+        with_counters (fun () ->
+            List.map (fun (f, g) -> ((f, g), Nodal.eval_batch ~f ~g p points)) order)
+      in
+      let initial_first, c1 = sweep pairs in
+      let tilted_first, c2 = sweep (List.rev pairs) in
+      List.iter
+        (fun (pair, vs) ->
+          let ws = List.assoc pair tilted_first in
+          Array.iteri
+            (fun j v ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s (%g, %g) point %d bit-identical" name (fst pair)
+                   (snd pair) j)
+                true (value_bits_equal v ws.(j)))
+            vs)
+        initial_first;
+      let learned s = Snapshot.value s Obs.lu_symbolic in
+      Alcotest.(check int) (name ^ ": same learnings either way") (learned c1) (learned c2);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d learnings for %d scale pairs" name (learned c1)
+           (List.length pairs))
+        true
+        (learned c1 < List.length pairs))
+    [
+      ( "ua741",
+        ua741_problem,
+        scale_pairs
+          (Reference.generate Ua741.circuit
+             ~input:(Nodal.V_diff (Ua741.input_p, Ua741.input_n))
+             ~output:(Nodal.Out_node Ua741.output)) );
+      ("ladder-32", (fun () -> vin_problem ladder_circuit), vin_pairs ladder_circuit);
+    ]
+
+let test_tilted_pairs_share_or_learn () =
+  (* A ladder's tilted pairs pass the replay at s = i and share the program
+     learned at the initial pair; a biquad cascade's fail it and learn
+     programs of their own. *)
+  let program p (f, g) = Option.get (Nodal.elimination_program ~f ~g p) in
+  let ladder_pairs = vin_pairs ladder_circuit in
+  let p = vin_problem ladder_circuit in
+  let home = program p (List.hd ladder_pairs) in
+  Alcotest.(check bool) "the ladder visits tilted pairs" true (List.length ladder_pairs > 1);
+  List.iter
+    (fun pair ->
+      Alcotest.(check bool)
+        (Printf.sprintf "ladder (%g, %g) replays the circuit program" (fst pair) (snd pair))
+        true
+        (program p pair == home))
+    ladder_pairs;
+  let biquad_pairs = vin_pairs biquad_circuit in
+  let p = vin_problem biquad_circuit in
+  let (), counters =
+    with_counters (fun () ->
+        let home = program p (List.hd biquad_pairs) in
+        List.iter
+          (fun pair ->
+            Alcotest.(check bool)
+              (Printf.sprintf "biquad (%g, %g) learns its own program" (fst pair) (snd pair))
+              true
+              (program p pair != home))
+          (List.tl biquad_pairs))
+  in
+  Alcotest.(check bool) "the cascade visits tilted pairs" true (List.length biquad_pairs > 1);
+  Alcotest.(check int) "one learning per biquad scale pair" (List.length biquad_pairs)
+    (Snapshot.value counters Obs.lu_symbolic)
+
+(* An example netlist, read from the test directory ([dune runtest]) or
+   from the repository root ([dune exec], as CI runs this group). *)
+let example name =
+  let dir =
+    List.find
+      (fun d -> Sys.file_exists (Filename.concat d name))
+      [ "../examples/netlists"; "examples/netlists" ]
+  in
+  Filename.concat dir name
+
+let test_physical_sweep_no_ejects () =
+  (* A sweep at f = g = 1 and s = j 2 pi f, as mc and simplify run it:
+     the program learned at the circuit's balanced initial pair keeps
+     every pivot above the threshold floor, where one learned at s = i
+     with f = g = 1 (capacitor entries 1e-12 of a conductance) did not. *)
+  let c = Parser.parse_file (example "two_stage_bjt.cir") in
+  let p = Nodal.make c ~input:(Nodal.Vsrc_element "v1") ~output:(Nodal.Out_node "c2") in
+  let points =
+    Array.init 33 (fun k ->
+        { Complex.re = 0.; im = 2. *. Float.pi *. (10. ** (float_of_int k /. 4.)) })
+  in
+  let values, counters = with_counters (fun () -> Nodal.eval_batch p points) in
+  Alcotest.(check int) "no point ejected" 0 (Snapshot.value counters Obs.kernel_batch_ejects);
+  Alcotest.(check int) "every point replayed" (Array.length points)
+    (Snapshot.value counters Obs.lu_refactor);
+  Alcotest.(check bool) "no singular point" false
+    (Array.exists (fun v -> v.Nodal.singular) values)
+
 let suite =
   [
     ( "batch",
@@ -502,5 +654,11 @@ let suite =
           test_chaos_batch_parity;
         Alcotest.test_case "batch counters and eject accounting" `Quick
           test_batch_counters;
+        Alcotest.test_case "program choice is order-free" `Quick
+          test_program_choice_order_free;
+        Alcotest.test_case "tilted pairs share the program or learn their own"
+          `Quick test_tilted_pairs_share_or_learn;
+        Alcotest.test_case "physical-frequency sweep ejects nothing" `Quick
+          test_physical_sweep_no_ejects;
       ] );
   ]

@@ -258,6 +258,36 @@ let test_service_formatting_invariance () =
     (Json.to_string r2.Protocol.body);
   Service.shutdown s
 
+let test_service_exact_key () =
+  (* Two netlists that differ only in r2's seventh digit: the key must
+     tell them apart, so the second is computed, not served the first
+     one's answer, and it reads exactly what a fresh service computes. *)
+  let rc r2 =
+    Printf.sprintf
+      "two-pole rc\nv1 in 0 ac 1\nr1 in a 1000\nc1 a 0 1n\nr2 a out %s\nc2 out 0 1n\n.end\n"
+      r2
+  in
+  let job r2 = { (reference_job (rc r2)) with Protocol.sigma = 10 } in
+  let dc_gain (r : Protocol.reply) =
+    match Json.member "dc_gain" r.Protocol.body with
+    | Some (Json.Num x) -> x
+    | _ -> Alcotest.fail "no dc_gain in the payload"
+  in
+  let s = Service.create () in
+  let first = Service.run_job s (job "1000.0001") in
+  let second = Service.run_job s (job "1000.0004") in
+  Alcotest.(check int) "two keys" 2 (Cache.entries (Service.cache s));
+  Alcotest.(check bool) "second not cached" false second.Protocol.cached;
+  Service.shutdown s;
+  let fresh = Service.create () in
+  let alone = Service.run_job fresh (job "1000.0004") in
+  Service.shutdown fresh;
+  Alcotest.(check string) "second reads what a fresh service computes"
+    (Json.to_string alone.Protocol.body)
+    (Json.to_string second.Protocol.body);
+  Alcotest.(check bool) "two answers" true
+    (Int64.bits_of_float (dc_gain first) <> Int64.bits_of_float (dc_gain second))
+
 let test_service_timeout_and_isolation () =
   let s = Service.create () in
   (* timeout_ms = 0: the deadline is already expired at admission, so the
@@ -2050,5 +2080,7 @@ let suite =
           `Quick test_batch_evicted_is_timeout;
         Alcotest.test_case "router: front answers like its workers" `Quick
           test_router_front;
+        Alcotest.test_case "service: values past the sixth digit key apart"
+          `Quick test_service_exact_key;
       ] );
   ]
