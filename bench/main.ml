@@ -220,8 +220,10 @@ let x2 () =
      - seed-style duplicated num/den adaptive runs vs the shared memoised
        evaluator, at equal coefficients,
      - a Symref_obs counter snapshot of one pipeline run, and the measured
-       overhead of enabling counters / tracing, median-of-5 per mode
-       (schema v12, documented in doc/pipeline.mld).  *)
+       overhead of enabling counters / tracing, median-of-5 per mode,
+     - the minor-heap words of one reference generation and one health
+       check per circuit, and of one serve job on a miss and on a hit
+       (schema v13, documented in doc/pipeline.mld).  *)
 
 module Random_net = Symref_circuit.Random_net
 module Uc = Symref_dft.Unit_circle
@@ -236,6 +238,13 @@ let time_wall reps f =
     ignore (f ())
   done;
   (wall () -. t0) /. float_of_int reps
+
+(* [f ()] and the words it allocated on the minor heap.  Allocation is a
+   deterministic count, so one call is the measurement. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
 
 (* Median over independent timing runs: a single [time_wall] sample sits at
    the mercy of scheduler noise, which on near-identical modes (counters
@@ -294,7 +303,10 @@ let json_circuits ~smoke =
    throughput, the duplicates measure the content-addressed cache (their
    payloads are answered from it once the first copy has been computed).
    Reported as the "serve" section of BENCH_interp.json (schema v3) and
-   runnable standalone as `main.exe serve-smoke`. *)
+   runnable standalone as `main.exe serve-smoke`.  The section also counts
+   the minor-heap words of one job through [Service.run_job] on the calling
+   domain, over the distinct netlists: the first run of each is a miss,
+   the second a hit (schema v13). *)
 
 let ota_with_sources () =
   N.extend Ota.circuit (fun b ->
@@ -318,21 +330,36 @@ let run_serve ~smoke =
       ]
   in
   let duplicates = if smoke then 4 else 12 in
+  let texts = List.map (fun (_, c) -> Symref_spice.Writer.to_string c) distinct in
+  let words_per_job =
+    let svc = Symref_serve.Service.create () in
+    let run text =
+      let reply, words =
+        minor_words (fun () ->
+            Symref_serve.Service.run_job svc
+              { Symref_serve.Protocol.default_job with Symref_serve.Protocol.netlist = `Text text })
+      in
+      if reply.Symref_serve.Protocol.status <> Symref_serve.Protocol.Ok then
+        failwith "serve bench: a job failed";
+      words
+    in
+    let miss = List.fold_left (fun acc text -> acc +. run text) 0. texts in
+    let hit = List.fold_left (fun acc text -> acc +. run text) 0. texts in
+    Symref_serve.Service.shutdown svc;
+    let n = float_of_int (List.length texts) in
+    (miss /. n, hit /. n)
+  in
   let dir = Filename.temp_dir "symref-serve-bench" "" in
   let write name text =
     let oc = open_out (Filename.concat dir name) in
     output_string oc text;
     close_out oc
   in
-  List.iteri
-    (fun i (name, c) ->
-      write
-        (Printf.sprintf "m%02d_%s.cir" i name)
-        (Symref_spice.Writer.to_string c))
-    distinct;
+  List.iteri (fun i ((name, _), text) -> write (Printf.sprintf "m%02d_%s.cir" i name) text)
+    (List.combine distinct texts);
   (* Duplicates are fresh files with the same content: only the
      content-addressed cache can recognise them. *)
-  let first_text = Symref_spice.Writer.to_string (snd (List.hd distinct)) in
+  let first_text = List.hd texts in
   for i = 1 to duplicates do
     write (Printf.sprintf "z_dup%02d.cir" i) first_text
   done;
@@ -347,17 +374,20 @@ let run_serve ~smoke =
   let jobs_per_s = float_of_int jobs /. dt in
   Printf.printf
     "batch: %d jobs (%d distinct + %d duplicates) in %.1f ms -> %.0f jobs/s\n\
-     cache: %d hits, %d misses (hit ratio %.2f); failures %d\n"
+     cache: %d hits, %d misses (hit ratio %.2f); failures %d\n\
+     minor words per job: miss %.0f, hit %.0f\n"
     jobs (List.length distinct) duplicates (dt *. 1000.) jobs_per_s hits misses
     (float_of_int hits /. float_of_int jobs)
-    report.Symref_serve.Batch.failed;
+    report.Symref_serve.Batch.failed (fst words_per_job) (snd words_per_job);
   Printf.sprintf
     "  \"serve\": { \"jobs\": %d, \"distinct\": %d, \"duplicates\": %d,\n\
     \    \"wall_ms\": %.2f, \"jobs_per_s\": %.1f, \"failed\": %d,\n\
-    \    \"cache\": { \"hits\": %d, \"misses\": %d, \"hit_ratio\": %.3f } }\n"
+    \    \"cache\": { \"hits\": %d, \"misses\": %d, \"hit_ratio\": %.3f },\n\
+    \    \"minor_words_per_job\": { \"miss\": %.0f, \"hit\": %.0f } }\n"
     jobs (List.length distinct) duplicates (dt *. 1000.) jobs_per_s
     report.Symref_serve.Batch.failed hits misses
     (float_of_int hits /. float_of_int jobs)
+    (fst words_per_job) (snd words_per_job)
 
 (* --- fleet-chaos benchmark: resilience under crash-loop + tarpit ------------
 
@@ -734,7 +764,7 @@ let run_json ~smoke =
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   section (if smoke then "SMOKE" else "JSON")
     "pipeline benchmark: full-factor vs batched replay, shared num/den";
-  out "{\n  \"schema\": \"symref/bench-interp/v12\",\n";
+  out "{\n  \"schema\": \"symref/bench-interp/v13\",\n";
   out "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full");
   out "  \"circuits\": [\n";
   let ncirc = List.length (json_circuits ~smoke) in
@@ -775,7 +805,8 @@ let run_json ~smoke =
       let t_seed = time_wall reps seed in
       let t_pipeline = time_wall reps pipeline in
       let seed_num, seed_den = seed () in
-      let r_pipe = pipeline () in
+      let r_pipe, words_generate = minor_words pipeline in
+      let _, words_health = minor_words (fun () -> Reference.health r_pipe) in
       let equal =
         coeffs_match seed_num r_pipe.Reference.num
         && coeffs_match seed_den r_pipe.Reference.den
@@ -827,6 +858,10 @@ let run_json ~smoke =
             updates learn_us);
       out "      \"reference_ms\": { \"seed\": %.4f, \"pipeline\": %.4f, \"speedup\": %.3f, \"coeffs_match\": %b },\n"
         (t_seed *. 1000.) (t_pipeline *. 1000.) (t_seed /. t_pipeline) equal;
+      Printf.printf "%-16s minor words: generate %.0f, health %.0f\n" jc.jname words_generate
+        words_health;
+      out "      \"minor_words\": { \"generate\": %.0f, \"health\": %.0f },\n" words_generate
+        words_health;
       out "      \"lu_evaluations\": { \"seed\": %d, \"pipeline\": %d }\n"
         (seed_num.Adaptive.evaluations + seed_den.Adaptive.evaluations)
         (Reference.total_evaluations r_pipe);

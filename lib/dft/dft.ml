@@ -1,14 +1,19 @@
+(* [w.(index k n)] is [Unit_circle.point k n] for any [n] in [(-k, k)]:
+   the table holds the k roots once, and a negative [n] (an inverse
+   transform's [-i*j mod k]) wraps as [Unit_circle.point] wraps it. *)
+let index k n = if n < 0 then n + k else n
+
 let transform ~sign (x : Complex.t array) =
   let k = Array.length x in
   if k = 0 then [||]
   else
+    (* w^(sign * i * j); the root table keeps the twiddle factors exact on
+       the axes. *)
+    let w = Unit_circle.points k in
     Array.init k (fun i ->
         let acc = ref Complex.zero in
         for j = 0 to k - 1 do
-          (* w^(sign * i * j); indices into the root table keep the twiddle
-             factors exact on the axes. *)
-          let idx = sign * i * j mod k in
-          acc := Complex.add !acc (Complex.mul x.(j) (Unit_circle.point k idx))
+          acc := Complex.add !acc (Complex.mul x.(j) w.(index k (sign * i * j mod k)))
         done;
         !acc)
 
@@ -37,14 +42,16 @@ let inverse_real_spectrum k half =
      self-conjugate points (j = 0 and, for even k, j = k/2) contribute on
      their own and are the only carriers of imaginary residue. *)
   let jmax = (k - 1) / 2 in
+  let w = Unit_circle.points k in
   Array.init k (fun i ->
       let re = ref half.(0).Complex.re and im = ref half.(0).Complex.im in
       for j = 1 to jmax do
         (* The pair x_j w^(-ij) + conj(x_j) w^(ij) is 2 Re (x_j w^(-ij))
-           exactly — one twiddle lookup and one complex multiply where the
-           full transform pays two of each and cancels only approximately. *)
-        let t = Complex.mul half.(j) (Unit_circle.point k (-i * j mod k)) in
-        re := !re +. (2. *. t.Complex.re)
+           exactly — one twiddle lookup and the real half of one complex
+           multiply ([Complex.mul]'s re, written out), where the full
+           transform pays two of each and cancels only approximately. *)
+        let x = half.(j) and t = w.(index k (-i * j mod k)) in
+        re := !re +. (2. *. ((x.Complex.re *. t.Complex.re) -. (x.Complex.im *. t.Complex.im)))
       done;
       if k land 1 = 0 then begin
         (* w^(-i*k/2) = (-1)^i exactly. *)

@@ -6,9 +6,11 @@
 
     The direct algorithm is used for arbitrary [K] (the number of
     interpolation points is [n+1] for an [n]-th order polynomial, rarely a
-    power of two); {!Fft} accelerates the power-of-two case.  In this
-    application the LU decompositions behind each [P(s_k)] dominate the run
-    time, not the transform. *)
+    power of two); {!Fft} accelerates the power-of-two case.  Each call
+    builds one table of the [K] roots ({!Unit_circle.points}) and indexes
+    it, so a term costs a multiply-add, not a cosine and a sine; the
+    table holds the same values {!Unit_circle.point} returns, so the bits
+    are the same. *)
 
 val forward : Complex.t array -> Complex.t array
 (** [forward p] evaluates the polynomial with coefficients [p] at the [K]

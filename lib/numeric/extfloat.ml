@@ -2,13 +2,27 @@ type t = { m : float; e : int }
 
 let zero = { m = 0.; e = 0 }
 
-(* Renormalise an arbitrary finite mantissa into [0.5, 1). [frexp] already
-   returns such a mantissa, so normalisation is a single call. *)
-let norm m e =
+(* The exponent [Float.frexp a] returns for a finite [a], read from the bits
+   instead of through [frexp]'s allocated pair: the biased exponent field
+   less 1022, and for a subnormal the same after one exact scaling by 2^54.
+   It is the rule [frexp_exp] states for the C kernel in
+   lib/linalg/batch_stub.c, and the one place the OCaml side states it. *)
+let[@inline] frexp_exp a =
+  let be = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 52) land 0x7ff in
+  if be > 0 then be - 1022
+  else if a = 0. then 0
+  else
+    let bes = Int64.bits_of_float (a *. 0x1p54) in
+    (Int64.to_int (Int64.shift_right_logical bes 52) land 0x7ff) - 1076
+
+(* Renormalise an arbitrary finite mantissa into [0.5, 1): [frexp]'s
+   mantissa, scaled exactly by the exponent read from the bits.  Inlined,
+   so the product or quotient an operation passes in stays unboxed. *)
+let[@inline] norm m e =
   if m = 0. then zero
   else
-    let m', de = Float.frexp m in
-    { m = m'; e = e + de }
+    let de = frexp_exp m in
+    { m = Float.ldexp m (-de); e = e + de }
 
 let of_float x =
   if not (Float.is_finite x) then invalid_arg "Extfloat.of_float: not finite"

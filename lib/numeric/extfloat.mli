@@ -23,6 +23,11 @@ val of_float : float -> t
 (** [of_float x] represents the double [x] exactly.
     @raise Invalid_argument on [nan] or infinite input. *)
 
+val frexp_exp : float -> int
+(** [frexp_exp a] is [snd (Float.frexp a)] for every finite [a] ([0] for
+    zero), read from the bits without allocating; subnormals included.
+    lib/linalg/batch_stub.c states the same rule for the C kernel. *)
+
 val to_float : t -> float
 (** Round back to double; overflows to [infinity] and underflows to [0.]
     silently (this is the expected behaviour when feeding in-range values to

@@ -38,12 +38,74 @@ let mul (a : t) (b : t) : t =
     trim r
   end
 
+(* Horner's rule on unboxed locals.  Each step is, operation for operation,
+   [acc := Ec.add (Ec.mul acc z) (Ec.of_extfloat c)]: the same products,
+   sums, [ldexp] alignments and normalisations in the same order, without a
+   record per operation.  The accumulator [(re, im) * 2^e] is normalised as
+   an [Ec.t] is, with [Ec.zero] as [(0, 0) * 2^0]; a coefficient's mantissa
+   is normalised already, so [Ec.of_extfloat c] is [(c.m, 0) * 2^c.e], or
+   zero. *)
 let eval (p : t) (z : Ec.t) =
-  let acc = ref Ec.zero in
+  let zr = z.Ec.c.Complex.re and zi = z.Ec.c.Complex.im and ze = z.Ec.e in
+  let re = ref 0. and im = ref 0. and e = ref 0 in
   for i = Array.length p - 1 downto 0 do
-    acc := Ec.add (Ec.mul !acc z) (Ec.of_extfloat p.(i))
+    (* [Ec.mul acc z]. *)
+    let pr = (!re *. zr) -. (!im *. zi) and pi = (!re *. zi) +. (!im *. zr) in
+    let a = Float.max (Float.abs pr) (Float.abs pi) in
+    if a = 0. then begin
+      re := 0.;
+      im := 0.;
+      e := 0
+    end
+    else begin
+      let d = Ef.frexp_exp a in
+      re := Float.ldexp pr (-d);
+      im := Float.ldexp pi (-d);
+      e := !e + ze + d
+    end;
+    (* [Ec.add acc (Ec.of_extfloat c)]; the larger exponent leads. *)
+    let cm = p.(i).Ef.m and ce = p.(i).Ef.e in
+    if cm = 0. then ()
+    else if !re = 0. && !im = 0. then begin
+      re := cm;
+      im := 0.;
+      e := ce
+    end
+    else begin
+      let acc_leads = !e >= ce in
+      let gap = if acc_leads then !e - ce else ce - !e in
+      if gap > 60 then begin
+        if not acc_leads then begin
+          re := cm;
+          im := 0.;
+          e := ce
+        end
+      end
+      else begin
+        let sr =
+          if acc_leads then !re +. Float.ldexp cm (-gap)
+          else cm +. Float.ldexp !re (-gap)
+        and si =
+          if acc_leads then !im +. Float.ldexp 0. (-gap)
+          else 0. +. Float.ldexp !im (-gap)
+        and se = if acc_leads then !e else ce in
+        let a = Float.max (Float.abs sr) (Float.abs si) in
+        if a = 0. then begin
+          re := 0.;
+          im := 0.;
+          e := 0
+        end
+        else begin
+          let d = Ef.frexp_exp a in
+          re := Float.ldexp sr (-d);
+          im := Float.ldexp si (-d);
+          e := se + d
+        end
+      end
+    end
   done;
-  !acc
+  (* Renormalising a normalised mantissa is the identity. *)
+  Ec.make ~c:{ Complex.re = !re; im = !im } ~e:!e
 
 let eval_jomega p w = eval p (Ec.of_complex { Complex.re = 0.; im = w })
 

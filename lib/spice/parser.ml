@@ -7,11 +7,32 @@ let fail line fmt = Printf.ksprintf (fun message -> raise (Parse_error { line; m
 
 type model = Bjt of Devices.bjt | Mos of Devices.mos
 
-let split_fields s =
-  String.split_on_char ' ' (String.map (function '\t' | '=' -> ' ' | c -> c) s)
-  |> List.filter (fun f -> f <> "")
+let is_separator c = c = ' ' || c = '\t' || c = '='
 
-(* Join '+' continuation lines onto their card, keeping line numbers. *)
+let lowercase_sub s i len =
+  let b = Bytes.create len in
+  for k = 0 to len - 1 do
+    Bytes.unsafe_set b k (Char.lowercase_ascii (String.unsafe_get s (i + k)))
+  done;
+  Bytes.unsafe_to_string b
+
+(* The fields of [s] from index [from] on, lowercased: the maximal runs of
+   characters other than blanks, tabs and '='.  Found by index, right to
+   left, so the list is built in order. *)
+let split_fields ?(from = 0) s =
+  let rec field_start i = if i > from && not (is_separator s.[i - 1]) then field_start (i - 1) else i in
+  let rec go acc j =
+    if j <= from then acc
+    else if is_separator s.[j - 1] then go acc (j - 1)
+    else
+      let i = field_start (j - 1) in
+      go (lowercase_sub s i (j - i) :: acc) i
+  in
+  go [] (String.length s)
+
+(* Join '+' continuation lines onto their card, keeping line numbers; each
+   card comes out split into its fields.  A continuation's fields follow
+   its card's, as if the two lines were one joined by a blank. *)
 let logical_lines raw =
   let rec go acc current = function
     | [] -> List.rev (match current with None -> acc | Some c -> c :: acc)
@@ -21,11 +42,11 @@ let logical_lines raw =
         else if trimmed.[0] = '+' then
           match current with
           | None -> fail lineno "continuation line with nothing to continue"
-          | Some (n, body) ->
-              go acc (Some (n, body ^ " " ^ String.sub trimmed 1 (String.length trimmed - 1))) rest
+          | Some (n, fields) ->
+              go acc (Some (n, fields @ split_fields ~from:1 trimmed)) rest
         else
           let acc = match current with None -> acc | Some c -> c :: acc in
-          go acc (Some (lineno, trimmed)) rest
+          go acc (Some (lineno, split_fields trimmed)) rest
   in
   go [] None raw
 
@@ -33,7 +54,7 @@ let logical_lines raw =
 let parse_params line fields =
   let rec go acc = function
     | [] -> acc
-    | name :: value :: rest -> go ((String.lowercase_ascii name, value) :: acc) rest
+    | name :: value :: rest -> go ((name, value) :: acc) rest
     | [ name ] -> fail line "parameter %s has no value" name
   in
   go [] fields
@@ -56,16 +77,16 @@ let parse_model line fields =
         | Some v -> v
         | None -> fail line "model is missing parameter %s" name
       in
-      match String.lowercase_ascii kind with
+      match kind with
       | "bjtss" ->
           let ic = req "ic" in
-          ( String.lowercase_ascii name,
+          ( name,
             Bjt
               (Devices.bjt_of_bias
                  ?beta:(opt "beta") ?va:(opt "va") ?tf:(opt "tf")
                  ?cmu:(opt "cmu") ?rb:(opt "rb") ?ccs:(opt "ccs") ~ic ()) )
       | "mosss" ->
-          ( String.lowercase_ascii name,
+          ( name,
             Mos
               {
                 Devices.gm = req "gm";
@@ -106,8 +127,7 @@ let parse_string text =
             match current with
             | None -> ()
             | Some (line, name, _, _) -> fail line ".subckt %s has no .ends" name)
-        | (line, card) :: rest -> (
-            let fields = split_fields (String.lowercase_ascii card) in
+        | (line, fields) :: rest -> (
             match (fields, current) with
             | ".model" :: margs, _ ->
                 let name, m = parse_model line margs in
@@ -122,24 +142,23 @@ let parse_string text =
                 scan None rest
             | [ ".ends" ], None -> fail line ".ends without .subckt"
             | _, Some (l0, name, ports, body) ->
-                scan (Some (l0, name, ports, (line, card) :: body)) rest
+                scan (Some (l0, name, ports, (line, fields) :: body)) rest
             | _, None ->
-                toplevel := (line, card) :: !toplevel;
+                toplevel := (line, fields) :: !toplevel;
                 scan None rest)
       in
       scan None cards;
       let toplevel = List.rev !toplevel in
       let find_model line name =
-        match Hashtbl.find_opt models (String.lowercase_ascii name) with
+        match Hashtbl.find_opt models name with
         | Some m -> m
         | None -> fail line "unknown model %s" name
       in
       let ended = ref false in
       (* [translate] maps node names into the current instantiation scope;
          [rename] prefixes element names.  [depth] guards subckt recursion. *)
-      let rec process_card ~depth ~translate ~rename (line, card) =
+      let rec process_card ~depth ~translate ~rename (line, fields) =
         if not !ended then begin
-          let fields = split_fields (String.lowercase_ascii card) in
           try
             match fields with
             | [] -> ()

@@ -11,8 +11,26 @@ let suffixes =
     ("f", 1e-15);
   ]
 
+(* [suffixes] entry whose name starts [s] at [i], "meg" first (otherwise
+   "m" would shadow it). *)
+let suffix_at s i =
+  let n = String.length s in
+  let rec matches suf k =
+    k = String.length suf || (i + k < n && s.[i + k] = suf.[k] && matches suf (k + 1))
+  in
+  let rec find = function
+    | [] -> None
+    | (suf, m) :: rest -> if matches suf 0 then Some m else find rest
+  in
+  find suffixes
+
+let is_upper c = c >= 'A' && c <= 'Z'
+
+(* [String.trim] returns a field with nothing to trim as is, and a field
+   with no upper-case letter is not copied to lowercase it. *)
 let parse s =
-  let s = String.lowercase_ascii (String.trim s) in
+  let s = String.trim s in
+  let s = if String.exists is_upper s then String.lowercase_ascii s else s in
   if s = "" then None
   else begin
     (* Longest numeric prefix. *)
@@ -42,27 +60,19 @@ let parse s =
     let stop = span 0 in
     if stop = 0 then None
     else
-      match float_of_string_opt (String.sub s 0 stop) with
+      match float_of_string_opt (if stop = n then s else String.sub s 0 stop) with
       | None -> None
       | Some v ->
-          let rest = String.sub s stop (n - stop) in
+          let rec letters i = i = n || (s.[i] >= 'a' && s.[i] <= 'z' && letters (i + 1)) in
           let mult =
-            if rest = "" then Some 1.
+            if stop = n then Some 1.
             else
-              (* "meg" first (otherwise "m" would shadow it). *)
-              match
-                List.find_opt
-                  (fun (suf, _) ->
-                    String.length rest >= String.length suf
-                    && String.sub rest 0 (String.length suf) = suf)
-                  suffixes
-              with
-              | Some (_, m) -> Some m
+              match suffix_at s stop with
+              | Some m -> Some m
               | None ->
                   (* Unknown trailing letters with no suffix: SPICE ignores
                      pure unit annotations like "ohm", "hz", "v", "a", "s". *)
-                  if String.for_all (fun c -> c >= 'a' && c <= 'z') rest then Some 1.
-                  else None
+                  if letters stop then Some 1. else None
           in
           Option.map (fun m -> v *. m) mult
   end

@@ -4,55 +4,69 @@ module Element = Symref_circuit.Element
 (* Card names are type-dispatched on their first letter, so every emitted
    name gets the canonical prefix; pure conductances (no SPICE card; may be
    negative) are written as the electrically identical self-controlled VCCS
-   [G p m p m value].  [value] prints every element value. *)
+   [G p m p m value].  [value] prints every element value.  Each card is
+   written field by field into the one buffer. *)
 let render ~value circuit =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Netlist.title circuit);
   Buffer.add_char buf '\n';
-  let node n = Netlist.node_name circuit n in
-  let card letter (e : Element.t) body =
-    Buffer.add_string buf
-      (Printf.sprintf "%c_%s %s\n" letter (String.lowercase_ascii e.Element.name) body)
+  let lower s =
+    for i = 0 to String.length s - 1 do
+      Buffer.add_char buf (Char.lowercase_ascii (String.unsafe_get s i))
+    done
+  in
+  let card letter (e : Element.t) =
+    Buffer.add_char buf letter;
+    Buffer.add_char buf '_';
+    lower e.Element.name
+  in
+  let node n =
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (Netlist.node_name circuit n)
+  in
+  let last v =
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (value v);
+    Buffer.add_char buf '\n'
+  in
+  let control vname =
+    Buffer.add_string buf " v_";
+    lower vname
   in
   List.iter
     (fun (e : Element.t) ->
       match e.Element.kind with
       | Element.Resistor { a; b; ohms } ->
-          card 'r' e (Printf.sprintf "%s %s %s" (node a) (node b) (value ohms))
+          card 'r' e; node a; node b; last ohms
       | Element.Conductance { a; b; siemens } ->
-          card 'g' e
-            (Printf.sprintf "%s %s %s %s %s" (node a) (node b) (node a) (node b)
-               (value siemens))
+          card 'g' e; node a; node b; node a; node b; last siemens
       | Element.Capacitor { a; b; farads } ->
-          card 'c' e (Printf.sprintf "%s %s %s" (node a) (node b) (value farads))
+          card 'c' e; node a; node b; last farads
       | Element.Inductor { a; b; henries } ->
-          card 'l' e (Printf.sprintf "%s %s %s" (node a) (node b) (value henries))
+          card 'l' e; node a; node b; last henries
       | Element.Vccs { p; m; cp; cm; gm } ->
-          card 'g' e
-            (Printf.sprintf "%s %s %s %s %s" (node p) (node m) (node cp) (node cm)
-               (value gm))
+          card 'g' e; node p; node m; node cp; node cm; last gm
       | Element.Vcvs { p; m; cp; cm; gain } ->
-          card 'e' e
-            (Printf.sprintf "%s %s %s %s %s" (node p) (node m) (node cp) (node cm)
-               (value gain))
+          card 'e' e; node p; node m; node cp; node cm; last gain
       | Element.Cccs { p; m; vname; gain } ->
-          card 'f' e
-            (Printf.sprintf "%s %s v_%s %s" (node p) (node m)
-               (String.lowercase_ascii vname) (value gain))
+          card 'f' e; node p; node m; control vname; last gain
       | Element.Ccvs { p; m; vname; ohms } ->
-          card 'h' e
-            (Printf.sprintf "%s %s v_%s %s" (node p) (node m)
-               (String.lowercase_ascii vname) (value ohms))
+          card 'h' e; node p; node m; control vname; last ohms
       | Element.Isrc { a; b; amps } ->
-          card 'i' e (Printf.sprintf "%s %s ac %s" (node a) (node b) (value amps))
+          card 'i' e; node a; node b; Buffer.add_string buf " ac"; last amps
       | Element.Vsrc { p; m; volts } ->
-          card 'v' e (Printf.sprintf "%s %s ac %s" (node p) (node m) (value volts)))
+          card 'v' e; node p; node m; Buffer.add_string buf " ac"; last volts)
     (Netlist.elements circuit);
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
 
+(* Printf's [%h] is this runtime primitive with the sign flag '-' and a
+   negative precision ("as many digits as needed"); calling it directly
+   skips the format interpreter and gives the same text. *)
+external hexstring_of_float : float -> int -> char -> string = "caml_hexstring_of_float"
+
 let to_string = render ~value:Units.format_si
-let canonical = render ~value:(Printf.sprintf "%h")
+let canonical = render ~value:(fun v -> hexstring_of_float v (-1) '-')
 
 let to_file path circuit =
   let oc = open_out path in

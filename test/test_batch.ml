@@ -607,22 +607,12 @@ let test_tilted_pairs_share_or_learn () =
   Alcotest.(check int) "one learning per biquad scale pair" (List.length biquad_pairs)
     (Snapshot.value counters Obs.lu_symbolic)
 
-(* An example netlist, read from the test directory ([dune runtest]) or
-   from the repository root ([dune exec], as CI runs this group). *)
-let example name =
-  let dir =
-    List.find
-      (fun d -> Sys.file_exists (Filename.concat d name))
-      [ "../examples/netlists"; "examples/netlists" ]
-  in
-  Filename.concat dir name
-
 let test_physical_sweep_no_ejects () =
   (* A sweep at f = g = 1 and s = j 2 pi f, as mc and simplify run it:
      the program learned at the circuit's balanced initial pair keeps
      every pivot above the threshold floor, where one learned at s = i
      with f = g = 1 (capacitor entries 1e-12 of a conductance) did not. *)
-  let c = Parser.parse_file (example "two_stage_bjt.cir") in
+  let c = Parser.parse_file (Example_netlists.path "two_stage_bjt.cir") in
   let p = Nodal.make c ~input:(Nodal.Vsrc_element "v1") ~output:(Nodal.Out_node "c2") in
   let points =
     Array.init 33 (fun k ->

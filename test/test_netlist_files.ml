@@ -8,7 +8,7 @@ module Ac = Symref_mna.Ac
 module Reference = Symref_core.Reference
 module Poles = Symref_core.Poles
 
-let path name = Filename.concat "../examples/netlists" name
+let path = Example_netlists.path
 
 let load name = Parser.parse_file (path name)
 

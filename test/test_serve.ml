@@ -9,7 +9,7 @@ module Service = Serve.Service
 module Batch = Serve.Batch
 module Json = Symref_obs.Json
 
-let netlist name = Filename.concat "../examples/netlists" name
+let netlist = Example_netlists.path
 let read_file f = In_channel.with_open_bin f In_channel.input_all
 
 let temp_dir prefix = Filename.temp_dir prefix ""
@@ -404,7 +404,7 @@ let test_batch_examples_vs_single_shot () =
      reference jobs at once. *)
   List.iter
     (fun config ->
-      let report = Batch.run ~config "../examples/netlists" in
+      let report = Batch.run ~config (Example_netlists.dir ()) in
       Alcotest.(check bool) "all example files succeed" true
         (report.Batch.failed = 0 && report.Batch.files >= 5);
       (* Each batch payload must be bit-identical to a fresh single-shot

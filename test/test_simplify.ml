@@ -19,7 +19,7 @@ module Protocol = Serve.Protocol
 module Service = Serve.Service
 module Json = Symref_obs.Json
 
-let netlist name = Filename.concat "../examples/netlists" name
+let netlist = Example_netlists.path
 
 let freqs = Grid.decades ~start:1. ~stop:1e8 ~per_decade:4
 let budget () = Budget.v ~db:0.5 ~deg:2. ()
