@@ -397,8 +397,8 @@ let run_serve ~smoke =
    it dies mid-connection every Nth submit and is restarted on the same
    socket) and one worker tarpitted ([serve.slow_worker] sleeps before
    every submit).  The parent drives the library {!Symref_serve.Router}
-   with hedging enabled and tight worker admission (one worker, no queue)
-   so overload shedding fires under the duplicate bursts.  The rung
+   with hedging enabled and tight worker admission (one worker, no queue),
+   so two simultaneous misses to one worker shed one of them.  The rung
    asserts the layer's whole contract at once: zero client-visible errors
    and byte-identical payloads against a healthy baseline, while the
    counters prove the machinery engaged (hedge wins, breaker transitions,
@@ -415,8 +415,7 @@ module Ssup = Symref_serve.Supervisor
 (* Distinct eight-section RC ladders: same topology and cost, different
    element values, so every key is a distinct cache entry of equal compute
    weight. *)
-let key_netlist i =
-  let sections = 8 in
+let key_netlist ?(sections = 8) i =
   let b = Buffer.create 256 in
   Printf.bprintf b "loadkey%02d\n" i;
   Printf.bprintf b "v1 in 0 ac 1\n";
@@ -565,10 +564,11 @@ let run_fleet_chaos ~smoke =
   let lats = ref [] in
   let bump r = Mutex.lock lock; incr r; Mutex.unlock lock in
   let client _t =
-    (* Every thread walks the same key sequence, so duplicate bursts hit
-       each owner concurrently: one worker + queue 0 makes the excess shed
-       (typed Overloaded), which the client absorbs by honoring the
-       retry_after hint — chaos must stay invisible to callers. *)
+    (* Every thread walks the same key sequence, so duplicate bursts reach
+       the fleet concurrently.  The router spreads them over the workers;
+       whatever a worker still sheds (one worker + queue 0, typed
+       Overloaded) the client absorbs by honoring the retry_after hint —
+       chaos must stay invisible to callers. *)
     for n = 0 to per_thread - 1 do
       let k = n mod keys in
       let t0 = wall () in
@@ -609,23 +609,33 @@ let run_fleet_chaos ~smoke =
   in
   let kids = List.init threads (fun t -> Thread.create client t) in
   List.iter Thread.join kids;
-  (* Deterministic shed probe: two cache-miss submits race through the
-     tarpit's pre-admission sleep, which synchronises them onto the single
-     admission slot — one computes, the other is shed (one worker, queue
-     0) regardless of scheduling noise in the main run. *)
+  (* Deterministic shed probe.  The main run need not shed at all: the
+     router spreads concurrent duplicates over the workers.  So two
+     cache-miss submits go to the tarpit, written back to back on two
+     connections opened first.  Its pre-admission sleep holds both for the
+     same [slow_ms], so they reach its single admission slot (one worker,
+     queue 0) microseconds apart, and a 64-section ladder computes for
+     milliseconds: one computes, the other is shed.  Probe threads that
+     each connect first can arrive further apart than a short job takes,
+     and then neither is shed. *)
   let slow_addr = List.nth addrs 2 in
-  let probe i =
-    let job =
-      {
-        Sproto.default_job with
-        Sproto.netlist = `Text (key_netlist (100 + i));
-        id = Some (Printf.sprintf "shedprobe%d" i);
-      }
-    in
-    try ignore (chaos_request slow_addr (Sproto.Submit job)) with _ -> ()
-  in
-  let probes = List.init 2 (fun i -> Thread.create probe i) in
-  List.iter Thread.join probes;
+  (try
+     let conns = List.init 2 (fun _ -> Sclient.connect ~addr:slow_addr) in
+     Fun.protect
+       ~finally:(fun () -> List.iter Sclient.close conns)
+       (fun () ->
+         List.iteri
+           (fun i c ->
+             Sclient.send c
+               (Sproto.Submit
+                  {
+                    Sproto.default_job with
+                    Sproto.netlist = `Text (key_netlist ~sections:64 (100 + i));
+                    id = Some (Printf.sprintf "shedprobe%d" i);
+                  }))
+           conns;
+         List.iter (fun c -> ignore (Sclient.recv c)) conns)
+   with _ -> ());
   (* Worker-side shed totals (each incarnation counts from zero; the sum
      across live workers is the proof shedding engaged at all). *)
   let shed =

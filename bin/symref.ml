@@ -1023,10 +1023,10 @@ let health_arg =
 
 let hedge_max_arg =
   let doc =
-    "Ceiling on the hedged-request delay in milliseconds: when the owning \
-     worker has not answered after the p99 of recent latencies (clamped to \
-     this), the job is re-issued to the next ring worker and the first \
-     reply wins.  $(b,0) disables hedging."
+    "Ceiling on the hedged-request delay in milliseconds: when the worker \
+     a job was placed on has not answered after the p99 of recent latencies \
+     (clamped to this), the job is re-issued to the next ring worker and \
+     the first reply wins.  $(b,0) disables hedging."
   in
   Arg.(value & opt int 500 & info [ "hedge-max-ms" ] ~docv:"MS" ~doc)
 
@@ -1073,12 +1073,14 @@ let router_cmd =
     (Cmd.info "router"
        ~doc:
          "Run the fleet front end: consistent-hash jobs across the \
-          $(b,--worker) daemons (same NDJSON protocol as $(b,serve)), with \
-          per-worker circuit breakers fed by Hello health probes, hedged \
-          requests against the tail, and automatic failover to the next \
-          worker on the ring.  A stats reply lists each worker's own stats \
-          reply (under $(b,workers[].stats)) next to its breaker state; \
-          nothing is summed across workers.  \
+          $(b,--worker) daemons (same NDJSON protocol as $(b,serve)), each \
+          on its owner unless the owner already holds its share of the \
+          forwards in flight, with per-worker circuit breakers fed by Hello \
+          health probes, hedged requests against the tail, and automatic \
+          failover to the next worker on the ring.  A stats reply lists \
+          each worker's own stats reply (under $(b,workers[].stats)) next \
+          to its breaker state and forwards in flight; nothing is summed \
+          across workers.  \
           Runs in the foreground until a shutdown request, SIGTERM or \
           SIGINT arrives, then drains and removes its socket file.")
     Term.(

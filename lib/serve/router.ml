@@ -8,12 +8,27 @@
    that hashed onto its virtual nodes — the rest of the fleet keeps its
    (warm) share.
 
-   The router holds no job state: it forwards one request, relays one
-   reply.  Worker health is tracked by a per-worker circuit breaker
-   (closed -> open on failures -> half-open probe -> closed), but the
-   marks stay advisory: when every candidate's breaker refuses, the walk
-   tries them all anyway — a stale "open" must degrade to a slow request,
-   not an outage.
+   Placement is bounded-load consistent hashing (Mirrokni, Thorup &
+   Zadimoghaddam, arXiv:1608.01350) with a factor of 1: a forward goes to
+   the first worker in its key's ring order whose forwards in flight are
+   below ceil((in flight + 1) / candidates), counted over the candidates
+   the breakers admit.  With nothing in flight that is always the owner;
+   under concurrent load no worker takes a second job while another
+   candidate has fewer, so two misses never queue on one worker while the
+   other idles.  The count is per forward, held on its placed worker from
+   placement to reply: a hedge or failover leg to another worker is not
+   counted separately, an approximation that only ever over-states the
+   placed worker's load.  A job moved off its owner misses the owner's
+   memory cache: with a shared disk cache (every [symref fleet]) it is a
+   disk hit, replayed byte for byte; without one it is recomputed, to the
+   same bytes.
+
+   The router holds no job state beyond those counts: it forwards one
+   request, relays one reply.  Worker health is tracked by a per-worker
+   circuit breaker (closed -> open on failures -> half-open probe ->
+   closed), but the marks stay advisory: when every candidate's breaker
+   refuses, the walk tries them all anyway — a stale "open" must degrade
+   to a slow request, not an outage.
 
    Forwards, health probes and stats requests run over a small pool of
    open connections per worker, so a forward costs the worker neither an
@@ -23,14 +38,14 @@
    closed instead — otherwise the next request on it would read the
    abandoned job's reply.
 
-   Tail latency is covered by hedging: when the owner has not answered
-   after a delay derived from recent forward latencies (p99, clamped), the
-   same job is re-issued to the next ring candidate and the first reply
-   wins.  Workers are deterministic and idempotent, so a duplicated job
-   can only waste one worker's time, never change the answer.  The race
-   runs on the calling thread: the pure {!Race} machine picks the reply,
-   a select loop over the racers' sockets and timers carries out its
-   actions. *)
+   Tail latency is covered by hedging: when the placed worker has not
+   answered after a delay derived from recent forward latencies (p99,
+   clamped), the same job is re-issued to the next ring candidate and the
+   first reply wins.  Workers are deterministic and idempotent, so a
+   duplicated job can only waste one worker's time, never change the
+   answer.  The race runs on the calling thread: the pure {!Race} machine
+   picks the reply, a select loop over the racers' sockets and timers
+   carries out its actions. *)
 
 module Json = Symref_obs.Json
 module Metrics = Symref_obs.Metrics
@@ -246,7 +261,10 @@ type t = {
   lat : float array; (* ring buffer of forward latencies, ms *)
   mutable lat_n : int; (* samples recorded, saturates at lat_window *)
   mutable lat_i : int; (* next write slot *)
-  lock : Mutex.t; (* guards breaker fields, pools and the latency buffer *)
+  inflight : int array; (* per worker: forwards placed and not yet answered *)
+  spilled : int array; (* per worker: forwards placed off their key's owner *)
+  lock : Mutex.t;
+      (* guards breaker fields, pools, the latency buffer and the counts *)
 }
 
 (* A signal must never unwind the prober: an interrupted nap just ends
@@ -315,6 +333,8 @@ let create ?(replicas = 64) ?(backoff = default_backoff)
     lat = Array.make lat_window 0.;
     lat_n = 0;
     lat_i = 0;
+    inflight = Array.make (Array.length workers) 0;
+    spilled = Array.make (Array.length workers) 0;
     lock = Mutex.create ();
   }
 
@@ -322,9 +342,11 @@ let workers t = Array.to_list (Array.map (fun w -> w.addr) t.workers)
 
 (* The routing key is over the job's *spelling* (raw netlist text or path,
    analysis, io, sigma, r): cheap, deterministic, and identical requests
-   always land on the same worker — which is what makes each worker's LRU
-   cache effective.  It intentionally does not canonicalise the netlist;
-   only the owning worker pays for parsing. *)
+   always have the same owner — which is what makes each worker's LRU
+   cache effective, since a forward goes to its owner unless the owner
+   already holds its share of the forwards in flight ({!place}).  It
+   intentionally does not canonicalise the netlist; only the worker a
+   forward is placed on pays for parsing. *)
 let job_key (job : Protocol.job) =
   let netlist =
     match job.Protocol.netlist with
@@ -374,6 +396,17 @@ let owner t key =
   match route t key with
   | w :: _ -> t.workers.(w).addr
   | [] -> assert false (* create requires >= 1 worker *)
+
+(* Bounded-load placement.  The cap (total + n) / n is
+   ceil((total + 1) / n), so some candidate is always below it: were every
+   count >= cap, total >= n * cap >= total + 1. *)
+let place ~inflight candidates =
+  let n = List.length candidates in
+  if n = 0 then invalid_arg "Router.place: no candidates";
+  let total = List.fold_left (fun s w -> s + inflight.(w)) 0 candidates in
+  let cap = (total + n) / n in
+  let chosen = List.find (fun w -> inflight.(w) < cap) candidates in
+  chosen :: List.filter (fun w -> w <> chosen) candidates
 
 (* --- breaker transitions (all under t.lock) --- *)
 
@@ -519,6 +552,40 @@ let record_latency t ms =
       t.lat_i <- (t.lat_i + 1) mod lat_window;
       if t.lat_n < lat_window then t.lat_n <- t.lat_n + 1)
 
+(* The element of rank [k] (from 0) of [a] in ascending [Float.compare]
+   order, by Hoare's selection (Wirth's "Find"): O(n) expected, where a
+   sort is O(n log n).  Reorders [a].  After each partition everything in
+   [lo, j] is <= the pivot, everything in [i, hi] is >= it, and anything
+   strictly between j and i equals it. *)
+let select a k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while Float.compare a.(!i) pivot < 0 do incr i done;
+      while Float.compare a.(!j) pivot > 0 do decr j done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    if k <= !j then hi := !j
+    else if k >= !i then lo := !i
+    else hi := !lo
+  done;
+  a.(k)
+
+let p99 sample =
+  let n = Array.length sample in
+  if n = 0 then Float.nan
+  else
+    select (Array.copy sample)
+      (Int.min (n - 1) (int_of_float (0.99 *. float_of_int n)))
+
 (* The hedge delay: the p99 of recent forward latencies, clamped into
    [after_ms_min, after_ms_max].  With no samples yet the delay is the
    max — hedging starts conservative and tightens as the router learns
@@ -528,13 +595,8 @@ let hedge_delay_ms t =
   | None -> infinity
   | Some h ->
       let sample = with_lock t (fun () -> Array.sub t.lat 0 t.lat_n) in
-      let n = Array.length sample in
-      if n = 0 then h.after_ms_max
-      else begin
-        Array.sort Float.compare sample;
-        let i = Int.min (n - 1) (int_of_float (0.99 *. float_of_int n)) in
-        Float.max h.after_ms_min (Float.min h.after_ms_max sample.(i))
-      end
+      if Array.length sample = 0 then h.after_ms_max
+      else Float.max h.after_ms_min (Float.min h.after_ms_max (p99 sample))
 
 (* --- the connection pool --- *)
 
@@ -803,9 +865,24 @@ let no_worker_reply (job : Protocol.job) =
 let forward t (job : Protocol.job) =
   Metrics.incr Metrics.router_requests;
   let order = route t (job_key job) in
-  let candidates =
+  let admitted =
     match List.filter (admits t) order with [] -> order | live -> live
   in
+  (* Placed and counted under one lock, so concurrent forwards see each
+     other's counts; the count is released exactly once, however the
+     forward ends. *)
+  let candidates =
+    with_lock t (fun () ->
+        let candidates = place ~inflight:t.inflight admitted in
+        let w = List.hd candidates in
+        t.inflight.(w) <- t.inflight.(w) + 1;
+        if w <> List.hd order then t.spilled.(w) <- t.spilled.(w) + 1;
+        candidates)
+  in
+  let w = List.hd candidates in
+  Fun.protect ~finally:(fun () ->
+      with_lock t (fun () -> t.inflight.(w) <- t.inflight.(w) - 1))
+  @@ fun () ->
   let req = Protocol.Submit job in
   (* Non-transient failures end the walk: the next worker would only say
      the same thing, so answer now instead of walking (and misreporting a
@@ -883,9 +960,12 @@ let stats_json t =
       (Array.mapi
          (fun w (worker : worker) ->
            let view = breaker_state t w in
-           let failures, streak =
+           let failures, streak, inflight, spilled =
              with_lock t (fun () ->
-                 (t.workers.(w).failures, t.workers.(w).streak))
+                 ( t.workers.(w).failures,
+                   t.workers.(w).streak,
+                   t.inflight.(w),
+                   t.spilled.(w) ))
            in
            let base =
              [
@@ -894,6 +974,8 @@ let stats_json t =
                ("breaker", Json.Str (breaker_label view));
                ("failures", Json.Num (float_of_int failures));
                ("opens_streak", Json.Num (float_of_int streak));
+               ("inflight", Json.Num (float_of_int inflight));
+               ("spilled", Json.Num (float_of_int spilled));
              ]
            in
            match exchange t Protocol.Stats w None with

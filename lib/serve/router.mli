@@ -3,9 +3,20 @@
 
     Jobs hash by their request {e spelling} (netlist text or path,
     analysis, io, sigma, r) onto a virtual-node ring — identical requests
-    always reach the same worker, keeping each worker's result cache
+    always have the same owner, keeping each worker's result cache
     effective, and resizing the fleet only remaps the keys whose virtual
     nodes moved.
+
+    {b Bounded-load placement.}  A forward goes to its owner unless the
+    owner already holds its share of the forwards in flight: the router
+    counts each worker's forwards in flight and places a job on the first
+    worker in its ring order whose count is below
+    [ceil ((in flight + 1) / candidates)] ({!place}; consistent hashing
+    with bounded loads, Mirrokni, Thorup & Zadimoghaddam,
+    arXiv:1608.01350, at a factor of 1).  With nothing in flight every
+    forward goes to its owner.  A repeat moved off its owner misses the
+    owner's memory cache: with a disk cache shared by the workers it is a
+    disk hit, without one it is recomputed — the same bytes either way.
 
     {b Circuit breakers.}  Each worker carries a breaker: [`Closed]
     (healthy) opens after [threshold] consecutive forward failures — or
@@ -19,7 +30,7 @@
     outage.  Transitions count in [router.breaker_open] /
     [router.breaker_half_open] / [router.breaker_close].
 
-    {b Hedged requests.}  When the key's owner has not answered after a
+    {b Hedged requests.}  When the placed worker has not answered after a
     delay derived from recent forward latencies (their p99, clamped into
     [[after_ms_min, after_ms_max]]), the job is re-issued to the next
     ring candidate and the first real answer wins.
@@ -28,9 +39,10 @@
     sockets and any racer's retry timer.  The loser is abandoned — its
     connection closed — and its elapsed time still enters the latency
     window, so the slow tail stays in the p99.  Final backpressure
-    or a fatal error from the owner ends the race, and once the owner has
+    or a fatal error from the placed worker ends the race, and once it has
     answered backpressure at all — even with attempts left — the hedge
-    timer sends nothing; backpressure from the hedge is only a fallback.  A transient failure of the owner fires the second
+    timer sends nothing; backpressure from the hedge is only a fallback.
+    A transient failure of the placed worker fires the second
     candidate at once, counted as failover, not as a hedge.  The rules
     live in the pure {!Race} machine.  Workers are deterministic and
     idempotent, so a duplicated job can only waste time, never change
@@ -106,17 +118,38 @@ val owner : t -> string -> Transport.address
 
 val route : t -> string -> int list
 (** Worker indices in ring walk order from the key's owner, each distinct
-    worker once — the failover sequence [forward] follows. *)
+    worker once.  Pure ring order, whatever the load: {!forward} places
+    the job on one of them ({!place}) and fails over along the rest. *)
+
+val place : inflight:int array -> int list -> int list
+(** [place ~inflight candidates] is the bounded-load placement rule, a
+    pure function.  [candidates] are worker indices in ring order (the
+    owner first, those the breakers refuse already left out) and
+    [inflight.(w)] is worker [w]'s forwards in flight.  With [n]
+    candidates whose counts sum to [total], the cap is
+    [(total + n) / n], that is [ceil ((total + 1) / n)]; the chosen worker
+    is the first candidate whose count is below it — one always is.  The
+    result is [candidates] with the chosen worker moved to the front and
+    the rest in ring order.  @raise Invalid_argument on an empty list. *)
 
 val forward : t -> Protocol.job -> Protocol.reply
-(** Submit through the ring: the owner first (hedged against the next
-    candidate when hedging is on), then failover.  Transient failures
+(** Submit through the ring.  The candidates are the key's ring order
+    less the workers whose breakers refuse (all of them if every breaker
+    refuses); {!place} picks one by the forwards in flight, counted from
+    here until the reply over the candidates only, so a dead worker's
+    count cannot raise the cap.  The placed worker goes first (hedged
+    against the next candidate in ring order when hedging is on), then
+    failover along the rest in ring order.  The forward counts against
+    its placed worker alone for its whole life: its hedge and failover
+    legs to other workers are not counted, an approximation that can
+    only over-state the placed worker's load.  Transient failures
     (connection refused/reset/dropped, no banner) feed the worker's
     breaker and move on; non-transient failures (version mismatch, bad
     spec, malformed reply) are deterministic in the job and end the walk
     with a structured reply of the matching kind — [forward] never
     raises.  When no worker is reachable the reply is a structured
-    [connection] error. *)
+    [connection] error.  However the forward ends, its count is
+    released. *)
 
 val close : t -> unit
 (** Close every pooled idle connection.  The router stays usable: later
@@ -128,8 +161,14 @@ val breaker_state : t -> int -> breaker_view
 
 val hedge_delay_ms : t -> float
 (** The delay {!forward} would hedge after right now: the p99 of recent
-    forward latencies, clamped — or [infinity] when hedging is
-    disabled. *)
+    forward latencies ({!p99} of the last 256), clamped — or [infinity]
+    when hedging is disabled. *)
+
+val p99 : float array -> float
+(** [p99 sample] is element [min (n - 1) (floor (0.99 n))] of [sample]
+    sorted ascending by [Float.compare] ([n] its length), found by
+    selection on a copy in O(n) expected time; [sample] is left as it is.
+    [nan] on an empty sample. *)
 
 val health_check : t -> unit
 (** Probe every worker with Hello once, unconditionally.  The prober is
@@ -151,8 +190,11 @@ val probe_jitter : salt:int -> int -> float
 val stats_json : t -> Symref_obs.Json.t
 (** Fleet-wide stats: ring and hedge parameters plus, per worker, its
     address, breaker state (and the derived [alive] flag: breaker
-    closed), consecutive-failure count and — when reachable — its own
-    stats reply. *)
+    closed), consecutive-failure count, breaker opens since its last
+    close ([opens_streak]), forwards placed on it and not yet answered
+    ([inflight]), forwards placed on it although another worker owns the
+    key ([spilled], since {!create}) and — when reachable — its own stats
+    reply. *)
 
 (** {1 The hedge race}
 

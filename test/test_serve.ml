@@ -1989,6 +1989,202 @@ let prop_race_rules =
       && fired <= (if second then 1 else 0)
       && first_answer_wins && cut_short_only_by_primary)
 
+(* --- bounded-load placement --- *)
+
+(* One integer field of every worker in the router's stats, in worker
+   order. *)
+let placement router field =
+  match Json.member "workers" (Serve.Router.stats_json router) with
+  | Some (Json.Arr ws) ->
+      List.map
+        (fun w ->
+          match Json.member field w with
+          | Some (Json.Num x) -> int_of_float x
+          | _ -> Alcotest.fail ("router stats carry " ^ field))
+        ws
+  | _ -> Alcotest.fail "router stats list the workers"
+
+let check_drained what router =
+  Alcotest.(check (list int))
+    (what ^ ": no forward left in flight")
+    (List.map (fun _ -> 0) (Serve.Router.workers router))
+    (placement router "inflight")
+
+(* Candidate lists of 1-6 distinct workers in some ring order, each worker
+   with a count of forwards in flight. *)
+let gen_placement =
+  QCheck2.Gen.(
+    int_range 1 6 >>= fun workers ->
+    pair
+      (array_size (return workers) (int_range 0 6))
+      ( shuffle_l (List.init workers Fun.id) >>= fun ring ->
+        int_range 1 workers >|= fun n -> List.filteri (fun i _ -> i < n) ring ))
+
+let prop_place =
+  QCheck2.Test.make ~name:"router: placement keeps every count under its cap"
+    ~count:2000
+    ~print:QCheck2.Print.(pair (array int) (list int))
+    gen_placement
+    (fun (inflight, candidates) ->
+      let owner = List.hd candidates in
+      let n = List.length candidates in
+      let total = List.fold_left (fun s w -> s + inflight.(w)) 0 candidates in
+      (* ceil ((total + 1) / n), spelled without the rule's own formula *)
+      let cap = ref 0 in
+      while !cap * n < total + 1 do incr cap done;
+      let placed = Serve.Router.place ~inflight candidates in
+      let chosen = List.hd placed in
+      let rec before = function
+        | w :: rest when w <> chosen -> w :: before rest
+        | _ -> []
+      in
+      List.hd
+        (Serve.Router.place ~inflight:(Array.make (Array.length inflight) 0)
+           candidates)
+      = owner
+      && (inflight.(owner) >= !cap || chosen = owner)
+      && inflight.(chosen) < !cap
+      && List.for_all (fun w -> inflight.(w) >= !cap) (before candidates)
+      && placed = chosen :: List.filter (fun w -> w <> chosen) candidates)
+
+(* The hedge delay's order statistic against a sort, over windows filled
+   the way the router fills its 256-sample ring: 0-600 samples, so about
+   half the windows are full and have wrapped, with many ties. *)
+let prop_p99_select =
+  QCheck2.Test.make ~name:"router: p99 by selection equals the sorted p99"
+    ~count:1000
+    ~print:QCheck2.Print.(list float)
+    QCheck2.Gen.(
+      list_size (int_range 0 600)
+        (frequency
+           [
+             (3, map float_of_int (int_range 0 4));
+             (2, float_range 0. 50.);
+             (1, oneofl [ 25.; 500.; 1e-3 ]);
+           ]))
+    (fun samples ->
+      let window = Array.make 256 0. and n = ref 0 and next = ref 0 in
+      List.iter
+        (fun ms ->
+          window.(!next) <- ms;
+          next := (!next + 1) mod 256;
+          if !n < 256 then incr n)
+        samples;
+      let sample = Array.sub window 0 !n in
+      let before = Array.copy sample in
+      let got = Serve.Router.p99 sample in
+      let sorted = Array.copy sample in
+      Array.sort Float.compare sorted;
+      let want =
+        if !n = 0 then Float.nan
+        else
+          sorted.(Int.min (!n - 1)
+                    (int_of_float (0.99 *. float_of_int !n)))
+      in
+      Float.equal got want && sample = before)
+
+(* With a job's owner pinned by a slow forward, a second job it owns goes
+   to the other worker, which answers before the slow one returns and with
+   the bytes the owner computes for it. *)
+let test_router_spills_off_a_busy_owner () =
+  let dir = temp_dir "symref-spill" in
+  let mk name =
+    let addr = Serve.Transport.Unix_sock (Filename.concat dir name) in
+    let d = Serve.Daemon.create ~listen:[ addr ] () in
+    (addr, d, Thread.create Serve.Daemon.serve d)
+  in
+  let a = mk "a.sock" and b = mk "b.sock" in
+  let addr_of (addr, _, _) = addr and daemon_of (_, d, _) = d in
+  let router = Serve.Router.create ~hedge:None [ addr_of a; addr_of b ] in
+  let slow = job_owned_by router ~prefix:"pinned" 0 in
+  let next = job_owned_by router ~prefix:"spilled" 0 in
+  let slow_reply = Atomic.make None in
+  let spilled, answered_early =
+    (* [serve.slow_worker] fires once: the first submit to reach a daemon,
+       the slow job on its owner, sleeps 800 ms before admission. *)
+    with_fault Inject.serve_slow ~payload:800.
+      (Inject.Times { skip = 0; count = 1 })
+      (fun () ->
+        let pinned =
+          Thread.create
+            (fun () ->
+              Atomic.set slow_reply (Some (Serve.Router.forward router slow)))
+            ()
+        in
+        let deadline = Unix.gettimeofday () +. 5. in
+        while
+          Inject.fired Inject.serve_slow = 0 && Unix.gettimeofday () < deadline
+        do
+          Thread.delay 0.002
+        done;
+        let r = Serve.Router.forward router next in
+        let early = Atomic.get slow_reply = None in
+        Thread.join pinned;
+        (r, early))
+  in
+  Alcotest.(check bool) "slow job ok" true
+    (match Atomic.get slow_reply with
+    | Some r -> r.Protocol.status = Protocol.Ok
+    | None -> false);
+  Alcotest.(check bool) "spilled job ok" true
+    (spilled.Protocol.status = Protocol.Ok);
+  Alcotest.(check bool) "answered before the slow job returned" true
+    answered_early;
+  let entries d = Cache.entries (Service.cache (Serve.Daemon.service d)) in
+  Alcotest.(check int) "computed by the other worker" 1 (entries (daemon_of b));
+  Alcotest.(check (list int)) "one forward spilled, onto worker 1" [ 0; 1 ]
+    (placement router "spilled");
+  check_drained "after the spill" router;
+  let from_owner =
+    Serve.Client.with_connection ~addr:(addr_of a) (fun c ->
+        Serve.Client.request c (Protocol.Submit next))
+  in
+  Alcotest.(check bool) "the owner computes it itself" false
+    from_owner.Protocol.cached;
+  Alcotest.(check string) "spilled reply byte-identical to the owner's"
+    (norm_reply from_owner) (norm_reply spilled);
+  Serve.Router.close router;
+  List.iter
+    (fun (_, d, th) ->
+      Serve.Daemon.request_stop d;
+      Thread.join th)
+    [ a; b ];
+  rm_rf dir
+
+(* Every way a forward ends gives its count back: no worker reachable,
+   with and without hedging, and a hedge race the hedge wins.  Sequential
+   forwards are never moved off their owner. *)
+let test_router_counts_unwind () =
+  let dir = temp_dir "symref-unwind" in
+  let nobody i =
+    Serve.Transport.Unix_sock (Filename.concat dir (Printf.sprintf "none%d.sock" i))
+  in
+  let zero = Some { Serve.Router.after_ms_min = 0.; after_ms_max = 0. } in
+  List.iter
+    (fun hedge ->
+      let router = Serve.Router.create ~hedge [ nobody 0; nobody 1 ] in
+      let r = Serve.Router.forward router (reference_job ~id:"down" (rc_text "down")) in
+      Alcotest.(check (option string)) "no worker reachable" (Some "connection")
+        (Protocol.error_kind r);
+      check_drained "all workers down" router)
+    [ None; zero ];
+  let a = fake_worker ~delay:(fun n -> if n = 0 then 0.3 else 0.) dir "a.sock" in
+  let b = fake_worker dir "b.sock" in
+  let router = Serve.Router.create ~hedge:zero [ a.f_addr; b.f_addr ] in
+  let raced = job_owned_by router ~prefix:"raced" 0 in
+  check_echo "hedge wins" raced ~from:"b.sock" (Serve.Router.forward router raced);
+  for i = 0 to 3 do
+    let job = job_owned_by router ~prefix:(Printf.sprintf "seq%d-" i) (i mod 2) in
+    ignore (Serve.Router.forward router job)
+  done;
+  check_drained "after a hedge race" router;
+  Alcotest.(check (list int)) "sequential forwards stay on their owners"
+    [ 0; 0 ] (placement router "spilled");
+  Serve.Router.close router;
+  a.f_stop ();
+  b.f_stop ();
+  rm_rf dir
+
 let suite =
   [
     ( "serve",
@@ -2082,5 +2278,11 @@ let suite =
           test_router_front;
         Alcotest.test_case "service: values past the sixth digit key apart"
           `Quick test_service_exact_key;
+        QCheck_alcotest.to_alcotest prop_place;
+        QCheck_alcotest.to_alcotest prop_p99_select;
+        Alcotest.test_case "router: a busy owner's next job goes elsewhere"
+          `Quick test_router_spills_off_a_busy_owner;
+        Alcotest.test_case "router: every forward path releases its count"
+          `Quick test_router_counts_unwind;
       ] );
   ]
