@@ -264,6 +264,39 @@ let run ?(config = default_config) (ev : Evaluator.t) =
   in
   let converged = ref true in
   let continue_ = ref (objective () <> Done) in
+  (* One pass tilted away from the travelling [edge] ([`Up] past the top,
+     [`Down] below the bottom); [beyond] marks the coefficients declared
+     zero after [config.dry_passes] dry passes in a row. *)
+  let tilt_pass ~dir edge ~base ~k ~beyond =
+    let base_scale = scale_of_edge edge in
+    match peak_at base_scale with
+    | None ->
+        (* Unreachable in theory (the edge itself is established), but a
+           structured stall beats dying inside a server job. *)
+        converged := false;
+        stalled := Peak_lost edge;
+        continue_ := false
+    | Some (m, peak_mag) ->
+        let edge_mag = Ef.abs (Scaling.normalize ~gdeg base_scale edge coeffs.(edge)) in
+        let scale =
+          Scaling.tilt ~policy:config.scaling_policy ~dir ~r:!r_eff ~edge ~edge_mag ~peak:m
+            ~peak_mag base_scale
+        in
+        let _, fresh = exec_pass scale ~base ~k in
+        if fresh = 0 then begin
+          incr dry;
+          r_eff := !r_eff *. 1.7;
+          if !dry >= config.dry_passes then begin
+            declare_zero_pred beyond;
+            dry := 0;
+            r_eff := config.r
+          end
+        end
+        else begin
+          dry := 0;
+          r_eff := config.r
+        end
+  in
   while !continue_ do
     if !pass_no >= config.max_passes then begin
       converged := false;
@@ -278,68 +311,12 @@ let run ?(config = default_config) (ev : Evaluator.t) =
     else begin
       (match objective () with
       | Done -> continue_ := false
-      | Above top -> (
-          let base_scale = scale_of_edge top in
-          match peak_at base_scale with
-          | None ->
-              (* Unreachable in theory (the edge itself is established), but
-                 a structured stall beats dying inside a server job. *)
-              converged := false;
-              stalled := Peak_lost top;
-              continue_ := false
-          | Some (m, peak_mag) ->
-              let edge_mag = Ef.abs (Scaling.normalize ~gdeg base_scale top coeffs.(top)) in
-              let scale =
-                Scaling.tilt ~policy:config.scaling_policy ~dir:`Up ~r:!r_eff
-                  ~edge:top ~edge_mag ~peak:m ~peak_mag base_scale
-              in
-              let base = if config.reduce then Int.max 0 (top - 1) else 0 in
-              let k = n - base + 1 in
-              let _, fresh = exec_pass scale ~base ~k in
-              if fresh = 0 then begin
-                incr dry;
-                r_eff := !r_eff *. 1.7;
-                if !dry >= config.dry_passes then begin
-                  declare_zero_pred (fun i -> i > top);
-                  dry := 0;
-                  r_eff := config.r
-                end
-              end
-              else begin
-                dry := 0;
-                r_eff := config.r
-              end)
-      | Below bottom -> (
-          let base_scale = scale_of_edge bottom in
-          match peak_at base_scale with
-          | None ->
-              converged := false;
-              stalled := Peak_lost bottom;
-              continue_ := false
-          | Some (m, peak_mag) ->
-              let edge_mag =
-                Ef.abs (Scaling.normalize ~gdeg base_scale bottom coeffs.(bottom))
-              in
-              let scale =
-                Scaling.tilt ~policy:config.scaling_policy ~dir:`Down ~r:!r_eff
-                  ~edge:bottom ~edge_mag ~peak:m ~peak_mag base_scale
-              in
-              let base = 0 in
-              let k = if config.reduce then Int.min n (bottom + 1) + 1 else n + 1 in
-              let _, fresh = exec_pass scale ~base ~k in
-              if fresh = 0 then begin
-                incr dry;
-                r_eff := !r_eff *. 1.7;
-                if !dry >= config.dry_passes then begin
-                  declare_zero_pred (fun i -> i < bottom);
-                  dry := 0;
-                  r_eff := config.r
-                end
-              end
-              else begin
-                dry := 0;
-                r_eff := config.r
-              end)
+      | Above top ->
+          let base = if config.reduce then Int.max 0 (top - 1) else 0 in
+          tilt_pass ~dir:`Up top ~base ~k:(n - base + 1) ~beyond:(fun i -> i > top)
+      | Below bottom ->
+          let k = if config.reduce then Int.min n (bottom + 1) + 1 else n + 1 in
+          tilt_pass ~dir:`Down bottom ~base:0 ~k ~beyond:(fun i -> i < bottom)
       | Gap (left, right) ->
           let s1 = Hashtbl.find pass_scale owner.(left)
           and s2 = Hashtbl.find pass_scale owner.(right) in

@@ -49,15 +49,7 @@ let responses ?(config = default_config) circuit ~input ~output ~freqs =
   let g = { state = (config.seed * 2654435761) land 0x3FFFFFFF } in
   (* Raises [Nodal.Unsupported] outside the nodal class: the nominal
      circuit reports it, a sample is skipped like a singular one. *)
-  let h_of c =
-    let values =
-      Nodal.eval_batch
-        (Nodal.make c ~input ~output)
-        (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
-    in
-    if Array.exists (fun v -> v.Nodal.singular) values then None
-    else Some (Array.map (fun v -> v.Nodal.h) values)
-  in
+  let h_of c = Nodal.response c ~input ~output freqs in
   let nominal =
     match h_of circuit with
     | Some h -> h

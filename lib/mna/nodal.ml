@@ -574,6 +574,46 @@ let eval_batch ?(f = 1.) ?(g = 1.) t points =
 
 let eval ?f ?g t s = (eval_batch ?f ?g t [| s |]).(0)
 
+let response circuit ~input ~output freqs =
+  let values =
+    eval_batch
+      (make circuit ~input ~output)
+      (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
+  in
+  if Array.exists (fun v -> v.singular) values then None
+  else Some (Array.map (fun v -> v.h) values)
+
+type solution = {
+  transfer : Complex.t;
+  forward : Complex.t array;
+  adjoint : Complex.t array;
+}
+
+let solve_at t (s : Complex.t) =
+  let f = 1. and g = 1. and sre = s.re and sim = s.im in
+  let rhs = rhs_lazy t ~f ~g ~sre ~sim in
+  let factor = Sparse.factor (build_at t ~f ~g ~sre ~sim ~rhs ()) in
+  if Ec.is_zero (Sparse.det factor) then
+    invalid_arg "Nodal.solve_at: the network is singular at this point";
+  let v = Sparse.solve factor (Lazy.force rhs) in
+  let selector = Array.make t.dim Complex.zero in
+  Option.iter (fun r -> selector.(r) <- Complex.one) t.out_p;
+  Option.iter (fun r -> selector.(r) <- Complex.sub selector.(r) Complex.one) t.out_m;
+  let w = Sparse.solve_transpose factor selector in
+  let pick = function Some r -> v.(r) | None -> Complex.zero in
+  {
+    transfer = Complex.sub (pick t.out_p) (pick t.out_m);
+    forward =
+      Array.map
+        (function
+          | Ground -> Complex.zero
+          | Driven d -> { Complex.re = d; im = 0. }
+          | Free r -> v.(r))
+        t.roles;
+    adjoint =
+      Array.map (function Ground | Driven _ -> Complex.zero | Free r -> w.(r)) t.roles;
+  }
+
 let elimination_program ?(f = 1.) ?(g = 1.) t =
   if not t.reuse then None
   else

@@ -16,7 +16,13 @@
 
     The denominator is [D(s) = det A(s)] (eq. 9) with [A] the reduced nodal
     matrix; [H(s)] comes from one sparse LU solve (eq. 8) and the numerator
-    is recovered as [N(s) = H(s) * D(s)] (eq. 10). *)
+    is recovered as [N(s) = H(s) * D(s)] (eq. 10).
+
+    The downstream analyses take the same matrix from here rather than
+    stamping their own: {!response} gives [H(j w)] over a frequency grid
+    (Monte-Carlo, SBG pruning, perturbation sensitivities), and
+    {!solve_at} one factorisation with its forward and adjoint potentials
+    (noise, adjoint sensitivities). *)
 
 type input =
   | Vsrc_element of string
@@ -109,6 +115,37 @@ val eval_batch : ?f:float -> ?g:float -> t -> Complex.t array -> value array
     refactorised from scratch right there, before the next point fires.
     Batch-served points count [lu.refactor]; ejected points count
     [kernel.batch_ejects] once each. *)
+
+val response :
+  Symref_circuit.Netlist.t ->
+  input:input ->
+  output:output ->
+  float array ->
+  Complex.t array option
+(** [response circuit ~input ~output freqs] is [H(j 2 pi f)] at each
+    frequency in Hz, one {!eval_batch} call on a fresh {!make}; [None] when
+    any point is singular.
+    @raise Unsupported outside the nodal class. *)
+
+type solution = {
+  transfer : Complex.t;  (** [H(s)] *)
+  forward : Complex.t array;
+      (** node potentials by original node id: the drive at a driven
+          node, 0 at ground *)
+  adjoint : Complex.t array;
+      (** adjoint potentials by original node id, [A^T w = e_out_p -
+          e_out_m]: 0 at ground and at driven nodes.  A unit current from
+          node [a] to node [b] reaches the output as [adjoint.(b) -
+          adjoint.(a)]. *)
+}
+
+val solve_at : t -> Complex.t -> solution
+(** [solve_at t s] factors the unscaled reduced matrix at [s] once, with
+    {!Symref_linalg.Sparse.factor}, and solves it forward for the node
+    potentials and transposed, with the output selector, for the adjoint
+    potentials: one factorisation and two solves for noise and exact
+    sensitivities.  Learns no elimination program.
+    @raise Invalid_argument when the matrix is singular at [s]. *)
 
 val elimination_program :
   ?f:float -> ?g:float -> t -> Symref_linalg.Kernel.program option

@@ -1,4 +1,3 @@
-module Sparse = Symref_linalg.Sparse
 module Element = Symref_circuit.Element
 module Netlist = Symref_circuit.Netlist
 
@@ -11,13 +10,12 @@ type point = {
   contributions : contribution list;
 }
 
-let temperature_kelvin = ref 300.
-let boltzmann = 1.380649e-23
+(* Boltzmann's constant times the 300 K the analysis assumes. *)
+let kt = 1.380649e-23 *. 300.
 
 (* Noise current spectral density of an element, A^2/Hz, between its output
    terminals; None for noiseless elements. *)
 let source_of (e : Element.t) =
-  let kt = boltzmann *. !temperature_kelvin in
   match e.Element.kind with
   | Element.Resistor { a; b; ohms } -> Some (a, b, 4. *. kt /. ohms)
   | Element.Conductance { a; b; siemens } ->
@@ -30,85 +28,33 @@ let source_of (e : Element.t) =
       None
 
 let at circuit ~input ~output ~freq_hz =
-  let problem = Nodal.make circuit ~input ~output in
-  let plan = Nodal.plan problem in
-  let s = { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz } in
-  (* Assemble the reduced nodal matrix once (unit scale factors). *)
-  let dim = plan.Nodal.plan_dim in
-  let b = Sparse.create dim in
-  let entry row col (v : Complex.t) =
-    match plan.Nodal.roles.(row) with
-    | Nodal.Ground | Nodal.Driven _ -> ()
-    | Nodal.Free r -> (
-        match plan.Nodal.roles.(col) with
-        | Nodal.Ground | Nodal.Driven _ -> ()
-        | Nodal.Free c -> Sparse.add b r c v)
+  let sol =
+    Nodal.solve_at
+      (Nodal.make circuit ~input ~output)
+      { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz }
   in
-  let admittance a b' y =
-    entry a a y;
-    entry b' b' y;
-    let ny = Complex.neg y in
-    entry a b' ny;
-    entry b' a ny
-  in
-  List.iter
-    (fun (e : Element.t) ->
-      match e.Element.kind with
-      | Element.Conductance { a; b = b'; siemens } ->
-          admittance a b' { re = siemens; im = 0. }
-      | Element.Resistor { a; b = b'; ohms } -> admittance a b' { re = 1. /. ohms; im = 0. }
-      | Element.Capacitor { a; b = b'; farads } ->
-          admittance a b' (Complex.mul s { re = farads; im = 0. })
-      | Element.Vccs { p; m; cp; cm; gm } ->
-          let y = { Complex.re = gm; im = 0. } in
-          let ny = Complex.neg y in
-          entry p cp y;
-          entry p cm ny;
-          entry m cp ny;
-          entry m cm y
-      | Element.Isrc _ -> ()
-      | Element.Inductor _ | Element.Vcvs _ | Element.Cccs _ | Element.Ccvs _
-      | Element.Vsrc _ ->
-          assert false)
-    (Netlist.elements plan.Nodal.reduced_circuit);
-  let factor = Sparse.factor b in
-  if Symref_numeric.Extcomplex.is_zero (Sparse.det factor) then
-    invalid_arg "Noise.at: network singular at this frequency";
-  let transimpedance a b' =
-    let rhs = Array.make dim Complex.zero in
-    let inject n v =
-      match plan.Nodal.roles.(n) with
-      | Nodal.Ground | Nodal.Driven _ -> ()
-      | Nodal.Free r -> rhs.(r) <- Complex.add rhs.(r) v
-    in
-    (* Unit noise current from a to b through the source. *)
-    inject a { re = -1.; im = 0. };
-    inject b' { re = 1.; im = 0. };
-    let x = Sparse.solve factor rhs in
-    let pick = function Some i -> x.(i) | None -> Complex.zero in
-    Complex.sub (pick plan.Nodal.plan_out_p) (pick plan.Nodal.plan_out_m)
-  in
+  let w = sol.Nodal.adjoint in
   let contributions =
     List.filter_map
       (fun (e : Element.t) ->
         match source_of e with
         | None -> None
-        | Some (a, b', density) ->
-            let z = transimpedance a b' in
+        | Some (a, b, density) ->
+            (* Unit noise current from a to b through the source. *)
+            let z = Complex.sub w.(b) w.(a) in
             Some
               {
                 element = e.Element.name;
                 output_density = density *. Complex.norm z *. Complex.norm z;
               })
-      (Netlist.elements plan.Nodal.reduced_circuit)
+      (Netlist.elements circuit)
     |> List.sort (fun (x : contribution) (y : contribution) ->
            Float.compare y.output_density x.output_density)
   in
   let output_density =
     List.fold_left (fun acc (c : contribution) -> acc +. c.output_density) 0. contributions
   in
-  let h = (Nodal.eval problem s).Nodal.h in
-  let h2 = Complex.norm h *. Complex.norm h in
+  let h2 = Complex.norm sol.Nodal.transfer *. Complex.norm sol.Nodal.transfer in
   {
     freq_hz;
     output_density;

@@ -4,12 +4,15 @@
     [4kT G] A^2/Hz as a parallel current source) and shot noise of every
     transconductance (treated as a device channel/collector current source
     with spectral density [2 q I = 2 q (gm V_T)], i.e. [2 k T gm] for a
-    bipolar-like device — the standard small-signal shorthand) is propagated
-    to the output by one nodal solve per source per frequency, and summed in
-    power.
+    bipolar-like device — the standard small-signal shorthand), at 300 K, is
+    propagated to the output and summed in power.  Each frequency costs one
+    factorisation of the reduced nodal matrix, one forward solve and one
+    adjoint solve ({!Nodal.solve_at}): a unit current from node [a] to node
+    [b] reaches the output as [w_b - w_a], with [w] the adjoint potentials,
+    so every source is a lookup.
 
-    Input-referred noise divides by the signal gain computed with the same
-    machinery. *)
+    Input-referred noise divides by the signal gain from the forward
+    solve. *)
 
 type contribution = {
   element : string;
@@ -23,9 +26,6 @@ type point = {
   contributions : contribution list;  (** descending *)
 }
 
-val temperature_kelvin : float ref
-(** Defaults to 300 K. *)
-
 val at :
   Symref_circuit.Netlist.t ->
   input:Nodal.input ->
@@ -33,7 +33,8 @@ val at :
   freq_hz:float ->
   point
 (** @raise Nodal.Unsupported outside the nodal class; @raise Invalid_argument
-    when the network is singular at the requested frequency. *)
+    when the network is singular at the requested frequency (from
+    {!Nodal.solve_at}). *)
 
 val sweep :
   Symref_circuit.Netlist.t ->

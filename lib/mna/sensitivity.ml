@@ -17,181 +17,84 @@ let perturbable (e : Element.t) =
       true
   | Element.Isrc _ | Element.Vsrc _ -> false
 
-let h_of circuit ~input ~output s =
-  let v = Nodal.eval (Nodal.make circuit ~input ~output) s in
-  if v.Nodal.singular then None else Some v.Nodal.h
+(* The relative perturbation of the central differences. *)
+let rel_step = 1e-4
 
-let at ?(rel_step = 1e-4) circuit ~input ~output ~freq_hz =
-  let s = { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz } in
-  let h0 =
-    match h_of circuit ~input ~output s with
-    | Some h when Complex.norm h > 0. -> h
-    | Some _ | None -> invalid_arg "Sensitivity.at: H is zero or singular at this point"
-  in
-  let entries =
-    List.filter_map
-      (fun (e : Element.t) ->
-        if not (perturbable e) then None
-        else begin
-          let name = e.Element.name in
-          let up = Netlist.scale_element circuit name (1. +. rel_step) in
-          let dn = Netlist.scale_element circuit name (1. -. rel_step) in
-          match (h_of up ~input ~output s, h_of dn ~input ~output s) with
-          | Some hp, Some hm ->
-              (* S = (x/H) dH/dx with dx = x * rel_step, central difference. *)
-              let dh = Complex.sub hp hm in
-              let sens =
-                Complex.div dh (Symref_numeric.Cx.scale (2. *. rel_step) h0)
-              in
-              (* A +1% value change moves |H| by ~20/ln10 * Re S * 0.01 dB and
-                 the phase by ~Im S * 0.01 rad. *)
-              let percent = 0.01 in
-              Some
-                {
-                  element = name;
-                  value = Element.principal_value e;
-                  s = sens;
-                  mag_db_per_percent =
-                    20. /. Float.log 10. *. sens.Complex.re *. percent;
-                  phase_deg_per_percent =
-                    sens.Complex.im *. percent *. 180. /. Float.pi;
-                }
-          | _ -> None
-        end)
-      (Netlist.elements circuit)
-  in
-  List.sort
-    (fun a b -> Float.compare (Complex.norm b.s) (Complex.norm a.s))
-    entries
+let entry_of (e : Element.t) sens =
+  (* A +1% value change moves |H| by ~20/ln10 * Re S * 0.01 dB and the phase
+     by ~Im S * 0.01 rad. *)
+  let percent = 0.01 in
+  {
+    element = e.Element.name;
+    value = Element.principal_value e;
+    s = sens;
+    mag_db_per_percent = 20. /. Float.log 10. *. sens.Complex.re *. percent;
+    phase_deg_per_percent = sens.Complex.im *. percent *. 180. /. Float.pi;
+  }
 
-(* Adjoint method: one forward solve for v, one transpose solve for w with
-   the output selector as RHS; every element sensitivity is then a local
-   product.  dv_out/dA_jk = -w_j v_k for free indices; driven and ground
-   nodes carry v = drive value (resp. 0) and w = 0. *)
-let adjoint_at circuit ~input ~output ~freq_hz =
-  let module Sparse = Symref_linalg.Sparse in
-  let module Ec = Symref_numeric.Extcomplex in
-  let problem = Nodal.make circuit ~input ~output in
-  let plan = Nodal.plan problem in
-  let s = { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz } in
-  let dim = plan.Nodal.plan_dim in
-  let b = Sparse.create dim in
-  let rhs = Array.make dim Complex.zero in
-  let entry row col (v : Complex.t) =
-    match plan.Nodal.roles.(row) with
-    | Nodal.Ground | Nodal.Driven _ -> ()
-    | Nodal.Free r -> (
-        match plan.Nodal.roles.(col) with
-        | Nodal.Ground -> ()
-        | Nodal.Driven d -> rhs.(r) <- Complex.sub rhs.(r) { re = v.re *. d; im = v.im *. d }
-        | Nodal.Free c -> Sparse.add b r c v)
-  in
-  let admittance a b' y =
-    entry a a y;
-    entry b' b' y;
-    let ny = Complex.neg y in
-    entry a b' ny;
-    entry b' a ny
-  in
-  List.iter
-    (fun (e : Element.t) ->
-      match e.Element.kind with
-      | Element.Conductance { a; b = b'; siemens } -> admittance a b' { re = siemens; im = 0. }
-      | Element.Resistor { a; b = b'; ohms } -> admittance a b' { re = 1. /. ohms; im = 0. }
-      | Element.Capacitor { a; b = b'; farads } ->
-          admittance a b' (Complex.mul s { re = farads; im = 0. })
-      | Element.Vccs { p; m; cp; cm; gm } ->
-          let y = { Complex.re = gm; im = 0. } in
-          let ny = Complex.neg y in
-          entry p cp y;
-          entry p cm ny;
-          entry m cp ny;
-          entry m cm y
-      | Element.Isrc { a; b = b'; amps } ->
-          (match plan.Nodal.roles.(a) with
-          | Nodal.Free r -> rhs.(r) <- Complex.add rhs.(r) { re = -.amps; im = 0. }
-          | Nodal.Ground | Nodal.Driven _ -> ());
-          (match plan.Nodal.roles.(b') with
-          | Nodal.Free r -> rhs.(r) <- Complex.add rhs.(r) { re = amps; im = 0. }
-          | Nodal.Ground | Nodal.Driven _ -> ())
-      | Element.Inductor _ | Element.Vcvs _ | Element.Cccs _ | Element.Ccvs _
-      | Element.Vsrc _ ->
-          assert false)
-    (Netlist.elements plan.Nodal.reduced_circuit);
-  List.iter
-    (fun (r, v) -> rhs.(r) <- Complex.add rhs.(r) { re = v; im = 0. })
-    plan.Nodal.plan_injections;
-  let factor = Sparse.factor b in
-  if Ec.is_zero (Sparse.det factor) then
-    invalid_arg "Sensitivity.adjoint_at: singular network";
-  let v = Sparse.solve factor rhs in
-  let selector = Array.make dim Complex.zero in
-  (match plan.Nodal.plan_out_p with
-  | Some r -> selector.(r) <- Complex.add selector.(r) Complex.one
-  | None -> ());
-  (match plan.Nodal.plan_out_m with
-  | Some r -> selector.(r) <- Complex.sub selector.(r) Complex.one
-  | None -> ());
-  let w = Sparse.solve_transpose factor selector in
-  let h =
-    let pick = function Some r -> v.(r) | None -> Complex.zero in
-    Complex.sub (pick plan.Nodal.plan_out_p) (pick plan.Nodal.plan_out_m)
-  in
-  if Complex.norm h = 0. then invalid_arg "Sensitivity.adjoint_at: H is zero";
-  (* Node potentials in the forward (including drives, unit input) and
-     adjoint (zero at driven nodes) solutions. *)
-  let v_at n =
-    match plan.Nodal.roles.(n) with
-    | Nodal.Ground -> Complex.zero
-    | Nodal.Driven d -> { Complex.re = d; im = 0. }
-    | Nodal.Free r -> v.(r)
-  in
-  let w_at n =
-    match plan.Nodal.roles.(n) with
-    | Nodal.Ground | Nodal.Driven _ -> Complex.zero
-    | Nodal.Free r -> w.(r)
-  in
-  let dh_dy (op, om) (cp, cm) =
-    Complex.neg
-      (Complex.mul (Complex.sub (w_at op) (w_at om)) (Complex.sub (v_at cp) (v_at cm)))
-  in
-  let normalised y out ctrl = Complex.div (Complex.mul y (dh_dy out ctrl)) h in
-  let entries =
-    List.filter_map
-      (fun (e : Element.t) ->
-        let mk sens =
-          let percent = 0.01 in
-          Some
-            {
-              element = e.Element.name;
-              value = Element.principal_value e;
-              s = sens;
-              mag_db_per_percent = 20. /. Float.log 10. *. sens.Complex.re *. percent;
-              phase_deg_per_percent = sens.Complex.im *. percent *. 180. /. Float.pi;
-            }
-        in
-        match e.Element.kind with
-        | Element.Conductance { a; b = b'; siemens } ->
-            mk (normalised { re = siemens; im = 0. } (a, b') (a, b'))
-        | Element.Resistor { a; b = b'; ohms } ->
-            (* S_R = -S_(1/R): the chain rule through y = 1/R. *)
-            mk (Complex.neg (normalised { re = 1. /. ohms; im = 0. } (a, b') (a, b')))
-        | Element.Capacitor { a; b = b'; farads } ->
-            mk (normalised (Complex.mul s { re = farads; im = 0. }) (a, b') (a, b'))
-        | Element.Vccs { p; m; cp; cm; gm } ->
-            mk (normalised { re = gm; im = 0. } (p, m) (cp, cm))
-        | Element.Isrc _ | Element.Inductor _ | Element.Vcvs _ | Element.Cccs _
-        | Element.Ccvs _ | Element.Vsrc _ ->
-            None)
-      (Netlist.elements plan.Nodal.reduced_circuit)
-  in
+let by_magnitude entries =
   List.sort (fun a b -> Float.compare (Complex.norm b.s) (Complex.norm a.s)) entries
 
-let worst_case ?rel_step circuit ~input ~output ~freqs =
+let at circuit ~input ~output ~freq_hz =
+  let h_of c = Nodal.response c ~input ~output [| freq_hz |] in
+  let h0 =
+    match h_of circuit with
+    | Some [| h |] when Complex.norm h > 0. -> h
+    | Some _ | None -> invalid_arg "Sensitivity.at: H is zero or singular at this point"
+  in
+  List.filter_map
+    (fun (e : Element.t) ->
+      if not (perturbable e) then None
+      else begin
+        let name = e.Element.name in
+        let up = Netlist.scale_element circuit name (1. +. rel_step) in
+        let dn = Netlist.scale_element circuit name (1. -. rel_step) in
+        match (h_of up, h_of dn) with
+        | Some [| hp |], Some [| hm |] ->
+            (* S = (x/H) dH/dx with dx = x * rel_step, central difference. *)
+            let dh = Complex.sub hp hm in
+            Some (entry_of e (Complex.div dh (Symref_numeric.Cx.scale (2. *. rel_step) h0)))
+        | _ -> None
+      end)
+    (Netlist.elements circuit)
+  |> by_magnitude
+
+(* Adjoint method: dv_out/dA_jk = -w_j v_k, with v and w the forward and
+   adjoint potentials of one factorisation; every element sensitivity is
+   then a local product. *)
+let adjoint_at circuit ~input ~output ~freq_hz =
+  let s = { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz } in
+  let sol = Nodal.solve_at (Nodal.make circuit ~input ~output) s in
+  let h = sol.Nodal.transfer and v = sol.Nodal.forward and w = sol.Nodal.adjoint in
+  if Complex.norm h = 0. then invalid_arg "Sensitivity.adjoint_at: H is zero";
+  let dh_dy (op, om) (cp, cm) =
+    Complex.neg (Complex.mul (Complex.sub w.(op) w.(om)) (Complex.sub v.(cp) v.(cm)))
+  in
+  let normalised y out ctrl = Complex.div (Complex.mul y (dh_dy out ctrl)) h in
+  List.filter_map
+    (fun (e : Element.t) ->
+      Option.map (entry_of e)
+        (match e.Element.kind with
+        | Element.Conductance { a; b; siemens } ->
+            Some (normalised { re = siemens; im = 0. } (a, b) (a, b))
+        | Element.Resistor { a; b; ohms } ->
+            (* S_R = -S_(1/R): the chain rule through y = 1/R. *)
+            Some (Complex.neg (normalised { re = 1. /. ohms; im = 0. } (a, b) (a, b)))
+        | Element.Capacitor { a; b; farads } ->
+            Some (normalised (Complex.mul s { re = farads; im = 0. }) (a, b) (a, b))
+        | Element.Vccs { p; m; cp; cm; gm } ->
+            Some (normalised { re = gm; im = 0. } (p, m) (cp, cm))
+        | Element.Isrc _ | Element.Inductor _ | Element.Vcvs _ | Element.Cccs _
+        | Element.Ccvs _ | Element.Vsrc _ ->
+            None))
+    (Netlist.elements circuit)
+  |> by_magnitude
+
+let worst_case circuit ~input ~output ~freqs =
   let tbl = Hashtbl.create 32 in
   Array.iter
     (fun f ->
-      match at ?rel_step circuit ~input ~output ~freq_hz:f with
+      match at circuit ~input ~output ~freq_hz:f with
       | entries ->
           List.iter
             (fun e ->

@@ -21,20 +21,18 @@ type entry = {
 }
 
 val at :
-  ?rel_step:float ->
   Symref_circuit.Netlist.t ->
   input:Nodal.input ->
   output:Nodal.output ->
   freq_hz:float ->
   entry list
 (** Sensitivities of every element with a perturbable value, sorted by
-    descending [|s|].  [rel_step] (default [1e-4]) is the relative
-    perturbation.  Elements whose perturbed network is singular are
-    skipped.
+    descending [|s|], from a relative perturbation of [1e-4] each way
+    ({!Nodal.response} at the one frequency).  Elements whose perturbed
+    network is singular are skipped.
     @raise Nodal.Unsupported on circuits outside the nodal class. *)
 
 val worst_case :
-  ?rel_step:float ->
   Symref_circuit.Netlist.t ->
   input:Nodal.input ->
   output:Nodal.output ->
@@ -51,10 +49,12 @@ val adjoint_at :
   freq_hz:float ->
   entry list
 (** The adjoint (transpose) network method: {e exact} sensitivities of every
-    element from two solves total — one forward, one through
-    {!Symref_linalg.Sparse.solve_transpose} — instead of two solves per
+    element from one factorisation and two solves total — the forward and
+    adjoint potentials of {!Nodal.solve_at} — instead of two solves per
     element.  For an admittance [y] between nodes [(a, b)] (or a VCCS with
     output [(p, m)] and control [(cp, cm)]),
     [dH/dy = -(w_a - w_b) (v_cp' - v_cm')] with [w] the adjoint solution.
     Results match {!at} to the perturbation's own accuracy; independent
-    sources carry no sensitivity here.  Sorted by descending [|s|]. *)
+    sources carry no sensitivity here.  Sorted by descending [|s|].
+    @raise Invalid_argument when the network is singular at [freq_hz]
+    (from {!Nodal.solve_at}) or [H] is zero there. *)

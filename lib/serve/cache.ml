@@ -71,14 +71,10 @@ let drop_tail t =
       t.evictions <- t.evictions + 1;
       Metrics.incr Metrics.serve_cache_evictions
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 (* --- public API --- *)
 
 let find t ~key =
-  with_lock t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.table key with
   | Some n ->
       unlink t n;
@@ -92,7 +88,7 @@ let find t ~key =
       None
 
 let add t ~key payload =
-  with_lock t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   (match Hashtbl.find_opt t.table key with
   | Some old ->
       unlink t old;
@@ -111,14 +107,14 @@ let add t ~key payload =
     done
   end
 
-let hits t = with_lock t (fun () -> t.hits)
-let misses t = with_lock t (fun () -> t.misses)
-let evictions t = with_lock t (fun () -> t.evictions)
-let entries t = with_lock t (fun () -> Hashtbl.length t.table)
-let bytes t = with_lock t (fun () -> t.used_bytes)
+let hits t = Mutex.protect t.lock (fun () -> t.hits)
+let misses t = Mutex.protect t.lock (fun () -> t.misses)
+let evictions t = Mutex.protect t.lock (fun () -> t.evictions)
+let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
+let bytes t = Mutex.protect t.lock (fun () -> t.used_bytes)
 
 let clear t =
-  with_lock t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   Hashtbl.reset t.table;
   t.head <- None;
   t.tail <- None;
@@ -126,7 +122,7 @@ let clear t =
   t.used_bytes <- 0
 
 let stats_json t =
-  with_lock t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   let i k v = (k, Json.Num (float_of_int v)) in
   Json.Obj
     [

@@ -20,19 +20,15 @@ let create () =
     next = 0;
   }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let release t id fd =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.remove t.live id;
       (try Unix.close fd with Unix.Unix_error _ -> ());
       if Hashtbl.length t.live = 0 then Condition.broadcast t.drained)
 
 let spawn t handle fd =
   let id =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let id = t.next in
         t.next <- id + 1;
         Hashtbl.replace t.live id fd;
@@ -47,10 +43,10 @@ let spawn t handle fd =
       release t id fd;
       raise e
 
-let live t = with_lock t (fun () -> Hashtbl.length t.live)
+let live t = Mutex.protect t.lock (fun () -> Hashtbl.length t.live)
 
 let shutdown t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.iter
         (fun _ fd ->
           try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE

@@ -410,12 +410,6 @@ let place ~inflight candidates =
 
 (* --- breaker transitions (all under t.lock) --- *)
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  let v = try f () with e -> Mutex.unlock t.lock; raise e in
-  Mutex.unlock t.lock;
-  v
-
 (* splitmix64 finalizer: a full-avalanche bijection, so consecutive probe
    counts give independent-looking jitter without any hidden state. *)
 let mix64 x =
@@ -455,7 +449,7 @@ let open_locked t (w : worker) now =
   Metrics.incr Metrics.router_dead_workers
 
 let record_success t wi =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let w = t.workers.(wi) in
       (match w.state with
       | Closed -> ()
@@ -470,7 +464,7 @@ let record_success t wi =
    cooldown (capped), which is what paces re-probing of a worker that
    stays down. *)
 let record_failure t wi =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let w = t.workers.(wi) in
       let now = Unix.gettimeofday () in
       match w.state with
@@ -483,7 +477,7 @@ let record_failure t wi =
 (* The dedicated prober is authoritative: a worker that cannot answer
    Hello is down now, whatever the forward count says. *)
 let trip t wi =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let w = t.workers.(wi) in
       let now = Unix.gettimeofday () in
       match w.state with
@@ -497,7 +491,7 @@ let trip t wi =
    before reaching an expired-open worker leaves it Open, and the claim
    happens only when a request is actually sent ({!claim_half_open}). *)
 let admits t wi =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let w = t.workers.(wi) in
       let now = Unix.gettimeofday () in
       match w.state with
@@ -511,7 +505,7 @@ let admits t wi =
    Half_open (which would refuse its traffic until the prober's grace).
    [true] when this request claimed the probe. *)
 let claim_half_open t wi =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let w = t.workers.(wi) in
       let now = Unix.gettimeofday () in
       match w.state with
@@ -526,14 +520,14 @@ let claim_half_open t wi =
    through probes again instead of the breaker waiting out the prober's
    grace — or, with no prober running, staying half-open for good. *)
 let release_half_open t wi =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let w = t.workers.(wi) in
       match w.state with
       | Half_open _ -> w.state <- Open { until = Unix.gettimeofday () }
       | Closed | Open _ -> ())
 
 let breaker_state t wi : breaker_view =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match t.workers.(wi).state with
       | Closed -> `Closed
       | Open _ -> `Open
@@ -547,7 +541,7 @@ let breaker_label = function
 (* --- latency book-keeping and the hedge delay --- *)
 
 let record_latency t ms =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.lat.(t.lat_i) <- ms;
       t.lat_i <- (t.lat_i + 1) mod lat_window;
       if t.lat_n < lat_window then t.lat_n <- t.lat_n + 1)
@@ -594,7 +588,7 @@ let hedge_delay_ms t =
   match t.hedge with
   | None -> infinity
   | Some h ->
-      let sample = with_lock t (fun () -> Array.sub t.lat 0 t.lat_n) in
+      let sample = Mutex.protect t.lock (fun () -> Array.sub t.lat 0 t.lat_n) in
       if Array.length sample = 0 then h.after_ms_max
       else Float.max h.after_ms_min (Float.min h.after_ms_max (p99 sample))
 
@@ -618,7 +612,7 @@ let peer_closed c =
 let checkout t wi =
   let w = t.workers.(wi) in
   let take () =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         match w.idle with
         | c :: rest ->
             w.idle <- rest;
@@ -639,7 +633,7 @@ let checkout t wi =
 let checkin t wi c =
   let w = t.workers.(wi) in
   let kept =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         if List.length w.idle >= max_idle then false
         else begin
           w.idle <- c :: w.idle;
@@ -648,7 +642,7 @@ let checkin t wi c =
   in
   if not kept then Client.close c
 
-let close t = with_lock t (fun () -> Array.iter close_idle t.workers)
+let close t = Mutex.protect t.lock (fun () -> Array.iter close_idle t.workers)
 
 (* --- one exchange: the race's IO shell --- *)
 
@@ -872,7 +866,7 @@ let forward t (job : Protocol.job) =
      other's counts; the count is released exactly once, however the
      forward ends. *)
   let candidates =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let candidates = place ~inflight:t.inflight admitted in
         let w = List.hd candidates in
         t.inflight.(w) <- t.inflight.(w) + 1;
@@ -881,7 +875,7 @@ let forward t (job : Protocol.job) =
   in
   let w = List.hd candidates in
   Fun.protect ~finally:(fun () ->
-      with_lock t (fun () -> t.inflight.(w) <- t.inflight.(w) - 1))
+      Mutex.protect t.lock (fun () -> t.inflight.(w) <- t.inflight.(w) - 1))
   @@ fun () ->
   let req = Protocol.Submit job in
   (* Non-transient failures end the walk: the next worker would only say
@@ -909,7 +903,7 @@ let forward t (job : Protocol.job) =
    failure trips it open on the spot. *)
 let probe t wi =
   Metrics.incr Metrics.router_health_checks;
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let w = t.workers.(wi) in
       w.probes <- w.probes + 1);
   match exchange t Protocol.Hello wi None with
@@ -929,7 +923,7 @@ let probe_due ?now ~interval_ms t =
   Array.iteri
     (fun wi _ ->
       let due, salt, probes =
-        with_lock t (fun () ->
+        Mutex.protect t.lock (fun () ->
             let w = t.workers.(wi) in
             let ready =
               now >= w.next_probe
@@ -946,7 +940,7 @@ let probe_due ?now ~interval_ms t =
             (ready, wi, w.probes))
       in
       if due then begin
-        with_lock t (fun () ->
+        Mutex.protect t.lock (fun () ->
             t.workers.(wi).next_probe <-
               now
               +. float_of_int interval_ms /. 1000. *. probe_jitter ~salt probes);
@@ -961,7 +955,7 @@ let stats_json t =
          (fun w (worker : worker) ->
            let view = breaker_state t w in
            let failures, streak, inflight, spilled =
-             with_lock t (fun () ->
+             Mutex.protect t.lock (fun () ->
                  ( t.workers.(w).failures,
                    t.workers.(w).streak,
                    t.inflight.(w),

@@ -70,12 +70,6 @@ let create ?(config = default_config) ~slots ~spawn () =
     restarts = 0;
   }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  let v = try f () with e -> Mutex.unlock t.lock; raise e in
-  Mutex.unlock t.lock;
-  v
-
 (* A signal (the fleet front fields SIGTERM) must never unwind the
    monitor loop or a reap wait: an interrupted nap just ends early. *)
 let sleepf s =
@@ -83,11 +77,11 @@ let sleepf s =
 
 let slots t = Array.length t.slots
 
-let slot_state t i = with_lock t (fun () -> t.slots.(i).state)
+let slot_state t i = Mutex.protect t.lock (fun () -> t.slots.(i).state)
 
-let restarts t = with_lock t (fun () -> t.restarts)
+let restarts t = Mutex.protect t.lock (fun () -> t.restarts)
 
-let stopping t = with_lock t (fun () -> t.stopping)
+let stopping t = Mutex.protect t.lock (fun () -> t.stopping)
 
 let spawn_slot t (s : slot) =
   s.spawns <- s.spawns + 1;
@@ -95,7 +89,7 @@ let spawn_slot t (s : slot) =
   s.state <- Running pid
 
 let start t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Array.iter
         (fun s -> match s.state with Given_up -> spawn_slot t s | _ -> ())
         t.slots)
@@ -125,7 +119,7 @@ let record_crash t (s : slot) now =
    Non-blocking throughout; callers loop this a few times a second. *)
 let step ?now t =
   let now = match now with Some n -> n | None -> Unix.gettimeofday () in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Array.iter
         (fun s ->
           match s.state with
@@ -186,7 +180,7 @@ let reap_within pids grace =
 
 let stop ?(grace_s = 2.0) ?notify t =
   let running =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         t.stopping <- true;
         Array.fold_left
           (fun acc s ->
@@ -219,11 +213,11 @@ let stop ?(grace_s = 2.0) ?notify t =
       try ignore (Unix.waitpid [] pid)
       with Unix.Unix_error _ -> ())
     after_term;
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Array.iter (fun s -> s.state <- Given_up) t.slots)
 
 let stats_json t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let per_slot =
         Array.to_list
           (Array.map

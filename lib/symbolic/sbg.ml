@@ -51,18 +51,6 @@ type outcome = {
   trials : int;
 }
 
-(* Frequency response through the nodal evaluator; None when the network is
-   singular at some point.  Raises [Nodal.Unsupported] outside the nodal
-   class, so a bad input or output on the full circuit is reported as such. *)
-let response circuit ~input ~output freqs =
-  let values =
-    Nodal.eval_batch
-      (Nodal.make circuit ~input ~output)
-      (Array.map (fun f -> { Complex.re = 0.; im = 2. *. Float.pi *. f }) freqs)
-  in
-  if Array.exists (fun v -> v.Nodal.singular) values then None
-  else Some (Array.map (fun v -> v.Nodal.h) values)
-
 (* Build the candidate circuit for a move; None when the move is structurally
    impossible (element already gone, a short collapsing a constraint element
    or a controlled source's reference, the compaction dropping the circuit's
@@ -77,8 +65,11 @@ let apply circuit (name, act) =
   | exception (Invalid_argument _ | Not_found) -> None
 
 let prune ?(config = default_config) circuit ~input ~output ~freqs =
+  (* [Nodal.response] raises [Nodal.Unsupported] outside the nodal class, so
+     a bad input or output on the full circuit is reported as such. *)
+  let response c = Nodal.response c ~input ~output freqs in
   let reference =
-    match response circuit ~input ~output freqs with
+    match response circuit with
     | Some h -> h
     | None -> invalid_arg "Sbg.prune: the full circuit itself is singular"
   in
@@ -98,7 +89,7 @@ let prune ?(config = default_config) circuit ~input ~output ~freqs =
     | Some candidate -> (
         (* A candidate that leaves the nodal class is rejected like a
            singular one. *)
-        match response candidate ~input ~output freqs with
+        match response candidate with
         | None | (exception Nodal.Unsupported _) -> infinity
         | Some h ->
             let ddb, ddeg = Deviation.worst ~reference h in
@@ -120,7 +111,7 @@ let prune ?(config = default_config) circuit ~input ~output ~freqs =
         match apply !current move with
         | None -> ()
         | Some candidate -> (
-            match response candidate ~input ~output freqs with
+            match response candidate with
             | None | (exception Nodal.Unsupported _) -> ()
             | Some h ->
                 let ddb, ddeg = Deviation.worst ~reference h in

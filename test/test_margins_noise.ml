@@ -5,9 +5,14 @@ module Margins = Symref_core.Margins
 module Noise = Symref_mna.Noise
 module Reference = Symref_core.Reference
 module Nodal = Symref_mna.Nodal
+module Sensitivity = Symref_mna.Sensitivity
+module Sparse = Symref_linalg.Sparse
+module Ec = Symref_numeric.Extcomplex
 module N = Symref_circuit.Netlist
+module E = Symref_circuit.Element
 module Ladder = Symref_circuit.Rc_ladder
 module Ua741 = Symref_circuit.Ua741
+module Random_net = Symref_circuit.Random_net
 
 let check_rel msg want got tol =
   Alcotest.(check bool)
@@ -139,6 +144,120 @@ let test_noise_ranking_ua741 () =
         (String.length top.Noise.element > 0)
   | [] -> Alcotest.fail "no contributions"
 
+(* The oracle for the adjoint lookup: the unscaled reduced matrix stamped
+   from the plan, factored, and solved once per noise source with a unit
+   current from a to b.  [None] when the matrix is singular. *)
+let per_source_transfer circuit ~input ~output ~freq_hz =
+  let plan = Nodal.plan (Nodal.make circuit ~input ~output) in
+  let s = { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz } in
+  let dim = plan.Nodal.plan_dim in
+  let free n = match plan.Nodal.roles.(n) with Nodal.Free r -> Some r | _ -> None in
+  let b = Sparse.create dim in
+  let entry row col v =
+    match (free row, free col) with Some r, Some c -> Sparse.add b r c v | _ -> ()
+  in
+  let admittance a b' y =
+    entry a a y;
+    entry b' b' y;
+    entry a b' (Complex.neg y);
+    entry b' a (Complex.neg y)
+  in
+  List.iter
+    (fun (e : E.t) ->
+      match e.E.kind with
+      | E.Conductance { a; b = b'; siemens } -> admittance a b' { re = siemens; im = 0. }
+      | E.Resistor { a; b = b'; ohms } -> admittance a b' { re = 1. /. ohms; im = 0. }
+      | E.Capacitor { a; b = b'; farads } ->
+          admittance a b' (Complex.mul s { re = farads; im = 0. })
+      | E.Vccs { p; m; cp; cm; gm } ->
+          let y = { Complex.re = gm; im = 0. } in
+          entry p cp y;
+          entry p cm (Complex.neg y);
+          entry m cp (Complex.neg y);
+          entry m cm y
+      | _ -> ())
+    (N.elements plan.Nodal.reduced_circuit);
+  let factor = Sparse.factor b in
+  if Ec.is_zero (Sparse.det factor) then None
+  else
+    Some
+      (fun a b' ->
+        let rhs = Array.make dim Complex.zero in
+        Option.iter (fun r -> rhs.(r) <- Complex.sub rhs.(r) Complex.one) (free a);
+        Option.iter (fun r -> rhs.(r) <- Complex.add rhs.(r) Complex.one) (free b');
+        let x = Sparse.solve factor rhs in
+        let pick = function Some i -> x.(i) | None -> Complex.zero in
+        Complex.sub (pick plan.Nodal.plan_out_p) (pick plan.Nodal.plan_out_m))
+
+(* (a) H from one factorisation and a forward solve = H from the batched
+   evaluator; (b) every noise contribution read off the adjoint potentials =
+   the per-source forward solve, within 1e-12 of the point's total.  A
+   point either side finds singular is skipped. *)
+let prop_adjoint_lookup =
+  let kt = 1.380649e-23 *. 300. in
+  QCheck2.Test.make ~name:"solve_at and the adjoint noise lookup on random nets"
+    ~count:100
+    QCheck2.Gen.(pair (int_range 1 100_000) (int_range 3 32))
+    (fun (seed, nodes) ->
+      let circuit = Random_net.circuit ~seed ~nodes () in
+      let input = Nodal.Vsrc_element "vin"
+      and output = Nodal.Out_node (Random_net.output_node ~seed ~nodes) in
+      let p = Nodal.make circuit ~input ~output in
+      List.for_all
+        (fun freq_hz ->
+          let s = { Complex.re = 0.; im = 2. *. Float.pi *. freq_hz } in
+          let v = Nodal.eval p s in
+          let oracle = per_source_transfer circuit ~input ~output ~freq_hz in
+          match (Nodal.solve_at p s, oracle) with
+          | exception Invalid_argument _ -> true
+          | _, None -> true
+          | _ when v.Nodal.singular -> true
+          | sol, Some transfer ->
+              let h = sol.Nodal.transfer in
+              let pt = Noise.at circuit ~input ~output ~freq_hz in
+              let density (e : E.t) =
+                match e.E.kind with
+                | E.Conductance { a; b; siemens } -> Some (a, b, 4. *. kt *. siemens)
+                | E.Vccs { p; m; gm; _ } -> Some (p, m, 2. *. kt *. Float.abs gm)
+                | _ -> None
+              in
+              let close (c : Noise.contribution) =
+                match Option.bind (N.find_element circuit c.Noise.element) density with
+                | None -> false
+                | Some (a, b, d) ->
+                    let z = transfer a b in
+                    let want = d *. Complex.norm z *. Complex.norm z in
+                    Float.abs (c.Noise.output_density -. want)
+                    <= 1e-12 *. pt.Noise.output_density
+              in
+              (Complex.norm (Complex.sub h v.Nodal.h) <= 1e-9 *. Complex.norm v.Nodal.h
+              || QCheck2.Test.fail_reportf "H at %g Hz: %s vs %s" freq_hz
+                   (Symref_numeric.Cx.to_string h)
+                   (Symref_numeric.Cx.to_string v.Nodal.h))
+              && List.length pt.Noise.contributions
+                 = List.length (List.filter_map density (N.elements circuit))
+              && List.for_all close pt.Noise.contributions)
+        [ 1e3; 1e5; 1e7; 1e9 ])
+
+(* A capacitive divider behind a resistor: at 0 Hz the output node has no
+   admittance at all, so the reduced matrix is singular there. *)
+let test_singular_at_frequency () =
+  let b = N.Builder.create ~title:"capacitive divider" () in
+  N.Builder.vsrc b "vin" ~p:"in" ~m:"0" 1.;
+  N.Builder.resistor b "r1" ~a:"in" ~b:"mid" 1e3;
+  N.Builder.capacitor b "c1" ~a:"mid" ~b:"out" 1e-9;
+  N.Builder.capacitor b "c2" ~a:"out" ~b:"0" 1e-9;
+  let c = N.Builder.finish b in
+  let input = Nodal.Vsrc_element "vin" and output = Nodal.Out_node "out" in
+  let invalid = function Invalid_argument _ -> true | _ -> false in
+  Alcotest.match_raises "noise at 0 Hz" invalid (fun () ->
+      ignore (Noise.at c ~input ~output ~freq_hz:0.));
+  Alcotest.match_raises "adjoint sensitivities at 0 Hz" invalid (fun () ->
+      ignore (Sensitivity.adjoint_at c ~input ~output ~freq_hz:0.));
+  (* Regular once the capacitors conduct. *)
+  Alcotest.(check int) "noise at 1 kHz" 1
+    (List.length (Noise.at c ~input ~output ~freq_hz:1e3).Noise.contributions)
+
 let suite =
   [
     ( "margins",
@@ -151,5 +270,8 @@ let suite =
         Alcotest.test_case "rc kT/C closed form" `Quick test_noise_rc_closed_form;
         Alcotest.test_case "resistive divider" `Quick test_noise_attenuator;
         Alcotest.test_case "ua741 ranking" `Quick test_noise_ranking_ua741;
+        QCheck_alcotest.to_alcotest prop_adjoint_lookup;
+        Alcotest.test_case "singular at the requested frequency" `Quick
+          test_singular_at_frequency;
       ] );
   ]
