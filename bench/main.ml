@@ -842,11 +842,6 @@ let run_json ~smoke =
       (match Nodal.elimination_program ~f ~g p with
       | None -> ()
       | Some prog ->
-          let sum a = Array.fold_left (fun acc x -> acc + Array.length x) 0 a in
-          let updates =
-            Array.fold_left (fun acc t -> acc + sum t) 0
-              prog.Symref_linalg.Kernel.elim_upd
-          in
           let learnings = if smoke then 3 else 41 in
           let learn =
             Array.init learnings (fun _ ->
@@ -858,14 +853,17 @@ let run_json ~smoke =
           Array.sort compare learn;
           let learn_us = learn.(learnings / 2) *. 1e6 in
           Printf.printf "%-16s learn %.1f us per pattern\n" jc.jname learn_us;
+          (* One multiplier per eliminated row, so [lower_len] and
+             [elim_rows] are one count; schema v13 keeps both keys. *)
+          let elim_rows = Array.length prog.Symref_linalg.Kernel.elim_row in
           out
             "      \"program\": { \"steps\": %d, \"slots\": %d, \"fill\": %d, \
              \"lower_len\": %d, \"elim_rows\": %d, \"elim_updates\": %d, \
              \"learn_us\": %.1f },\n"
             prog.Symref_linalg.Kernel.n prog.Symref_linalg.Kernel.nslots
-            prog.Symref_linalg.Kernel.fill prog.Symref_linalg.Kernel.lower_len
-            (sum prog.Symref_linalg.Kernel.elim_row)
-            updates learn_us);
+            prog.Symref_linalg.Kernel.fill elim_rows elim_rows
+            (Array.length prog.Symref_linalg.Kernel.elim_upd)
+            learn_us);
       out "      \"reference_ms\": { \"seed\": %.4f, \"pipeline\": %.4f, \"speedup\": %.3f, \"coeffs_match\": %b },\n"
         (t_seed *. 1000.) (t_pipeline *. 1000.) (t_seed /. t_pipeline) equal;
       Printf.printf "%-16s minor words: generate %.0f, health %.0f\n" jc.jname words_generate

@@ -1,7 +1,6 @@
 let input_p = "inp"
 let input_n = "inn"
 let output = "out"
-let transistor_count = 24
 
 (* Process sketch: vertical NPN (fast) and lateral/substrate PNP (slow, large
    parasitics), as in the 741's vintage process.  [ccs = 0.] for devices whose

@@ -21,6 +21,3 @@ val circuit : Netlist.t
 val input_p : string
 val input_n : string
 val output : string
-
-val transistor_count : int
-(** 24. *)

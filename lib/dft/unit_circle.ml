@@ -17,7 +17,3 @@ let point k i =
 let points k =
   if k < 1 then invalid_arg "Unit_circle.points: k must be >= 1";
   Array.init k (point k)
-
-let half_points k =
-  if k < 1 then invalid_arg "Unit_circle.half_points: k must be >= 1";
-  Array.init ((k / 2) + 1) (point k)

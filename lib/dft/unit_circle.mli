@@ -11,8 +11,3 @@ val points : int -> Complex.t array
 val point : int -> int -> Complex.t
 (** [point k i] is the [i]-th of the [k] roots of unity (computed directly,
     exact trigonometry at the quadrant boundaries). *)
-
-val half_points : int -> Complex.t array
-(** The first [k/2 + 1] points; the remainder follow from conjugate symmetry
-    for real-coefficient polynomials ([P(conj s) = conj (P s)]), halving the
-    number of LU decompositions needed. *)

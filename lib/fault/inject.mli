@@ -79,8 +79,9 @@ val sleep_payload : point -> unit
 
 val sparse_singular : point
 (** [sparse.singular] — {!Symref_linalg.Sparse.factor} returns a singular
-    factorisation ([det = 0]) and {!Symref_linalg.Sparse.refactor} returns
-    [None] (threshold-floor fallback), as if the pivot search had failed. *)
+    factorisation ([det = 0]), and {!Symref_mna.Nodal.eval_batch} sends the
+    point it fires on to a full factorisation instead of taking the batched
+    replay's value, as if the pivot search had failed. *)
 
 val eval_nan : point
 (** [evaluator.nan] — the evaluation point [s] is poisoned with NaN before

@@ -1,7 +1,7 @@
 /* Batched structure-of-arrays elimination + back substitution.
 
-   This is Kernel.Batch's inner loop: the recorded elimination program is
-   walked with instruction streams pre-flattened to int32 arrays, and
+   This is Kernel.Batch's inner loop: the recorded elimination program's
+   index streams (Kernel.program) are walked in place, and
    every instruction's float work runs as a fixed-width loop over a tile
    of TILE points (plane index = slot * stride + point, stride a
    multiple of TILE).  GCC vectorises the tile loops; the
@@ -67,9 +67,9 @@ enum {
   F_RE, F_IM, F_Y_RE, F_Y_IM, F_X_RE, F_X_IM,
   F_PVR, F_PVI, F_PMAG, F_RMAX, F_PDEN, F_PYR, F_PYI, F_MUR, F_MUI,
   F_DRE, F_DIM, F_DEXP, F_EJECT,
-  F_PIV_SLOT, F_PIV_ROW, F_PIV_COL,
-  F_US_OFF, F_US_SLOT, F_U_COL,
-  F_TGT_OFF, F_TGT_ROW, F_TGT_A, F_UPD,
+  F_PIVOT_SLOT, F_PIVOT_ROW, F_PIVOT_COL,
+  F_U_START, F_U_SLOT, F_U_COL,
+  F_ELIM_START, F_ELIM_ROW, F_ELIM_A_SLOT, F_ELIM_UPD,
   F_THRESHOLD, F_STRIDE, F_N, F_SIGN, F_CNT
 };
 
@@ -77,7 +77,13 @@ enum {
 #define TILE 8
 
 #define DPLANE(v, i) ((double *) Caml_ba_data_val(Field((v), (i))))
-#define IPLANE(v, i) ((const int32_t *) Caml_ba_data_val(Field((v), (i))))
+
+/* The program's streams are OCaml int arrays, read in place: each entry
+   is a tagged int, so every index read goes through Long_val.  Holding
+   bare pointers into the OCaml heap is safe here because the call is
+   [@@noalloc] and allocates nothing, so no collection can run, and so
+   none can move an array, while the stub runs. */
+#define STREAM(v, i) ((const value *) Op_val(Field((v), (i))))
 
 /* snd (Float.frexp a) for finite a > 0., subnormals included — the
    exponent Extcomplex's normalisation takes from Float.frexp, which is
@@ -160,16 +166,16 @@ CAMLprim value symref_batch_run(value raw)
   double *restrict dim = DPLANE(raw, F_DIM);
   int32_t *restrict dexp = (int32_t *) Caml_ba_data_val(Field(raw, F_DEXP));
   int32_t *restrict eject = (int32_t *) Caml_ba_data_val(Field(raw, F_EJECT));
-  const int32_t *piv_slot = IPLANE(raw, F_PIV_SLOT);
-  const int32_t *piv_row = IPLANE(raw, F_PIV_ROW);
-  const int32_t *piv_col = IPLANE(raw, F_PIV_COL);
-  const int32_t *us_off = IPLANE(raw, F_US_OFF);
-  const int32_t *us_slot = IPLANE(raw, F_US_SLOT);
-  const int32_t *u_col = IPLANE(raw, F_U_COL);
-  const int32_t *tgt_off = IPLANE(raw, F_TGT_OFF);
-  const int32_t *tgt_row = IPLANE(raw, F_TGT_ROW);
-  const int32_t *tgt_a = IPLANE(raw, F_TGT_A);
-  const int32_t *upd = IPLANE(raw, F_UPD);
+  const value *pivot_slot = STREAM(raw, F_PIVOT_SLOT);
+  const value *pivot_row = STREAM(raw, F_PIVOT_ROW);
+  const value *pivot_col = STREAM(raw, F_PIVOT_COL);
+  const value *u_start = STREAM(raw, F_U_START);
+  const value *u_slot = STREAM(raw, F_U_SLOT);
+  const value *u_col = STREAM(raw, F_U_COL);
+  const value *elim_start = STREAM(raw, F_ELIM_START);
+  const value *elim_row = STREAM(raw, F_ELIM_ROW);
+  const value *elim_a_slot = STREAM(raw, F_ELIM_A_SLOT);
+  const value *elim_upd = STREAM(raw, F_ELIM_UPD);
   const double thr = Double_val(Field(raw, F_THRESHOLD));
   const long stride = Long_val(Field(raw, F_STRIDE));
   const long n = Long_val(Field(raw, F_N));
@@ -190,7 +196,7 @@ CAMLprim value symref_batch_run(value raw)
     }
 
     for (long step = 0; step < n; step++) {
-      const long base_p = (long) piv_slot[step] * stride;
+      const long base_p = Long_val(pivot_slot[step]) * stride;
 #pragma omp simd
       for (long q = q0; q < q1; q++) {
         pvr[q] = bre[base_p + q];
@@ -207,10 +213,10 @@ CAMLprim value symref_batch_run(value raw)
         pmag[q] = 0.0;
         rmax[q] = 0.0;
       }
-      const long ub = us_off[step], ue = us_off[step + 1];
+      const long ub = Long_val(u_start[step]), ue = Long_val(u_start[step + 1]);
       for (long idx = ub; idx < ue; idx++) {
-        const double *restrict sr = bre + (long) us_slot[idx] * stride;
-        const double *restrict si = bim + (long) us_slot[idx] * stride;
+        const double *restrict sr = bre + Long_val(u_slot[idx]) * stride;
+        const double *restrict si = bim + Long_val(u_slot[idx]) * stride;
         for (long q = q0; q < qh; q++) {
           double m = hypot(sr[q], si[q]);
           if (m > rmax[q]) rmax[q] = m;
@@ -221,7 +227,7 @@ CAMLprim value symref_batch_run(value raw)
          while the batch proceeds.  m -. m = 0. is Float.is_finite,
          literally.  pden and the pivot row's RHS load in the same
          sweep — all elementwise, per-point order intact. */
-      const long base_y = (long) piv_row[step] * stride;
+      const long base_y = Long_val(pivot_row[step]) * stride;
 #pragma omp simd
       for (long q = q0; q < q1; q++) {
         double m = pmag[q];
@@ -232,10 +238,10 @@ CAMLprim value symref_batch_run(value raw)
         pyr[q] = yre[base_y + q];
         pyi[q] = yim[base_y + q];
       }
-      const long tb = tgt_off[step], te = tgt_off[step + 1];
+      const long tb = Long_val(elim_start[step]), te = Long_val(elim_start[step + 1]);
       for (long t = tb; t < te; t++) {
-        const long base_a = (long) tgt_a[t] * stride;
-        const long base_i = (long) tgt_row[t] * stride;
+        const long base_a = Long_val(elim_a_slot[t]) * stride;
+        const long base_i = Long_val(elim_row[t]) * stride;
         /* m = a / pivot (refactor's naive quotient), then the fused RHS
            forward elimination — Sparse.solve's lower replay, in the same
            order per row. */
@@ -254,10 +260,10 @@ CAMLprim value symref_batch_run(value raw)
         /* Source slots live in the pivot row, destinations in the
            target row: always distinct, so the restrict pairs hold. */
         for (long idx = 0; idx < ue - ub; idx++) {
-          const double *restrict sr = bre + (long) us_slot[ub + idx] * stride;
-          const double *restrict si = bim + (long) us_slot[ub + idx] * stride;
-          double *restrict dr = bre + (long) upd[upd_pos + idx] * stride;
-          double *restrict di = bim + (long) upd[upd_pos + idx] * stride;
+          const double *restrict sr = bre + Long_val(u_slot[ub + idx]) * stride;
+          const double *restrict si = bim + Long_val(u_slot[ub + idx]) * stride;
+          double *restrict dr = bre + Long_val(elim_upd[upd_pos + idx]) * stride;
+          double *restrict di = bim + Long_val(elim_upd[upd_pos + idx]) * stride;
 #pragma omp simd
           for (long q = q0; q < q1; q++) {
             double mr = mur[q], mi = mui[q];
@@ -302,22 +308,22 @@ CAMLprim value symref_batch_run(value raw)
     /* Back substitution — Sparse.solve's, with the point loop
        innermost. */
     for (long k = n - 1; k >= 0; k--) {
-      const long base_y = (long) piv_row[k] * stride;
-      const long base_x = (long) piv_col[k] * stride;
+      const long base_y = Long_val(pivot_row[k]) * stride;
+      const long base_x = Long_val(pivot_col[k]) * stride;
 #pragma omp simd
       for (long q = q0; q < q1; q++) {
         xre[base_x + q] = yre[base_y + q];
         xim[base_x + q] = yim[base_y + q];
       }
-      const long eb = us_off[k], ee = us_off[k + 1];
+      const long eb = Long_val(u_start[k]), ee = Long_val(u_start[k + 1]);
       for (long idx = eb; idx < ee; idx++) {
         /* Hoisted restrict bases keep the access pattern affine for the
            vectoriser; the U slot, the solved column j and column k are
            three distinct plane columns. */
-        const double *restrict sur = bre + (long) us_slot[idx] * stride;
-        const double *restrict sui = bim + (long) us_slot[idx] * stride;
-        const double *restrict sxr = xre + (long) u_col[idx] * stride;
-        const double *restrict sxi = xim + (long) u_col[idx] * stride;
+        const double *restrict sur = bre + Long_val(u_slot[idx]) * stride;
+        const double *restrict sui = bim + Long_val(u_slot[idx]) * stride;
+        const double *restrict sxr = xre + Long_val(u_col[idx]) * stride;
+        const double *restrict sxi = xim + Long_val(u_col[idx]) * stride;
         double *restrict axr = xre + base_x;
         double *restrict axi = xim + base_x;
 #pragma omp simd
@@ -333,7 +339,7 @@ CAMLprim value symref_batch_run(value raw)
          rd + r * rn for d, so each lane's kept values are exactly its
          branch's — one real division path per lane, as in
          Complex.div. */
-      const long base_p = (long) piv_slot[k] * stride;
+      const long base_p = Long_val(pivot_slot[k]) * stride;
 #pragma omp simd
       for (long q = q0; q < q1; q++) {
         double pr = bre[base_p + q], pi = bim[base_p + q];

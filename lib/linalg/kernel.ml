@@ -3,24 +3,26 @@ module Obs = Symref_obs.Metrics
 module Tr = Symref_obs.Trace
 
 (* The elimination program [Sparse.symbolic] records for a learned
-   sparsity pattern, and the batched engine that replays it. *)
+   sparsity pattern: flat index streams, which the batched engine below
+   and the boxed oracle [Sparse.refactor] both walk. *)
 
 type program = {
   n : int;  (* matrix dimension *)
   nslots : int;  (* workspace slots, structural fill included *)
   sign : int;  (* permutation sign of the pivot orders *)
   threshold : float;  (* threshold-pivoting floor parameter *)
-  coo_slot : int array;  (* values index -> slot (the scatter map) *)
-  pivot_rows : int array;  (* step -> original row *)
-  pivot_cols : int array;  (* step -> original column *)
+  pivot_row : int array;  (* step -> original row *)
+  pivot_col : int array;  (* step -> original column *)
   pivot_slot : int array;  (* step -> slot of the pivot *)
-  u_cols : int array array;  (* step -> original column per U entry *)
-  u_slots : int array array;  (* step -> slot per U entry *)
-  elim_row : int array array;  (* step -> row id per eliminated row *)
-  elim_a_slot : int array array;  (* step -> slot of (row, pivot col) *)
-  elim_upd : int array array array;
-      (* step -> target -> destination slot per U entry *)
-  lower_len : int;
+  u_start : int array;  (* step -> first U entry; n + 1 offsets *)
+  u_slot : int array;  (* U entry -> slot *)
+  u_col : int array;  (* U entry -> original column *)
+  elim_start : int array;  (* step -> first eliminated row; n + 1 offsets *)
+  elim_row : int array;  (* eliminated row -> row id *)
+  elim_a_slot : int array;  (* eliminated row -> slot of (row, pivot col) *)
+  elim_upd : int array;
+      (* per eliminated row, in order: one destination slot per U entry of
+         its step *)
   fill : int;
 }
 
@@ -38,7 +40,7 @@ type program = {
 
    Bit-identity contract: batching reorders operations only {e across}
    points, whose data never interact; within one point the float dataflow
-   — pivot magnitude, row maximum in [u_slots] order, multiplier, RHS
+   — pivot magnitude, row maximum in [u_slot] order, multiplier, RHS
    update, U updates, determinant accumulation, back substitution — is
    operation-for-operation the boxed [Sparse.refactor] + [Sparse.det] +
    [Sparse.solve] chain, so every point's determinant and solution are
@@ -67,9 +69,8 @@ module Batch = struct
      stub call itself allocates nothing.  Field order is the C ABI: the
      stub reads fields positionally (the [enum] in batch_stub.c) — keep
      the two declarations in sync.  Fields 0-18 are per-batch state,
-     re-allocated by [grow]; the rest is the elimination program
-     flattened once, at [create], into int32 instruction streams the C
-     loop walks without ever re-decoding a nested array. *)
+     re-allocated by [grow]; fields 19-28 are the program's own index
+     streams, which the stub reads in place. *)
   type raw = {
     mutable r_re : plane;  (* 0: matrix planes, nslots * cap *)
     mutable r_im : plane;  (* 1 *)
@@ -90,17 +91,16 @@ module Batch = struct
     mutable r_dim : plane;  (* 16 *)
     mutable r_dexp : iplane;  (* 17: determinant binary exponent *)
     mutable r_eject : iplane;  (* 18: threshold/non-finite bail marks *)
-    r_piv_slot : iplane;  (* 19: step -> pivot slot *)
-    r_piv_row : iplane;  (* 20: step -> original row *)
-    r_piv_col : iplane;  (* 21: step -> original column *)
-    r_us_off : iplane;  (* 22: n+1 offsets into the U streams *)
-    r_us_slot : iplane;  (* 23: U-entry slots, flat *)
-    r_u_col : iplane;  (* 24: U-entry columns, flat *)
-    r_tgt_off : iplane;  (* 25: n+1 offsets into the target streams *)
-    r_tgt_row : iplane;  (* 26: eliminated-row ids, flat *)
-    r_tgt_a : iplane;  (* 27: (row, pivot col) slots, flat *)
-    r_upd : iplane;  (* 28: update destination slots, flat; each target
-                        owns a run of length |U(step)|, in target order *)
+    r_pivot_slot : int array;  (* 19 *)
+    r_pivot_row : int array;  (* 20 *)
+    r_pivot_col : int array;  (* 21 *)
+    r_u_start : int array;  (* 22 *)
+    r_u_slot : int array;  (* 23 *)
+    r_u_col : int array;  (* 24 *)
+    r_elim_start : int array;  (* 25 *)
+    r_elim_row : int array;  (* 26 *)
+    r_elim_a_slot : int array;  (* 27 *)
+    r_elim_upd : int array;  (* 28 *)
     r_threshold : float;  (* 29: threshold-pivoting floor *)
     mutable r_stride : int;  (* 30: plane stride = count padded to 8 lanes *)
     r_n : int;  (* 31: matrix dimension *)
@@ -139,34 +139,8 @@ module Batch = struct
   let mkplane len = BA1.create Bigarray.Float64 Bigarray.C_layout len
   let mkiplane len = BA1.create Bigarray.Int32 Bigarray.C_layout len
 
-  let iplane_of_array a =
-    let p = mkiplane (Array.length a) in
-    Array.iteri (fun i v -> BA1.unsafe_set p i (Int32.of_int v)) a;
-    p
-
-  (* Every step's rows, end to end. *)
-  let iplane_of_steps (a : int array array array) =
-    let count = Array.fold_left (fun acc r -> acc + Array.length r) in
-    let p = mkiplane (Array.fold_left count 0 a) in
-    let k = ref 0 in
-    Array.iter
-      (Array.iter
-         (Array.iter (fun v ->
-              BA1.unsafe_set p !k (Int32.of_int v);
-              incr k)))
-      a;
-    p
-
-  let iplane_of_rows a = iplane_of_steps [| a |]
-
-  let offsets_of (a : 'a array array) =
-    let off = Array.make (Array.length a + 1) 0 in
-    Array.iteri (fun s r -> off.(s + 1) <- off.(s) + Array.length r) a;
-    iplane_of_array off
-
   let create prog =
     Obs.incr Obs.kernel_workspaces;
-    let n = prog.n in
     {
       b_prog = prog;
       cap = 0;
@@ -193,24 +167,25 @@ module Batch = struct
           r_dim = mkplane 0;
           r_dexp = mkiplane 0;
           r_eject = mkiplane 0;
-          r_piv_slot = iplane_of_array prog.pivot_slot;
-          r_piv_row = iplane_of_array prog.pivot_rows;
-          r_piv_col = iplane_of_array prog.pivot_cols;
-          r_us_off = offsets_of prog.u_slots;
-          r_us_slot = iplane_of_rows prog.u_slots;
-          r_u_col = iplane_of_rows prog.u_cols;
-          r_tgt_off = offsets_of prog.elim_row;
-          r_tgt_row = iplane_of_rows prog.elim_row;
-          r_tgt_a = iplane_of_rows prog.elim_a_slot;
-          r_upd = iplane_of_steps prog.elim_upd;
+          r_pivot_slot = prog.pivot_slot;
+          r_pivot_row = prog.pivot_row;
+          r_pivot_col = prog.pivot_col;
+          r_u_start = prog.u_start;
+          r_u_slot = prog.u_slot;
+          r_u_col = prog.u_col;
+          r_elim_start = prog.elim_start;
+          r_elim_row = prog.elim_row;
+          r_elim_a_slot = prog.elim_a_slot;
+          r_elim_upd = prog.elim_upd;
           r_threshold = prog.threshold;
           r_stride = 0;
-          r_n = n;
+          r_n = prog.n;
           r_sign = prog.sign;
           r_cnt = 0;
         };
     }
 
+  let program b = b.b_prog
   let stride b = b.raw.r_stride
 
   let grow b lanes =

@@ -18,23 +18,30 @@ type program = {
   nslots : int;  (** workspace slots, structural fill included *)
   sign : int;  (** permutation sign of the pivot orders *)
   threshold : float;  (** threshold-pivoting floor parameter *)
-  coo_slot : int array;  (** values index -> slot (the scatter map) *)
-  pivot_rows : int array;  (** step -> original row *)
-  pivot_cols : int array;  (** step -> original column *)
+  pivot_row : int array;  (** step -> original row *)
+  pivot_col : int array;  (** step -> original column *)
   pivot_slot : int array;  (** step -> slot of the pivot *)
-  u_cols : int array array;  (** step -> original column per U entry *)
-  u_slots : int array array;  (** step -> slot per U entry *)
-  elim_row : int array array;  (** step -> row id per eliminated row *)
-  elim_a_slot : int array array;  (** step -> slot of (row, pivot col) *)
-  elim_upd : int array array array;
-      (** step -> target -> destination slot per U entry (aligned with
-          [u_slots]) *)
-  lower_len : int;  (** multipliers [Sparse.refactor] stores *)
+  u_start : int array;
+      (** [n + 1] offsets: step [k]'s U row is entries
+          [u_start.(k) .. u_start.(k + 1) - 1] of [u_slot] and [u_col] *)
+  u_slot : int array;  (** U entry -> slot *)
+  u_col : int array;  (** U entry -> original column *)
+  elim_start : int array;
+      (** [n + 1] offsets: step [k]'s eliminated rows are entries
+          [elim_start.(k) .. elim_start.(k + 1) - 1] of [elim_row] and
+          [elim_a_slot] *)
+  elim_row : int array;  (** eliminated row -> row id *)
+  elim_a_slot : int array;  (** eliminated row -> slot of (row, pivot col) *)
+  elim_upd : int array;
+      (** for each eliminated row in order, one destination slot per entry
+          of its step's U row (aligned with [u_slot]) *)
   fill : int;  (** structural fill-in *)
 }
 (** The recorded elimination program — the value-independent half of a
     factorisation, shared with {!Sparse.pattern}
-    (see {!Sparse.pattern_program}). *)
+    (see {!Sparse.pattern_program}) — as the flat index streams that
+    {!Batch} and [Sparse.refactor] walk.  Entry [e] of a pattern's values
+    order scatters to slot [e]. *)
 
 (** {1 The batched structure-of-arrays engine} *)
 
@@ -45,12 +52,12 @@ type plane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     operand column is contiguous across the points of a batch and tiles
     never straddle columns. *)
 
-(** Replays the elimination program {e once per batch}: the program —
-    pre-flattened into int32 instruction streams — is decoded instruction
-    by instruction, and every instruction runs an inner contiguous loop
-    over a tile of the batch's points, so the decode traffic is paid once
-    per tile instead of once per point (it dominates on long programs
-    with little float work per step, the rc-ladder shape).  The loops
+(** Replays the elimination program {e once per batch}: the program's
+    streams, read in place, are decoded instruction by instruction, and
+    every instruction runs an inner contiguous loop over a tile of the
+    batch's points, so the decode traffic is paid once per tile instead
+    of once per point (it dominates on long programs with little float
+    work per step, the rc-ladder shape).  The loops
     live in a C stub (batch_stub.c) compiled with vectorisation on and FP
     contraction off, so the float work runs as packed IEEE arithmetic
     while every per-point rounding stays exactly the boxed chain's.
@@ -75,7 +82,11 @@ module Batch : sig
 
   val create : program -> t
   (** Allocate an empty batch workspace (counted under
-      [kernel.workspaces]); capacity grows on first use. *)
+      [kernel.workspaces]); capacity grows on first use.  The workspace
+      reads the program's arrays in place: it copies none of them. *)
+
+  val program : t -> program
+  (** The program the workspace replays. *)
 
   val begin_batch : t -> int -> unit
   (** [begin_batch b count] sizes the planes for [count] points (growing

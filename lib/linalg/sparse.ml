@@ -91,7 +91,7 @@ let injected_singular n =
    A [pattern] is the value-independent half of one factorisation: the pivot
    order, the slot layout (one flat-array slot per matrix position that is
    ever touched, fill-ins included) and the elimination program as index
-   arrays.  [refactor] replays the program on fresh numeric values with no
+   streams.  [refactor] replays the program on fresh numeric values with no
    search and no workspace bookkeeping: the inner loop is pure unboxed
    float-array arithmetic.  The classic SPICE/KLU trick — the sparsity
    structure of [G + sC] is the same at every interpolation point of every
@@ -99,12 +99,11 @@ let injected_singular n =
    scale pair whose values trip the circuit program's threshold floor)
    instead of once per point. *)
 
-module Kernel = Kernel
-
 (* The slot layout and elimination program live in {!Kernel.program} — the
    batched engine replays them without this module — while the pattern
    keeps the coordinates that define {!refactor}'s [values] order: row by
-   row, so a row's entries are one run of [coo_cols]. *)
+   row, so a row's entries are one run of [coo_cols].  Entry [e] of that
+   order is slot [e]. *)
 type pattern = {
   prog : Kernel.program;
   coo_start : int array;  (* row -> first values index of its run; n + 1 *)
@@ -127,13 +126,28 @@ let pattern_coords p =
 let pattern_slot p i j =
   let stop = p.coo_start.(i + 1) in
   let rec find e =
-    if e = stop then -1
-    else if p.coo_cols.(e) = j then p.prog.Kernel.coo_slot.(e)
-    else find (e + 1)
+    if e = stop then -1 else if p.coo_cols.(e) = j then e else find (e + 1)
   in
   find p.coo_start.(i)
 
 let pattern_stats p = (p.prog.Kernel.nslots, p.prog.Kernel.fill)
+
+(* A growable int stream, for the program's streams while [symbolic]
+   records them (OCaml 5.1 has no [Dynarray]). *)
+type stream = { mutable data : int array; mutable len : int }
+
+let stream () = { data = [||]; len = 0 }
+
+let append st v =
+  if st.len = Array.length st.data then begin
+    let data = Array.make (Int.max 16 (2 * st.len)) 0 in
+    Array.blit st.data 0 data 0 st.len;
+    st.data <- data
+  end;
+  st.data.(st.len) <- v;
+  st.len <- st.len + 1
+
+let contents st = Array.sub st.data 0 st.len
 
 (* --- The elimination workspace --------------------------------------------
 
@@ -406,35 +420,40 @@ let sort_ints a =
     a.(!t) <- v
   done
 
-(* The one elimination.  [record] is [symbolic]: exact cancellations keep
+(* What one elimination builds: [factor]'s boxed factor, or the pattern
+   [symbolic] records ([None] when no complete pivot sequence exists). *)
+type _ product = Boxed : factor product | Program : pattern option product
+
+(* The one elimination.  [Program] is [symbolic]: exact cancellations keep
    their (zero-valued) entry and every fill is materialised, because the
    pattern must stay structurally valid at points where the cancellation
-   does not happen; and the slot layout and elimination program are
-   recorded.  Without it ([factor]) an update that cancels exactly removes
-   its entry, and a fill that is exactly zero is never made: a stored zero
-   would inflate the Markowitz counts and skew later pivot choices. *)
-let eliminate ~record ~pivot_threshold (b : builder) =
+   does not happen; the program's streams are recorded, and nothing boxed
+   is kept.  [Boxed] is [factor]: an update that cancels exactly removes
+   its entry, and a fill that is exactly zero is never made (a stored zero
+   would inflate the Markowitz counts and skew later pivot choices); the
+   pivots, U rows and multipliers are kept boxed, and nothing is recorded. *)
+let eliminate : type a. a product -> pivot_threshold:float -> builder -> a =
+ fun product ~pivot_threshold b ->
+  let record = match product with Program -> true | Boxed -> false in
   let n = b.n in
   let w = workspace b in
   let nnz = Array.fold_left ( + ) 0 w.len in
-  let coo_start = Array.make (n + 1) 0 and coo_cols = Array.make nnz 0 in
-  for i = 0 to n - 1 do
-    coo_start.(i + 1) <- coo_start.(i) + w.len.(i);
-    Array.blit w.cols.(i) 0 coo_cols coo_start.(i) w.len.(i)
-  done;
+  let coo_start = Array.make (n + 1) 0
+  and coo_cols = Array.make (if record then nnz else 0) 0 in
+  if record then
+    for i = 0 to n - 1 do
+      coo_start.(i + 1) <- coo_start.(i) + w.len.(i);
+      Array.blit w.cols.(i) 0 coo_cols coo_start.(i) w.len.(i)
+    done;
   let row_active = Array.make n true in
-  let pivot_rows = Array.make n (-1)
-  and pivot_cols = Array.make n (-1)
-  and pivots = Array.make n Complex.zero
-  and upper = Array.make n [||] in
-  let pivot_slot = Array.make n (-1)
-  and u_cols = Array.make n [||]
-  and u_slots = Array.make n [||]
-  and elim_row = Array.make n [||]
-  and elim_a_slot = Array.make n [||]
-  and elim_upd = Array.make n [||] in
-  let lower = ref [] and lower_len = ref 0 in
-  let det_mag = ref Ec.one in
+  let pivot_rows = Array.make n (-1) and pivot_cols = Array.make n (-1) in
+  let boxed = if record then 0 else n in
+  let pivots = Array.make boxed Complex.zero and upper = Array.make boxed [||] in
+  let lower = ref [] and det_mag = ref Ec.one in
+  let pivot_slot = Array.make n (-1) in
+  let u_start = Array.make (n + 1) 0 and u_slot = stream () and u_col = stream () in
+  let elim_start = Array.make (n + 1) 0 and elim_row = stream () in
+  let elim_a_slot = stream () and elim_upd = stream () in
   let fill = ref 0 and next_slot = ref nnz in
   let k = ref 0 in
   while !k < n && markowitz_pivot w ~pivot_threshold ~row_active do
@@ -446,9 +465,11 @@ let eliminate ~record ~pivot_threshold (b : builder) =
     let pv = { Complex.re = pre.(pp); im = pim.(pp) } in
     pivot_rows.(step) <- pi;
     pivot_cols.(step) <- pj;
-    pivots.(step) <- pv;
-    pivot_slot.(step) <- pslot.(pp);
-    det_mag := Ec.mul !det_mag (Ec.of_complex pv);
+    if record then pivot_slot.(step) <- pslot.(pp)
+    else begin
+      pivots.(step) <- pv;
+      det_mag := Ec.mul !det_mag (Ec.of_complex pv)
+    end;
     row_active.(pi) <- false;
     for p = 0 to w.len.(pi) - 1 do
       col_drop w pcols.(p) pi
@@ -457,31 +478,35 @@ let eliminate ~record ~pivot_threshold (b : builder) =
        stay as they are while the targets read them. *)
     let nu = u_order w pi pp in
     let order = w.order in
-    upper.(step) <-
-      Array.init nu (fun u ->
-          let p = order.(u) in
-          (pcols.(p), { Complex.re = pre.(p); im = pim.(p) }));
     if record then begin
-      u_cols.(step) <- Array.init nu (fun u -> pcols.(order.(u)));
-      u_slots.(step) <- Array.init nu (fun u -> pslot.(order.(u)))
-    end;
+      for u = 0 to nu - 1 do
+        append u_slot pslot.(order.(u));
+        append u_col pcols.(order.(u))
+      done;
+      u_start.(step + 1) <- u_slot.len
+    end
+    else
+      upper.(step) <-
+        Array.init nu (fun u ->
+            let p = order.(u) in
+            (pcols.(p), { Complex.re = pre.(p); im = pim.(p) }));
     (* Eliminate the pivot column from the remaining active rows, in
        ascending row order. *)
     let nt = w.col_len.(pj) in
     let targets = Array.sub w.col_rows.(pj) 0 nt in
     sort_ints targets;
     w.col_len.(pj) <- 0;
-    let a_slots = Array.make (if record then nt else 0) 0
-    and upds = Array.make (if record then nt else 0) [||] in
     for t = 0 to nt - 1 do
       let i = targets.(t) in
       let a = find_col w i pj in
       let v = { Complex.re = w.re.(i).(a); im = w.im.(i).(a) } in
-      if record then a_slots.(t) <- w.slot.(i).(a);
+      if record then begin
+        append elim_row i;
+        append elim_a_slot w.slot.(i).(a)
+      end;
       remove w i a;
       let m = Complex.div v pv in
-      lower := (i, step, m) :: !lower;
-      incr lower_len;
+      if not record then lower := (i, step, m) :: !lower;
       let mr = m.Complex.re and mi = m.Complex.im in
       reserve w i (w.len.(i) + nu);
       let cs = w.cols.(i) and re = w.re.(i) and im = w.im.(i) in
@@ -489,7 +514,6 @@ let eliminate ~record ~pivot_threshold (b : builder) =
       for p = 0 to w.len.(i) - 1 do
         w.pos.(cs.(p)) <- p
       done;
-      let dst = Array.make (if record then nu else 0) 0 in
       for u = 0 to nu - 1 do
         let up = order.(u) in
         let j = pcols.(up) and ur = pre.(up) and ui = pim.(up) in
@@ -503,7 +527,7 @@ let eliminate ~record ~pivot_threshold (b : builder) =
             w.clock <- w.clock + 1;
             incr next_slot;
             incr fill;
-            if record then dst.(u) <- s
+            if record then append elim_upd s
           end
         end
         else begin
@@ -516,70 +540,65 @@ let eliminate ~record ~pivot_threshold (b : builder) =
             re.(p) <- nre;
             im.(p) <- nim;
             mg.(p) <- Float.hypot nre nim;
-            if record then dst.(u) <- sl.(p)
+            if record then append elim_upd sl.(p)
           end
         end
       done;
       for p = 0 to w.len.(i) - 1 do
         w.pos.(cs.(p)) <- -1
-      done;
-      if record then upds.(t) <- dst
+      done
     done;
-    if record then begin
-      elim_row.(step) <- targets;
-      elim_a_slot.(step) <- a_slots;
-      elim_upd.(step) <- upds
-    end;
+    elim_start.(step + 1) <- elim_row.len;
     incr k
   done;
   let singular = !k < n in
   let sign =
     if singular then 0 else permutation_sign pivot_rows * permutation_sign pivot_cols
   in
-  let fct =
-    {
-      n;
-      pivot_rows;
-      pivot_cols;
-      pivots;
-      lower = Array.of_list (List.rev !lower);
-      upper;
-      det = (if singular then Ec.zero else if sign < 0 then Ec.neg !det_mag else !det_mag);
-      fill_in = !fill;
-      singular;
-    }
-  in
-  let pattern () =
-    {
-      prog =
+  match product with
+  | Boxed ->
+      {
+        n;
+        pivot_rows;
+        pivot_cols;
+        pivots;
+        lower = Array.of_list (List.rev !lower);
+        upper;
+        det = (if singular then Ec.zero else if sign < 0 then Ec.neg !det_mag else !det_mag);
+        fill_in = !fill;
+        singular;
+      }
+  | Program when singular -> None
+  | Program ->
+      Some
         {
-          Kernel.n;
-          nslots = !next_slot;
-          sign;
-          threshold = pivot_threshold;
-          coo_slot = Array.init nnz Fun.id;
-          pivot_rows;
-          pivot_cols;
-          pivot_slot;
-          u_cols;
-          u_slots;
-          elim_row;
-          elim_a_slot;
-          elim_upd;
-          lower_len = !lower_len;
-          fill = !fill;
-        };
-      coo_start;
-      coo_cols;
-    }
-  in
-  (fct, pattern)
+          prog =
+            {
+              Kernel.n;
+              nslots = !next_slot;
+              sign;
+              threshold = pivot_threshold;
+              pivot_row = pivot_rows;
+              pivot_col = pivot_cols;
+              pivot_slot;
+              u_start;
+              u_slot = contents u_slot;
+              u_col = contents u_col;
+              elim_start;
+              elim_row = contents elim_row;
+              elim_a_slot = contents elim_a_slot;
+              elim_upd = contents elim_upd;
+              fill = !fill;
+            };
+          coo_start;
+          coo_cols;
+        }
 
 let factor ?(pivot_threshold = 0.1) (b : builder) =
   Obs.incr Obs.lu_factor;
   Tr.span ~cat:"lu" "lu.factor" @@ fun () ->
   if Inject.fire Inject.sparse_singular then injected_singular b.n
-  else fst (eliminate ~record:false ~pivot_threshold b)
+  else eliminate Boxed ~pivot_threshold b
 
 let det f = f.det
 let fill_in f = f.fill_in
@@ -589,115 +608,96 @@ let fill_in f = f.fill_in
    (no complete pivot sequence exists to record). *)
 let symbolic ?(pivot_threshold = 0.1) (b : builder) =
   Obs.incr Obs.lu_symbolic;
-  Tr.span ~cat:"lu" "lu.symbolic" @@ fun () ->
-  let fct, pattern = eliminate ~record:true ~pivot_threshold b in
-  if fct.singular then None else Some (pattern (), fct)
+  Tr.span ~cat:"lu" "lu.symbolic" @@ fun () -> eliminate Program ~pivot_threshold b
 
-(* Numeric refactorisation: replay the recorded elimination program on new
-   values.  Returns [None] — caller falls back to a full Markowitz
-   factorisation — whenever a reused pivot is exactly zero or falls below the
-   threshold-pivoting floor relative to its remaining row, so accuracy never
-   regresses versus from-scratch pivoting.  No production path calls it: it
-   is the boxed reference that {!Kernel.Batch} must match bit for bit. *)
+(* Numeric refactorisation: replay the recorded program on new values,
+   walking its streams as the batch stub does.  [None] whenever a reused
+   pivot is exactly zero or falls below the threshold-pivoting floor
+   relative to its remaining row.  No production path calls it, and it
+   counts nothing, opens no span and fires no fault hook: it is the boxed
+   reference that {!Kernel.Batch} must match bit for bit. *)
 let refactor (p : pattern) (values : Complex.t array) =
-  let q = p.prog in
-  if Array.length values <> Array.length q.Kernel.coo_slot then
+  let { Kernel.n; nslots; sign; threshold; pivot_row; pivot_col; pivot_slot; u_start;
+        u_slot; u_col; elim_start; elim_row; elim_a_slot; elim_upd; fill } =
+    p.prog
+  in
+  if Array.length values <> pattern_nnz p then
     invalid_arg "Sparse.refactor: values length does not match pattern";
-  Tr.span ~cat:"lu" "lu.refactor" @@ fun () ->
-  if Inject.fire Inject.sparse_singular then None
-    (* as if a reused pivot hit the threshold floor: caller falls back *)
-  else
-  let re = Array.make q.Kernel.nslots 0. and im = Array.make q.Kernel.nslots 0. in
+  let re = Array.make nslots 0. and im = Array.make nslots 0. in
   Array.iteri
-    (fun e (v : Complex.t) ->
-      let s = q.Kernel.coo_slot.(e) in
+    (fun s (v : Complex.t) ->
       re.(s) <- v.Complex.re;
       im.(s) <- v.Complex.im)
     values;
-  let n = q.Kernel.n in
-  let lower = Array.make q.Kernel.lower_len (0, 0, Complex.zero) in
-  let lpos = ref 0 in
+  let lower = Array.make (Array.length elim_row) (0, 0, Complex.zero) in
+  let upd = ref 0 in
   let ok = ref true in
   let k = ref 0 in
   while !ok && !k < n do
     let step = !k in
-    let ps = q.Kernel.pivot_slot.(step) in
+    let ps = pivot_slot.(step) in
     let pr = re.(ps) and pim = im.(ps) in
     let pmag = Float.hypot pr pim in
     (* Threshold floor: the pivot must still dominate its remaining row the
        way Markowitz + threshold pivoting would have required. *)
-    let us = q.Kernel.u_slots.(step) in
+    let ub = u_start.(step) and ue = u_start.(step + 1) in
     let rmax = ref pmag in
-    Array.iter
-      (fun s ->
-        let m = Float.hypot re.(s) im.(s) in
-        if m > !rmax then rmax := m)
-      us;
+    for idx = ub to ue - 1 do
+      let s = u_slot.(idx) in
+      let m = Float.hypot re.(s) im.(s) in
+      if m > !rmax then rmax := m
+    done;
     (* A non-finite pivot (NaN-contaminated values) must also bail out: NaN
        compares false against the floor, and the full search degrades to a
        clean singular result where the replay would feed NaN downstream. *)
-    if pmag = 0. || (not (Float.is_finite pmag)) || pmag < q.Kernel.threshold *. !rmax
-    then ok := false
+    if pmag = 0. || (not (Float.is_finite pmag)) || pmag < threshold *. !rmax then
+      ok := false
     else begin
       let den = (pr *. pr) +. (pim *. pim) in
-      let targets = q.Kernel.elim_row.(step) in
-      let a_slots = q.Kernel.elim_a_slot.(step) in
-      let upds = q.Kernel.elim_upd.(step) in
-      for t = 0 to Array.length targets - 1 do
-        let a = a_slots.(t) in
+      for t = elim_start.(step) to elim_start.(step + 1) - 1 do
+        let a = elim_a_slot.(t) in
         let ar = re.(a) and ai = im.(a) in
         (* m = a / pivot, unboxed. *)
         let mr = ((ar *. pr) +. (ai *. pim)) /. den
         and mi = ((ai *. pr) -. (ar *. pim)) /. den in
-        lower.(!lpos) <- (targets.(t), step, { Complex.re = mr; im = mi });
-        incr lpos;
-        let upd = upds.(t) in
-        for idx = 0 to Array.length us - 1 do
-          let s = us.(idx) in
+        lower.(t) <- (elim_row.(t), step, { Complex.re = mr; im = mi });
+        for idx = ub to ue - 1 do
+          let s = u_slot.(idx) and d = elim_upd.(!upd) in
           let ur = re.(s) and ui = im.(s) in
-          let d = upd.(idx) in
           re.(d) <- re.(d) -. ((mr *. ur) -. (mi *. ui));
-          im.(d) <- im.(d) -. ((mr *. ui) +. (mi *. ur))
+          im.(d) <- im.(d) -. ((mr *. ui) +. (mi *. ur));
+          incr upd
         done
       done;
       incr k
     end
   done;
-  if not !ok then begin
-    (* The caller will redo a full Markowitz search from scratch. *)
-    Obs.incr Obs.refactor_fallbacks;
-    None
-  end
+  if not !ok then None
   else begin
-    Obs.incr Obs.lu_refactor;
     (* Pivot-row slots freeze at their own step, so the final workspace holds
        exactly the U snapshots and pivots the factor needs. *)
-    let pivots =
-      Array.init n (fun k ->
-          let s = q.Kernel.pivot_slot.(k) in
-          { Complex.re = re.(s); im = im.(s) })
-    in
+    let at s = { Complex.re = re.(s); im = im.(s) } in
+    let pivots = Array.map at pivot_slot in
     let upper =
       Array.init n (fun k ->
-          let cols = q.Kernel.u_cols.(k) and slots = q.Kernel.u_slots.(k) in
-          Array.init (Array.length cols) (fun idx ->
-              let s = slots.(idx) in
-              (cols.(idx), { Complex.re = re.(s); im = im.(s) })))
+          let ub = u_start.(k) in
+          Array.init (u_start.(k + 1) - ub) (fun idx ->
+              (u_col.(ub + idx), at u_slot.(ub + idx))))
     in
     let det_mag =
       Array.fold_left (fun acc pv -> Ec.mul acc (Ec.of_complex pv)) Ec.one pivots
     in
-    let det = if q.Kernel.sign < 0 then Ec.neg det_mag else det_mag in
+    let det = if sign < 0 then Ec.neg det_mag else det_mag in
     Some
       {
         n;
-        pivot_rows = q.Kernel.pivot_rows;
-        pivot_cols = q.Kernel.pivot_cols;
+        pivot_rows = pivot_row;
+        pivot_cols = pivot_col;
         pivots;
         lower;
         upper;
         det;
-        fill_in = q.Kernel.fill;
+        fill_in = fill;
         singular = false;
       }
   end

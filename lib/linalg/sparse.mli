@@ -74,35 +74,35 @@ val solve_transpose : factor -> Complex.t array -> Complex.t array
     (every interpolation point of one scale pair shares the structure of
     [G + sC]), the pivot search and the elimination workspace's bookkeeping
     are pure overhead after the first point.  {!symbolic} runs one full
-    Markowitz factorisation and records its {e pattern} — pivot order, slot
+    Markowitz elimination and records its {e pattern} — pivot order, slot
     layout (fill-ins included) and the elimination program as flat index
-    arrays — which {!Kernel.Batch} replays on whole batches of points.
-    {!refactor} replays the same program one point at a time into a boxed
-    factor: it is the reference the batch engine is checked against, bit
-    for bit. *)
+    streams ({!Kernel.program}) — which {!Kernel.Batch} replays on whole
+    batches of points.  {!refactor} walks the same streams one point at a
+    time into a boxed factor: it is the reference the batch engine is
+    checked against, bit for bit. *)
 
 type pattern
 (** The value-independent half of a factorisation: reusable across any
     numeric values with the same sparsity structure. *)
 
-val symbolic : ?pivot_threshold:float -> builder -> (pattern * factor) option
-(** [symbolic b] factorises [b] like {!factor} and records the pattern;
-    the returned factor is the one at the analysed values, for free.
-    [None] when the matrix is singular at the analysed point (there is no
-    complete pivot sequence to record).  Unlike {!factor}, entries that
-    cancel exactly during elimination are kept (with value zero): the
-    pattern must stay structurally valid at points where the cancellation
-    does not occur, so the recorded [fill_in] counts structural fill. *)
+val symbolic : ?pivot_threshold:float -> builder -> pattern option
+(** [symbolic b] runs {!factor}'s elimination on [b], pivoting the same
+    way, and records the pattern; it builds no factor.  [None] when the
+    matrix is singular at the analysed point (there is no complete pivot
+    sequence to record).  Unlike {!factor}, entries that cancel exactly
+    during elimination are kept (with value zero): the pattern must stay
+    structurally valid at points where the cancellation does not occur, so
+    the recorded fill counts structural fill. *)
 
 val refactor : pattern -> Complex.t array -> factor option
 (** [refactor p values] redoes the numeric elimination with [values.(e)] the
     entry at {!pattern_coords}[ p].(e).  [None] when a reused pivot is
-    exactly zero or falls below the threshold-pivoting floor relative to its
-    remaining row — the caller should fall back to a fresh {!factor} so
-    accuracy never regresses versus from-scratch pivoting.  Unlike {!factor}
-    it keeps the recorded pivots and divides with the naive complex
-    quotient, exactly as {!Kernel.Batch} does, which makes it that
-    engine's test oracle.
+    exactly zero, non-finite, or falls below the threshold-pivoting floor
+    relative to its remaining row.  Unlike {!factor} it keeps the recorded
+    pivots and divides with the naive complex quotient, walking the
+    program's streams exactly as {!Kernel.Batch} does, which makes it that
+    engine's test oracle.  A pure function: no production path calls it,
+    and it counts nothing, opens no trace span and fires no fault hook.
     @raise Invalid_argument when [values] does not match the pattern. *)
 
 val pattern_coords : pattern -> (int * int) array
@@ -122,14 +122,6 @@ val pattern_nnz : pattern -> int
 val pattern_stats : pattern -> int * int
 (** [(slots, structural_fill)] — workspace size diagnostics. *)
 
-(** {1 The batched replay}
-
-    [Sparse.Kernel] re-exports {!Kernel}, the batched engine that replays a
-    pattern's elimination program on many points at once. *)
-
-module Kernel = Kernel
-
 val pattern_program : pattern -> Kernel.program
 (** The pattern's elimination program, ready for {!Kernel.Batch.create}.
-    Entry [e] of {!refactor}'s [values] order scatters to slot
-    [(pattern_program p).coo_slot.(e)]. *)
+    Entry [e] of {!refactor}'s [values] order scatters to slot [e]. *)

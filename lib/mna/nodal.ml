@@ -55,7 +55,6 @@ type stamp = {
    whole [eval_batch] — lookup, replay check, scatter, replay, fallbacks —
    so concurrent callers on one [t] take turns. *)
 type payload = {
-  pl_prog : Kernel.program;
   pl_slot : int array;
       (* stamp coordinate -> program slot, -1 for entries identically zero
          over the pass *)
@@ -320,7 +319,7 @@ let learn_pattern t ~f ~g =
     st.m_rows;
   match Sparse.symbolic b with
   | None -> None
-  | Some (pat, _) ->
+  | Some pat ->
       (* Each stamp coordinate's program slot, so the hot-path scatter is
          one indirection; -1 where the coordinate is identically zero at
          every point of this pass. *)
@@ -328,8 +327,7 @@ let learn_pattern t ~f ~g =
         Array.init (Array.length st.m_rows) (fun e ->
             Sparse.pattern_slot pat st.m_rows.(e) st.m_cols.(e))
       in
-      let prog = Sparse.pattern_program pat in
-      Some { pl_prog = prog; pl_slot = slot; pl_batch = Kernel.Batch.create prog }
+      Some { pl_slot = slot; pl_batch = Kernel.Batch.create (Sparse.pattern_program pat) }
 
 (* The per-point fallbacks of [eval_batch]: a full factorisation for
    ejected points (and every point when [reuse] is off or the pattern
@@ -618,4 +616,4 @@ let elimination_program ?(f = 1.) ?(g = 1.) t =
   if not t.reuse then None
   else
     Mutex.protect t.cache.lock (fun () ->
-        Option.map (fun pl -> pl.pl_prog) (pattern_for t ~f ~g))
+        Option.map (fun pl -> Kernel.Batch.program pl.pl_batch) (pattern_for t ~f ~g))

@@ -152,9 +152,11 @@ val elimination_program :
 (** The recorded elimination program that serves a scale pair (see
     {!make}: the circuit's own program, or the pair's when the circuit's
     fails its replay) — [None] when [reuse] is off or the canonical point
-    is singular.  Exposed for the benchmark's program-shape statistics
-    (steps, slots, fill, update counts); learning or reusing the pattern
-    counts under the [nodal.pattern_*] counters as usual. *)
+    is singular.  It is the program the pair's batch workspace replays
+    ({!Symref_linalg.Kernel.Batch.program}).  Exposed for the benchmark's
+    program-shape statistics (steps, slots, fill, update counts) and the
+    tests' bounds checks; learning or reusing the pattern counts under the
+    [nodal.pattern_*] counters as usual. *)
 
 val mean_conductance : t -> float
 val mean_capacitance : t -> float

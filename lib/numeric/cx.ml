@@ -7,7 +7,6 @@ let of_float x : t = { re = x; im = 0. }
 let j : t = { re = 0.; im = 1. }
 let jomega w : t = { re = 0.; im = w }
 let scale k (z : t) : t = { re = k *. z.re; im = k *. z.im }
-let add3 a b c = Complex.add a (Complex.add b c)
 let sum = List.fold_left Complex.add Complex.zero
 let is_finite (z : t) = Float.is_finite z.re && Float.is_finite z.im
 

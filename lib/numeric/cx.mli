@@ -13,7 +13,6 @@ val jomega : float -> t
 (** [jomega w] is [0 + j*w], the evaluation point for AC analysis. *)
 
 val scale : float -> t -> t
-val add3 : t -> t -> t -> t
 val sum : t list -> t
 val is_finite : t -> bool
 

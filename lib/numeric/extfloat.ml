@@ -29,7 +29,6 @@ let of_float x =
   else norm x 0
 
 let one = of_float 1.
-let minus_one = of_float (-1.)
 let make ~m ~e =
   if not (Float.is_finite m) then invalid_arg "Extfloat.make: not finite"
   else norm m e

@@ -17,7 +17,6 @@ type t = private {
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_float : float -> t
 (** [of_float x] represents the double [x] exactly.

@@ -11,9 +11,10 @@
     While no trace is active, {!span} runs its thunk directly — one boolean
     load and a branch of overhead — and {!instant} is a no-op.  The
     instrumented pipeline emits one span per adaptive pass
-    ([adaptive.pass]), per interpolation batch ([interp.batch]) and per
-    factorisation class ([lu.factor] / [lu.symbolic] / [lu.refactor]); see
-    [doc/observability.mld] for the full naming scheme. *)
+    ([adaptive.pass]), per interpolation batch ([interp.batch]), per
+    factorisation class ([lu.factor] / [lu.symbolic]) and per batched
+    replay ([lu.batch]); see [doc/observability.mld] for the full naming
+    scheme. *)
 
 val start : file:string -> unit
 (** Begin buffering events; {!finish} will write them to [file].  Resets

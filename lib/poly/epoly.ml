@@ -134,8 +134,6 @@ let approx_equal ?(rel = 1e-9) a b =
   degree a = degree b
   && Array.for_all2 (fun x y -> Ef.approx_equal ~rel x y) a b
 
-let to_poly (p : t) = Poly.of_coeffs (Array.map Ef.to_float p)
-
 let pp ppf (p : t) =
   if is_zero p then Format.pp_print_string ppf "0"
   else

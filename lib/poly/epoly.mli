@@ -45,7 +45,4 @@ val max_abs_coeff : t -> Ef.t
 val approx_equal : ?rel:float -> t -> t -> bool
 (** Coefficient-wise relative comparison (default [1e-9]). *)
 
-val to_poly : t -> Poly.t
-(** Round coefficients to doubles (may under/overflow individual terms). *)
-
 val pp : Format.formatter -> t -> unit

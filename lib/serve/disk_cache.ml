@@ -7,13 +7,14 @@
      symref-cache 2 <md5-hex-of-payload> <payload-byte-length>\n
      <payload bytes>
 
-   Writers stage into a dot-prefixed temp file and [Unix.rename] it into
-   place, so a reader never observes a half-written entry under the final
-   name; readers verify the magic, the length and the digest and treat any
-   mismatch — truncation, corruption, a foreign file — as a miss, never a
-   failure.  That makes the directory safe to share read-mostly between N
-   daemon processes: the worst a concurrent writer can do is win the rename
-   race with an identical payload. *)
+   Writers stage into a dot-prefixed temp file of their own and
+   [Unix.rename] it into place, so a reader never observes a half-written
+   entry under the final name; readers verify the magic, the length and
+   the digest and treat any mismatch — truncation, corruption, a foreign
+   file — as a miss, never a failure.  That makes the directory safe to
+   share read-mostly between N daemon processes and their worker domains:
+   the worst a concurrent writer can do is win the rename race with an
+   identical payload. *)
 
 module Metrics = Symref_obs.Metrics
 
@@ -123,15 +124,21 @@ let find t ~key =
         Metrics.incr Metrics.serve_disk_cache_corrupt;
         None
 
+(* Numbers every staging file this process opens. *)
+let staged = Atomic.make 0
+
 let store t ~key payload =
   if valid_key key then begin
     let path = entry_path t key in
-    (* The temp name embeds pid + key so concurrent writers in different
-       processes never collide on the staging file; the final rename is
-       atomic within the directory. *)
+    (* The temp name embeds the pid, a process-wide count and the key, so
+       no two writers share a staging file: not two processes, and not two
+       domains of one daemon that store the same key at once (with a shared
+       name, one could truncate the file the other was about to rename into
+       place).  The final rename is atomic within the directory. *)
     let tmp =
       Filename.concat t.dir
-        (Printf.sprintf "%s%d.%s" tmp_prefix (Unix.getpid ()) key)
+        (Printf.sprintf "%s%d.%d.%s" tmp_prefix (Unix.getpid ())
+           (Atomic.fetch_and_add staged 1) key)
     in
     match Out_channel.open_bin tmp with
     | exception Sys_error _ -> ()

@@ -43,6 +43,3 @@ let epsilon ~db ~deg =
   let from_db = Float.pow 10. (db /. 20.) -. 1. in
   let from_deg = Float.sin (deg *. Float.pi /. 180.) in
   Float.max 0. (Float.min from_db from_deg)
-
-let sdg_epsilon t = epsilon ~db:(sdg_db t) ~deg:(sdg_deg t)
-let sag_epsilon t = epsilon ~db:(sag_db t) ~deg:(sag_deg t)

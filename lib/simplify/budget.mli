@@ -40,6 +40,3 @@ val epsilon : db:float -> deg:float -> float
     [eps] moves the magnitude by at most [20 log10(1+eps)] dB and the phase
     by at most [arcsin eps >= eps] radians, so either bound alone keeps the
     stage inside its share. *)
-
-val sdg_epsilon : t -> float
-val sag_epsilon : t -> float

@@ -9,7 +9,8 @@
     {!Poly}, {!Epoly}, {!Roots}; {!Unit_circle}, {!Dft}, {!Fft}.
 
     {2 Linear algebra}
-    {!Dense}, {!Sparse} — complex LU with extended-range determinants.
+    {!Dense}, {!Sparse} — complex LU with extended-range determinants;
+    {!Kernel} — the recorded elimination program and its batched replay.
 
     {2 Circuits}
     {!Element}, {!Netlist}, {!Devices}, {!Transform};
@@ -70,6 +71,7 @@ module Fft = Symref_dft.Fft
 (* linear algebra *)
 module Dense = Symref_linalg.Dense
 module Sparse = Symref_linalg.Sparse
+module Kernel = Symref_linalg.Kernel
 
 (* circuits *)
 module Element = Symref_circuit.Element

@@ -237,6 +237,7 @@ type pattern = {
   prog : Kernel.program;
   coo_rows : int array;  (* values index -> original row *)
   coo_cols : int array;  (* values index -> original column *)
+  coo_slot : int array;  (* values index -> slot (the scatter map) *)
 }
 
 
@@ -282,7 +283,6 @@ let symbolic ?(pivot_threshold = 0.1) (b : builder) =
   and elim_a_slot = Array.make n [||]
   and elim_upd = Array.make n [||] in
   let lower = ref [] and upper = Array.make n [||] in
-  let lower_len = ref 0 in
   let det_mag = ref Ec.one in
   let fill = ref 0 in
   let singular = ref false in
@@ -324,7 +324,6 @@ let symbolic ?(pivot_threshold = 0.1) (b : builder) =
                    row_count.(i) <- row_count.(i) - 1;
                    let m = Complex.div v pv in
                    lower := (i, k, m) :: !lower;
-                   incr lower_len;
                    e_row := i :: !e_row;
                    e_a := Hashtbl.find slots.(i) pj :: !e_a;
                    let upd_slots =
@@ -374,22 +373,29 @@ let symbolic ?(pivot_threshold = 0.1) (b : builder) =
         singular = false;
       }
     in
+    (* The per-step arrays end to end: the program's flat streams. *)
+    let starts steps =
+      let off = Array.make (n + 1) 0 in
+      Array.iteri (fun k a -> off.(k + 1) <- off.(k) + Array.length a) steps;
+      off
+    in
+    let flat steps = Array.concat (Array.to_list steps) in
     let prog =
       {
         Kernel.n;
         nslots = !next_slot;
         sign;
         threshold = pivot_threshold;
-        coo_slot = Array.of_list (List.rev !coo_slot);
-        pivot_rows;
-        pivot_cols;
+        pivot_row = pivot_rows;
+        pivot_col = pivot_cols;
         pivot_slot;
-        u_cols;
-        u_slots;
-        elim_row;
-        elim_a_slot;
-        elim_upd;
-        lower_len = !lower_len;
+        u_start = starts u_slots;
+        u_slot = flat u_slots;
+        u_col = flat u_cols;
+        elim_start = starts elim_row;
+        elim_row = flat elim_row;
+        elim_a_slot = flat elim_a_slot;
+        elim_upd = flat (Array.map flat elim_upd);
         fill = !fill;
       }
     in
@@ -398,6 +404,7 @@ let symbolic ?(pivot_threshold = 0.1) (b : builder) =
         prog;
         coo_rows = Array.of_list (List.rev !coo_rows);
         coo_cols = Array.of_list (List.rev !coo_cols);
+        coo_slot = Array.of_list (List.rev !coo_slot);
       }
     in
     Some (pat, fct)

@@ -11,7 +11,6 @@
    [Int64.bits_of_float], so even NaN payloads and [-0.] must match. *)
 
 module Sparse = Symref_linalg.Sparse
-module Kernel = Symref_linalg.Kernel
 module Batch = Symref_linalg.Kernel.Batch
 module Ec = Symref_numeric.Extcomplex
 module Nodal = Symref_mna.Nodal
@@ -61,18 +60,18 @@ let random_system rand n =
   let rhs = Array.init n (fun _ -> { Complex.re = rand () -. 0.5; im = rand () -. 0.5 }) in
   (b, rhs)
 
-(* Scatter one value assignment into column [q] of the batch planes, and
-   the same RHS for every point (value variation is what matters; the RHS
-   forward elimination is folded into the same inner loops). *)
-let scatter_point b prog q vals (rhs : Complex.t array) =
+(* Scatter one value assignment into column [q] of the batch planes (entry
+   [e] of the pattern's values order is slot [e]), and the same RHS for
+   every point (value variation is what matters; the RHS forward
+   elimination is folded into the same inner loops). *)
+let scatter_point b q vals (rhs : Complex.t array) =
   let stride = Batch.stride b in
   let wre = Batch.matrix_re b and wim = Batch.matrix_im b in
   let yre = Batch.rhs_re b and yim = Batch.rhs_im b in
   Array.iteri
     (fun e (v : Complex.t) ->
-      let sl = prog.Kernel.coo_slot.(e) in
-      BA1.set wre ((sl * stride) + q) v.Complex.re;
-      BA1.set wim ((sl * stride) + q) v.Complex.im)
+      BA1.set wre ((e * stride) + q) v.Complex.re;
+      BA1.set wim ((e * stride) + q) v.Complex.im)
     vals;
   Array.iteri
     (fun r (v : Complex.t) ->
@@ -87,10 +86,9 @@ let pattern_values b pat =
 
 (* One batch over [per_point] value assignments, all with the same RHS. *)
 let run_points pat per_point rhs =
-  let prog = Sparse.pattern_program pat in
-  let bt = Batch.create prog in
+  let bt = Batch.create (Sparse.pattern_program pat) in
   Batch.begin_batch bt (Array.length per_point);
-  Array.iteri (fun q vals -> scatter_point bt prog q vals rhs) per_point;
+  Array.iteri (fun q vals -> scatter_point bt q vals rhs) per_point;
   Batch.run bt;
   bt
 
@@ -103,7 +101,7 @@ let prop_sparse_batch_identity =
       let b, rhs = random_system rand n in
       match Sparse.symbolic b with
       | None -> true
-      | Some (pat, _) ->
+      | Some pat ->
           let base = pattern_values b pat in
           (* Per-point value assignments: the first is the base system, the
              rest perturb it — including a decade-scaled one so some points
@@ -154,7 +152,7 @@ let test_eject_parity () =
   let b, rhs = random_system rand 8 in
   match Sparse.symbolic b with
   | None -> Alcotest.fail "symbolic factorisation unexpectedly failed"
-  | Some (pat, _) ->
+  | Some pat ->
       let coords = Sparse.pattern_coords pat in
       let base = pattern_values b pat in
       let scales = [| 1.; 0.1; 1e-3; 1e-6; 1e-9; 1e-12; 0. |] in
@@ -189,7 +187,7 @@ let det_matches_refactor values =
   Sparse.add b 0 0 Complex.one;
   match Sparse.symbolic b with
   | None -> false
-  | Some (pat, _) ->
+  | Some pat ->
       let per_point = Array.map (fun v -> [| v |]) values in
       let bt = run_points pat per_point [| Complex.one |] in
       Array.for_all Fun.id
@@ -287,25 +285,23 @@ let test_zero_alloc_batch () =
   let b, rhs = random_system rand 16 in
   match Sparse.symbolic b with
   | None -> Alcotest.fail "symbolic factorisation unexpectedly failed"
-  | Some (pat, _) ->
+  | Some pat ->
       let coords = Sparse.pattern_coords pat in
       let dense = Sparse.to_dense b in
       let m = Array.length coords in
-      let prog = Sparse.pattern_program pat in
       let cnt = 32 in
-      let slot = prog.Kernel.coo_slot in
       let vre = Array.init m (fun e -> (dense.(fst coords.(e)).(snd coords.(e))).Complex.re)
       and vim = Array.init m (fun e -> (dense.(fst coords.(e)).(snd coords.(e))).Complex.im) in
       let rre = Array.map (fun (v : Complex.t) -> v.Complex.re) rhs
       and rim = Array.map (fun (v : Complex.t) -> v.Complex.im) rhs in
-      let bt = Batch.create prog in
+      let bt = Batch.create (Sparse.pattern_program pat) in
       let batch () =
         Batch.begin_batch bt cnt;
         let stride = Batch.stride bt in
         let wre = Batch.matrix_re bt and wim = Batch.matrix_im bt in
         let yre = Batch.rhs_re bt and yim = Batch.rhs_im bt in
         for e = 0 to m - 1 do
-          let base = slot.(e) * stride in
+          let base = e * stride in
           for q = 0 to cnt - 1 do
             BA1.set wre (base + q) (vre.(e) *. (1. +. (0.001 *. float_of_int q)));
             BA1.set wim (base + q) vim.(e)

@@ -1,7 +1,7 @@
 (* The sparse LU against its oracle: [Lu_oracle] is the per-row-hashtable
    elimination the recorded outputs were made with, and [Sparse] must
    reproduce it exactly — the same pivot sequence (tie order included), a
-   [Kernel.program] equal field for field, and a factor whose [det],
+   [Kernel.program] equal field for field, and a [factor] whose [det],
    [solve] and [solve_transpose] agree bit for bit.
 
    The matrices are built to make that order matter:
@@ -18,6 +18,7 @@
 
 module Sparse = Symref_linalg.Sparse
 module Kernel = Symref_linalg.Kernel
+module Nodal = Symref_mna.Nodal
 module Ec = Symref_numeric.Extcomplex
 
 let bits = Int64.bits_of_float
@@ -198,16 +199,16 @@ let program_diff (a : Kernel.program) (b : Kernel.program) =
       ("nslots", a.nslots = b.nslots);
       ("sign", a.sign = b.sign);
       ("threshold", bits a.threshold = bits b.threshold);
-      ("coo_slot", a.coo_slot = b.coo_slot);
-      ("pivot_rows", a.pivot_rows = b.pivot_rows);
-      ("pivot_cols", a.pivot_cols = b.pivot_cols);
+      ("pivot_row", a.pivot_row = b.pivot_row);
+      ("pivot_col", a.pivot_col = b.pivot_col);
       ("pivot_slot", a.pivot_slot = b.pivot_slot);
-      ("u_cols", a.u_cols = b.u_cols);
-      ("u_slots", a.u_slots = b.u_slots);
+      ("u_start", a.u_start = b.u_start);
+      ("u_slot", a.u_slot = b.u_slot);
+      ("u_col", a.u_col = b.u_col);
+      ("elim_start", a.elim_start = b.elim_start);
       ("elim_row", a.elim_row = b.elim_row);
       ("elim_a_slot", a.elim_a_slot = b.elim_a_slot);
       ("elim_upd", a.elim_upd = b.elim_upd);
-      ("lower_len", a.lower_len = b.lower_len);
       ("fill", a.fill = b.fill);
     ]
   |> Option.map fst
@@ -228,17 +229,18 @@ let check c =
    with
   | None, None -> ()
   | Some _, None | None, Some _ -> fail "symbolic singularity"
-  | Some (po, fo), Some (pn, fn) -> (
+  | Some (po, _), Some pn -> (
       let coords =
         Array.init (Array.length po.Lu_oracle.coo_rows) (fun e ->
             (po.Lu_oracle.coo_rows.(e), po.Lu_oracle.coo_cols.(e)))
       in
       if coords <> Sparse.pattern_coords pn then fail "pattern_coords";
-      (match program_diff po.Lu_oracle.prog (Sparse.pattern_program pn) with
+      (* Entry e of the values order scatters to slot e, which is why the
+         program carries no scatter map. *)
+      let slots = po.Lu_oracle.coo_slot in
+      if slots <> Array.init (Array.length slots) Fun.id then fail "coo_slot identity";
+      match program_diff po.Lu_oracle.prog (Sparse.pattern_program pn) with
       | Some what -> fail ("program " ^ what)
-      | None -> ());
-      match factor_diff c fo fn with
-      | Some what -> fail ("symbolic factor " ^ what)
       | None -> ()));
   true
 
@@ -256,10 +258,9 @@ let test_pattern_slot () =
   let c = make_case "wide" 7 in
   match Sparse.symbolic (build_new c) with
   | None -> Alcotest.fail "the wide case must factor"
-  | Some (pat, _) ->
-      let coo_slot = (Sparse.pattern_program pat).Kernel.coo_slot in
+  | Some pat ->
       let listed = Array.make_matrix c.n c.n (-1) in
-      Array.iteri (fun e (i, j) -> listed.(i).(j) <- coo_slot.(e)) (Sparse.pattern_coords pat);
+      Array.iteri (fun e (i, j) -> listed.(i).(j) <- e) (Sparse.pattern_coords pat);
       for i = 0 to c.n - 1 do
         for j = 0 to c.n - 1 do
           Alcotest.(check int)
@@ -268,11 +269,88 @@ let test_pattern_slot () =
         done
       done
 
+(* The batch stub indexes its planes with the program's streams and checks
+   nothing, so every program must keep them in bounds: the first broken
+   condition, if any. *)
+let program_fault (p : Kernel.program) =
+  let n = p.n in
+  let within lim a = Array.for_all (fun v -> 0 <= v && v < lim) a in
+  let permutation a =
+    let seen = Array.make n false in
+    Array.length a = n
+    && Array.for_all
+         (fun v ->
+           0 <= v && v < n && (not seen.(v))
+           &&
+           (seen.(v) <- true;
+            true))
+         a
+  in
+  let steps = List.init n Fun.id in
+  let offsets start len =
+    Array.length start = n + 1
+    && start.(0) = 0
+    && start.(n) = len
+    && List.for_all (fun k -> start.(k) <= start.(k + 1)) steps
+  in
+  let width start k = start.(k + 1) - start.(k) in
+  List.find_opt
+    (fun (_, ok) -> not (Lazy.force ok))
+    [
+      ("pivot_row", lazy (permutation p.pivot_row));
+      ("pivot_col", lazy (permutation p.pivot_col));
+      ( "u_start",
+        lazy
+          (offsets p.u_start (Array.length p.u_slot)
+          && Array.length p.u_col = Array.length p.u_slot) );
+      ( "elim_start",
+        lazy
+          (offsets p.elim_start (Array.length p.elim_row)
+          && Array.length p.elim_a_slot = Array.length p.elim_row) );
+      ( "slots",
+        lazy
+          (Array.length p.pivot_slot = n
+          && List.for_all (within p.nslots)
+               [ p.pivot_slot; p.u_slot; p.elim_a_slot; p.elim_upd ]) );
+      ("rows and columns", lazy (within n p.u_col && within n p.elim_row));
+      ( "elim_upd",
+        lazy
+          (Array.length p.elim_upd
+          = List.fold_left
+              (fun acc k -> acc + (width p.elim_start k * width p.u_start k))
+              0 steps) );
+    ]
+  |> Option.map fst
+
+let prop_program_bounds =
+  QCheck2.Test.make ~name:"programs keep the stub's indices in bounds" ~count:200
+    ~print:(fun (net, seed, n) ->
+      Printf.sprintf "%s, seed %d, n %d" (if net then "random net" else "system") seed n)
+    QCheck2.Gen.(triple bool (int_range 1 100_000) (int_range 3 32))
+    (fun (net, seed, n) ->
+      let prog =
+        if net then
+          (* The program learned at the problem's initial scale pair: no
+             replay runs before it is checked. *)
+          let p = Test_batch.problem_of seed n in
+          Nodal.elimination_program
+            ~f:(1. /. Nodal.mean_capacitance p)
+            ~g:(1. /. Nodal.mean_conductance p)
+            p
+        else
+          Option.map Sparse.pattern_program
+            (Sparse.symbolic (fst (Test_batch.random_system (Test_batch.lcg seed) n)))
+      in
+      match Option.bind prog program_fault with
+      | None -> true
+      | Some what -> QCheck2.Test.fail_reportf "%s out of bounds" what)
+
 let suite =
   [
     ( "lu-oracle",
       [
         Alcotest.test_case "pattern_slot = pattern_coords" `Quick test_pattern_slot;
         QCheck_alcotest.to_alcotest prop_oracle;
+        QCheck_alcotest.to_alcotest prop_program_bounds;
       ] );
   ]

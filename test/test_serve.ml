@@ -2185,6 +2185,42 @@ let test_router_counts_unwind () =
   b.f_stop ();
   rm_rf dir
 
+(* Worker domains of one daemon that miss on the same job store the same
+   key at once.  Each store must stage in a file of its own: with a shared
+   staging name, one domain can truncate the file another is about to
+   rename into place, and a reader then finds a truncated entry, a miss,
+   after the entry was complete. *)
+let test_disk_cache_concurrent_stores () =
+  let dir = temp_dir "symref-disk-domains" in
+  let dc = Serve.Disk_cache.create ~dir in
+  let key = Digest.to_hex (Digest.string "same-job") in
+  let payload = String.init 65536 (fun i -> Char.chr (97 + (i mod 26))) in
+  let writing = Atomic.make 3 in
+  (* Reads, once the payload has been found, that return anything else. *)
+  let reader =
+    Domain.spawn (fun () ->
+        let found = ref false and lost = ref 0 in
+        while Atomic.get writing > 0 do
+          match Serve.Disk_cache.find dc ~key with
+          | Some p when p = payload -> found := true
+          | _ -> if !found then incr lost
+        done;
+        !lost)
+  in
+  let writers =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to 100 do
+              Serve.Disk_cache.store dc ~key payload
+            done;
+            Atomic.decr writing))
+  in
+  List.iter Domain.join writers;
+  Alcotest.(check int) "reads that lost the complete entry" 0 (Domain.join reader);
+  Alcotest.(check (option string)) "the entry holds the payload" (Some payload)
+    (Serve.Disk_cache.find dc ~key);
+  rm_rf dir
+
 let suite =
   [
     ( "serve",
@@ -2284,5 +2320,7 @@ let suite =
           `Quick test_router_spills_off_a_busy_owner;
         Alcotest.test_case "router: every forward path releases its count"
           `Quick test_router_counts_unwind;
+        Alcotest.test_case "disk cache: domains storing one key keep it whole"
+          `Quick test_disk_cache_concurrent_stores;
       ] );
   ]
